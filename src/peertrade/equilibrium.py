@@ -25,9 +25,10 @@ a Price-of-Anarchy lower bound.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -147,10 +148,8 @@ def solve_parameterized(scenario: Scenario, omega: OmegaVector,
         if (m, n) not in idx.qpos:
             raise ValueError(f"omega[{(n, m)}] refers to a pair with no link")
         r[idx.qpos[(m, n)]] += w
-    shifted = qp.QpProblem(P=problem.P, r=r, A_ineq=problem.A_ineq,
-                           b_ineq=problem.b_ineq, A_eq=problem.A_eq,
-                           b_eq=problem.b_eq, var_names=problem.var_names)
-    mask = market.trade_reg_mask(problem) if eps_reg else None
+    shifted = dataclasses.replace(problem, r=r)
+    mask = market.trade_reg_mask(idx) if eps_reg else None
     sol = qp.solve(shifted, tol=tol, eps_reg=eps_reg, reg_mask=mask)
     if sol.status != qp.STATUS_OPTIMAL:
         raise market.MarketError(
@@ -185,31 +184,6 @@ def _classify(scenario: Scenario, omega: OmegaVector,
 # -- omega enumeration strategies ----------------------------------------
 
 @dataclass(frozen=True)
-class GridStrategy:
-    """Cartesian grid: each support direction takes values lo..hi step."""
-
-    start: float = 0.0
-    stop: float = 100.0
-    step: float = 1.0
-    support: object = SUPPORT_LOW_BUYS_HIGH
-
-    def axis_values(self) -> np.ndarray:
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
-        count = int(np.floor((self.stop - self.start) / self.step + 0.5)) + 1
-        return self.start + self.step * np.arange(count)
-
-    def count(self, k: int) -> int:
-        return len(self.axis_values()) ** k
-
-    def generate(self, support: tuple) -> Iterator[tuple]:
-        vals = self.axis_values()
-        grids = np.meshgrid(*([vals] * len(support)), indexing="ij")
-        stacked = np.stack([g.ravel() for g in grids], axis=1)
-        return iter(stacked)
-
-
-@dataclass(frozen=True)
 class AxisStrategy:
     """Cartesian product of an explicit value list on every direction."""
 
@@ -219,10 +193,23 @@ class AxisStrategy:
     def count(self, k: int) -> int:
         return len(self.values) ** k
 
-    def generate(self, support: tuple) -> Iterator[tuple]:
-        vals = np.asarray(list(self.values), dtype=float)
+    def generate(self, support: tuple) -> np.ndarray:
+        """The (N, k) omega points, lexicographic in the support order."""
+        vals = np.asarray(self.values, dtype=float)
         grids = np.meshgrid(*([vals] * len(support)), indexing="ij")
-        return iter(np.stack([g.ravel() for g in grids], axis=1))
+        return np.stack([g.ravel() for g in grids], axis=1)
+
+
+class GridStrategy(AxisStrategy):
+    """Cartesian grid: each support direction takes values start..stop by step."""
+
+    def __init__(self, start: float = 0.0, stop: float = 100.0,
+                 step: float = 1.0, support: object = SUPPORT_LOW_BUYS_HIGH):
+        if step <= 0:
+            raise ValueError("grid step must be positive")
+        count = int(np.floor((stop - start) / step + 0.5)) + 1
+        super().__init__(values=tuple(start + step * np.arange(count)),
+                         support=support)
 
 
 @dataclass(frozen=True)
@@ -238,24 +225,23 @@ class RandomStrategy:
     def count(self, k: int) -> int:
         return self.count_
 
-    def generate(self, support: tuple) -> Iterator[tuple]:
+    def generate(self, support: tuple) -> np.ndarray:
         if self.count_ <= 0:
             raise ValueError("random strategy needs a positive sample count")
         rng = np.random.default_rng(self.seed)
-        return iter(rng.uniform(self.low, self.high,
-                                size=(self.count_, len(support))))
+        return rng.uniform(self.low, self.high, size=(self.count_, len(support)))
 
 
-def sweep_gne(scenario: Scenario, strategy, keep_all: bool = False,
-              budget: int = 10**6, tol: float = market.DEFAULT_TOL,
-              eps_reg: float = 0.0, batch_size: int = 1024) -> list:
+def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
+              tol: float = market.DEFAULT_TOL, eps_reg: float = 0.0,
+              batch_size: int = 1024) -> list:
     """Run an omega enumeration and collect the distinct equilibria.
 
     Evaluation order is deterministic (lexicographic for grids, seeded
     for random draws).  Samples failing the equilibrium filter are
-    dropped unless ``keep_all``; surviving duplicates, i.e. omega points
-    mapping to the same primal solution after rounding (D, G, q) to
-    1e-4, are collapsed to their first occurrence.
+    dropped; surviving duplicates, i.e. omega points mapping to the same
+    primal solution after rounding (D, G, q) to 1e-4, are collapsed to
+    their first occurrence.
     """
     support = default_support(scenario, strategy.support)
     k = len(support)
@@ -266,7 +252,7 @@ def sweep_gne(scenario: Scenario, strategy, keep_all: bool = False,
             "raise the budget explicitly if this is intended")
 
     problem, idx = market.assemble(scenario)
-    mask = market.trade_reg_mask(problem) if eps_reg else None
+    mask = market.trade_reg_mask(idx) if eps_reg else None
     omega_cols = []
     for (n, m) in support:
         if (m, n) not in idx.qpos:
@@ -282,16 +268,13 @@ def sweep_gne(scenario: Scenario, strategy, keep_all: bool = False,
         dtype=int)
     eps = epsilon_comp(scenario)
 
+    omegas = strategy.generate(support)   # (N, k)
+    if omegas.size and omegas.min() < 0:
+        raise ValueError("omega values must be nonnegative")
     seen = set()
     out = []
-    stream = strategy.generate(support)
-    while True:
-        chunk = list(_take(stream, batch_size))
-        if not chunk:
-            break
-        W = np.asarray(chunk, dtype=float)   # (B, k)
-        if W.size and W.min() < 0:
-            raise ValueError("omega values must be nonnegative")
+    for start in range(0, len(omegas), batch_size):
+        W = omegas[start:start + batch_size]
         R = np.tile(problem.r, (len(W), 1))
         R[:, omega_cols] += W
         batch = qp.solve_batch(problem, R, tol=tol, eps_reg=eps_reg,
@@ -300,33 +283,19 @@ def sweep_gne(scenario: Scenario, strategy, keep_all: bool = False,
         slack = x[:, pair_cols[:, 0]] + x[:, pair_cols[:, 1]]   # (B, n_pairs)
         viol = np.abs(W * slack[:, support_pair_index]).max(axis=1) if k else \
             np.zeros(len(W))
-        ok_status = batch.status_code == 0
-        good = ok_status & ((viol <= eps) | keep_all)
+        good = (batch.status_code == 0) & (viol <= eps)
 
         for i in np.flatnonzero(good):
-            key = np.round(x[i], 4).tobytes()
+            key = (np.round(x[i], 4) + 0.0).tobytes()   # -0.0 and 0.0 are one key
             if key in seen:
                 continue
             seen.add(key)
             omega = OmegaVector({pair: W[i, j] for j, pair in enumerate(support)
                                  if W[i, j] != 0.0})
-            shim = qp.QpSolution(
-                x=x[i], mult_ineq=batch.mult_ineq[i], mult_eq=batch.mult_eq[i],
-                objective=float(batch.objective[i]), status=batch.status(i),
-                kkt_residuals={}, iterations=int(batch.iterations[i]),
-                eps_reg=eps_reg)
-            ms = market.extract_solution(scenario, idx, shim, eps_reg, kind="gne")
-            sample = _classify(scenario, omega, ms)
-            out.append(sample)
+            ms = market.extract_solution(scenario, idx, batch.solution(i),
+                                         eps_reg, kind="gne")
+            out.append(_classify(scenario, omega, ms))
     return out
-
-
-def _take(it: Iterator, count: int) -> Iterator:
-    for _ in range(count):
-        try:
-            yield next(it)
-        except StopIteration:
-            return
 
 
 def poa_bound(samples: Iterable, ve_sw: float) -> dict:

@@ -10,14 +10,17 @@ mapped back to its economic name:
 * ``zeta[n][m]``: bilateral trade price, from the reciprocity row of the
   pair (one row per pair, so the value is shared by both directions,
   which is exactly variational-equilibrium pricing).
-* ``xi[n][m]``: congestion price, from the capacity row of the trade
-  variable q[m][n] (the index order follows the pricing convention: the
-  flow m -> n is priced by xi[n][m]).
-* ``mu_lo/mu_hi``, ``nu_lo/nu_hi``: demand and generation bound prices.
+* ``xi[n][m]``: congestion price, the multiplier of the upper bound
+  (the line capacity) of the trade variable q[m][n] (the index order
+  follows the pricing convention: the flow m -> n is priced by
+  xi[n][m]).
+* ``mu_lo/mu_hi``, ``nu_lo/nu_hi``: demand and generation bound prices,
+  the multipliers of the lower and upper bounds of D and G.
 
-Bounds with equal endpoints become equality rows (the interior-point
-engine needs slack in its inequalities); their duals are split back into
-the lo/hi pair by sign so the reported multiplier surface is uniform.
+The demand and generation ranges and the trade caps are variable bounds
+of the QP, so their prices come straight from its bound multipliers; a
+range with equal endpoints fixes the variable, and the QP layer still
+reports both of its bound multipliers.
 """
 
 from __future__ import annotations
@@ -87,13 +90,6 @@ class _MarketIndex:
     gpos: dict
     qpos: dict            # (m, n) -> column of q[m][n]
     bal_row: dict         # node -> equality row
-    fix_d_row: dict       # node -> equality row (d_min == d_max)
-    fix_g_row: dict
-    d_lo_row: dict
-    d_hi_row: dict
-    g_lo_row: dict
-    g_hi_row: dict
-    cap_row: dict         # (m, n) -> inequality row capping q[m][n]
     recip_row: dict       # unordered pair -> inequality row
 
 
@@ -105,7 +101,13 @@ def _require_valid(scenario: Scenario) -> None:
 
 
 def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
-    """Build the minimization QP and the index mapping back to the market."""
+    """Build the minimization QP and the index mapping back to the market.
+
+    Variables are ordered deterministically: every ``D`` by node id,
+    every ``G``, then the trades by (seller, buyer) lexicographic.  The
+    demand and generation ranges and the trade caps are the variable
+    bounds; the rows are the nodal balances and the reciprocity pairs.
+    """
     _require_valid(scenario)
     nodes = scenario.node_ids
     dpairs = list(scenario.directed_pairs())
@@ -118,110 +120,47 @@ def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
 
     P = np.zeros((n_var, n_var))
     r = np.zeros(n_var)
-    names = []
-    for node in nodes:
+    lb = np.full(n_var, -np.inf)
+    ub = np.full(n_var, np.inf)
+    A_eq = np.zeros((nN, n_var))
+    b_eq = np.zeros(nN)
+    bal_row = {}
+    for i, node in enumerate(nodes):
         p = scenario.prosumer(node)
-        P[dpos[node], dpos[node]] = 2.0 * p.a_tilde
-        r[dpos[node]] = -2.0 * p.a_tilde * p.d_star
-        names.append(f"D[{node}]")
-    for node in nodes:
-        p = scenario.prosumer(node)
-        P[gpos[node], gpos[node]] = p.a
-        r[gpos[node]] = p.b
-        names.append(f"G[{node}]")
-    for (m, n) in dpairs:
-        r[qpos[(m, n)]] = scenario.c(n, m)   # the buyer n pays c(n, m)
-        names.append(f"q[{m}][{n}]")
+        d, g = dpos[node], gpos[node]
+        P[d, d] = 2.0 * p.a_tilde
+        r[d] = -2.0 * p.a_tilde * p.d_star
+        P[g, g] = p.a
+        r[g] = p.b
+        lb[d], ub[d], lb[g], ub[g] = p.d_min, p.d_max, p.g_min, p.g_max
+        A_eq[i, d] = 1.0
+        A_eq[i, g] = -1.0
+        b_eq[i] = p.delta_g
+        bal_row[node] = i
+    for (m, n), col in qpos.items():
+        r[col] = scenario.c(n, m)   # the buyer n pays c(n, m)
+        ub[col] = scenario.kappa(m, n)
+        A_eq[bal_row[n], col] = -1.0
 
-    eq_rows, eq_rhs = [], []
-    bal_row, fix_d_row, fix_g_row = {}, {}, {}
-    for node in nodes:
-        p = scenario.prosumer(node)
-        row = np.zeros(n_var)
-        row[dpos[node]] = 1.0
-        row[gpos[node]] = -1.0
-        for (m, n) in dpairs:
-            if n == node:
-                row[qpos[(m, n)]] = -1.0
-        bal_row[node] = len(eq_rows)
-        eq_rows.append(row)
-        eq_rhs.append(p.delta_g)
-    for node in nodes:
-        p = scenario.prosumer(node)
-        if p.d_min == p.d_max:
-            row = np.zeros(n_var)
-            row[dpos[node]] = 1.0
-            fix_d_row[node] = len(eq_rows)
-            eq_rows.append(row)
-            eq_rhs.append(p.d_min)
-        if p.g_min == p.g_max:
-            row = np.zeros(n_var)
-            row[gpos[node]] = 1.0
-            fix_g_row[node] = len(eq_rows)
-            eq_rows.append(row)
-            eq_rhs.append(p.g_min)
-
-    in_rows, in_rhs = [], []
-    d_lo_row, d_hi_row, g_lo_row, g_hi_row = {}, {}, {}, {}
-    for node in nodes:
-        p = scenario.prosumer(node)
-        if p.d_min != p.d_max:
-            row = np.zeros(n_var); row[dpos[node]] = -1.0
-            d_lo_row[node] = len(in_rows); in_rows.append(row); in_rhs.append(-p.d_min)
-            row = np.zeros(n_var); row[dpos[node]] = 1.0
-            d_hi_row[node] = len(in_rows); in_rows.append(row); in_rhs.append(p.d_max)
-        if p.g_min != p.g_max:
-            row = np.zeros(n_var); row[gpos[node]] = -1.0
-            g_lo_row[node] = len(in_rows); in_rows.append(row); in_rhs.append(-p.g_min)
-            row = np.zeros(n_var); row[gpos[node]] = 1.0
-            g_hi_row[node] = len(in_rows); in_rows.append(row); in_rhs.append(p.g_max)
-    cap_row = {}
-    for (m, n) in dpairs:
-        row = np.zeros(n_var); row[qpos[(m, n)]] = 1.0
-        cap_row[(m, n)] = len(in_rows)
-        in_rows.append(row)
-        in_rhs.append(scenario.kappa(m, n))
+    links = sorted(scenario.links)
+    A_ineq = np.zeros((len(links), n_var))
     recip_row = {}
-    for pair in sorted(scenario.links):
-        lo, hi = pair
-        row = np.zeros(n_var)
-        row[qpos[(lo, hi)]] = 1.0
-        row[qpos[(hi, lo)]] = 1.0
-        recip_row[pair] = len(in_rows)
-        in_rows.append(row)
-        in_rhs.append(0.0)
+    for i, (lo, hi) in enumerate(links):
+        A_ineq[i, qpos[(lo, hi)]] = A_ineq[i, qpos[(hi, lo)]] = 1.0
+        recip_row[(lo, hi)] = i
 
-    problem = qp.QpProblem(
-        P=P, r=r,
-        A_ineq=np.array(in_rows).reshape(-1, n_var),
-        b_ineq=np.array(in_rhs, dtype=float),
-        A_eq=np.array(eq_rows).reshape(-1, n_var),
-        b_eq=np.array(eq_rhs, dtype=float),
-        var_names=tuple(names))
+    problem = qp.QpProblem(P=P, r=r, A_ineq=A_ineq, b_ineq=np.zeros(len(links)),
+                           A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
     index = _MarketIndex(nodes=nodes, dpos=dpos, gpos=gpos, qpos=qpos,
-                         bal_row=bal_row, fix_d_row=fix_d_row,
-                         fix_g_row=fix_g_row, d_lo_row=d_lo_row,
-                         d_hi_row=d_hi_row, g_lo_row=g_lo_row,
-                         g_hi_row=g_hi_row, cap_row=cap_row,
-                         recip_row=recip_row)
+                         bal_row=bal_row, recip_row=recip_row)
     return problem, index
 
 
-def build_centralized_qp(scenario: Scenario) -> qp.QpProblem:
-    """The centralized welfare problem in minimization form.
-
-    Variables are ordered deterministically: every ``D`` by node id,
-    every ``G``, then the trades by (seller, buyer) lexicographic.
-    """
-    return assemble(scenario)[0]
-
-
-def trade_reg_mask(problem: qp.QpProblem) -> np.ndarray:
+def trade_reg_mask(idx: _MarketIndex) -> np.ndarray:
     """Mask selecting the trade variables, for Tikhonov regularization."""
-    if problem.var_names is None:
-        raise ValueError("problem carries no variable names")
-    return np.array([1.0 if name.startswith("q[") else 0.0
-                     for name in problem.var_names])
+    mask = np.zeros(2 * len(idx.nodes) + len(idx.qpos))
+    mask[list(idx.qpos.values())] = 1.0
+    return mask
 
 
 def social_welfare(scenario: Scenario, D: dict, G: dict, q: dict) -> float:
@@ -248,12 +187,13 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
     optimal trades non-unique.  The value is echoed in the solution.
     """
     problem, idx = assemble(scenario)
-    mask = trade_reg_mask(problem) if eps_reg else None
+    mask = trade_reg_mask(idx) if eps_reg else None
     sol = qp.solve(problem, tol=tol, max_iter=max_iter, eps_reg=eps_reg,
                    reg_mask=mask)
     if sol.status == qp.STATUS_INFEASIBLE:
         raise InfeasibleMarketError(
-            f"scenario {scenario.name!r}: " + _attribute_infeasibility(problem, sol))
+            f"scenario {scenario.name!r}: "
+            + _attribute_infeasibility(problem, idx, sol))
     if sol.status != qp.STATUS_OPTIMAL:
         raise MarketError(f"solver returned status {sol.status!r}: {sol.message}")
 
@@ -262,7 +202,8 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
     return solution
 
 
-def _attribute_infeasibility(problem: qp.QpProblem, sol: qp.QpSolution) -> str:
+def _attribute_infeasibility(problem: qp.QpProblem, idx: _MarketIndex,
+                             sol: qp.QpSolution) -> str:
     x = sol.x
     viol = []
     if problem.n_eq:
@@ -275,6 +216,15 @@ def _attribute_infeasibility(problem: qp.QpProblem, sol: qp.QpSolution) -> str:
         for i in np.argsort(-res)[:3]:
             if res[i] > 1e-6:
                 viol.append(f"inequality row {i} violated by {res[i]:.3g}")
+    names = {**{c: f"D[{n}]" for n, c in idx.dpos.items()},
+             **{c: f"G[{n}]" for n, c in idx.gpos.items()},
+             **{c: f"q[{m}][{n}]" for (m, n), c in idx.qpos.items()}}
+    below, above = problem.lb - x, x - problem.ub
+    for j in np.argsort(-np.maximum(below, above))[:3]:
+        if below[j] > 1e-6:
+            viol.append(f"{names[j]} below its lower bound by {below[j]:.3g}")
+        elif above[j] > 1e-6:
+            viol.append(f"{names[j]} above its upper bound by {above[j]:.3g}")
     detail = "; ".join(viol) if viol else sol.message
     return f"no feasible dispatch ({detail})"
 
@@ -293,25 +243,14 @@ def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
     Q = {n: sum(q[m][n] for m in scenario.neighbors(n)) for n in nodes}
 
     lam = {n: float(y[idx.bal_row[n]]) for n in nodes}
-
-    mu_lo, mu_hi, nu_lo, nu_hi = {}, {}, {}, {}
-    for n in nodes:
-        if n in idx.fix_d_row:
-            t = float(y[idx.fix_d_row[n]])
-            mu_hi[n], mu_lo[n] = max(t, 0.0), max(-t, 0.0)
-        else:
-            mu_lo[n] = float(z[idx.d_lo_row[n]])
-            mu_hi[n] = float(z[idx.d_hi_row[n]])
-        if n in idx.fix_g_row:
-            t = float(y[idx.fix_g_row[n]])
-            nu_hi[n], nu_lo[n] = max(t, 0.0), max(-t, 0.0)
-        else:
-            nu_lo[n] = float(z[idx.g_lo_row[n]])
-            nu_hi[n] = float(z[idx.g_hi_row[n]])
+    mu_lo = {n: float(sol.mult_lb[idx.dpos[n]]) for n in nodes}
+    mu_hi = {n: float(sol.mult_ub[idx.dpos[n]]) for n in nodes}
+    nu_lo = {n: float(sol.mult_lb[idx.gpos[n]]) for n in nodes}
+    nu_hi = {n: float(sol.mult_ub[idx.gpos[n]]) for n in nodes}
 
     xi = {n: {} for n in nodes}
-    for (m, n), row in idx.cap_row.items():
-        xi[n][m] = float(z[row])     # the flow m -> n is priced by xi[n][m]
+    for (m, n), col in idx.qpos.items():
+        xi[n][m] = float(sol.mult_ub[col])   # the flow m -> n is priced by xi[n][m]
     zeta = {n: {} for n in nodes}
     for (lo, hi), row in idx.recip_row.items():
         zeta[lo][hi] = zeta[hi][lo] = float(z[row])

@@ -1,21 +1,36 @@
 """Dense convex quadratic programming with full multiplier recovery.
 
-Solves  minimize 0.5 x'Px + r'x  subject to  A_ineq x <= b_ineq,
-A_eq x = b_eq  with a Mehrotra predictor-corrector primal-dual
-interior-point method on dense factorizations.  Problem sizes here are a
-few hundred variables at most, and the Lagrange multipliers are the point
-of the exercise (they are the market prices), so the method keeps the
-equality rows explicit and reports every multiplier.
+Solves
+
+    minimize 0.5 x'Px + r'x
+    subject to  A_ineq x <= b_ineq,  A_eq x = b_eq,  lb <= x <= ub
+
+with a Mehrotra predictor-corrector primal-dual interior-point method on
+dense factorizations.  Problem sizes here are a few hundred variables at
+most, and the Lagrange multipliers are the point of the exercise (they
+are the market prices), so the method keeps the equality rows explicit
+and reports every multiplier.
+
+Simple bounds are problem data, not constraint rows.  A variable with
+``lb == ub`` is eliminated before the iterations start: its value is
+known, and its bound multipliers are read off the stationarity residual
+afterwards (the positive part goes to ``mult_ub``, the negative part to
+``mult_lb``).  The remaining finite bounds become inequality rows of the
+engine in one place, :func:`solve_batch`, and their multipliers are
+reported per variable as ``mult_lb`` and ``mult_ub``.  KKT residuals are
+defined once, over the original problem with its bounds.
 
 The engine is written once, vectorized over a leading batch axis: a batch
-of problems sharing P and all constraint matrices but differing in the
-linear term r runs through the same arithmetic as a single solve.  That
-is what makes million-point parameter sweeps tractable on one core, and
-it keeps the two code paths trivially consistent.
+of problems sharing P, the constraint matrices and the bounds but
+differing in the linear term r runs through the same arithmetic as a
+single solve.  That is what makes million-point parameter sweeps
+tractable on one core, and it keeps the two code paths trivially
+consistent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +46,7 @@ _STATUS_CODES = {0: STATUS_OPTIMAL, 1: STATUS_INFEASIBLE,
 
 
 class QpError(ValueError):
-    """Raised for malformed problems (dimensions, symmetry, PSD)."""
+    """Raised for malformed problems (dimensions, symmetry, PSD, bounds)."""
 
 
 @dataclass(frozen=True)
@@ -40,7 +55,8 @@ class QpProblem:
 
     ``P`` must be symmetric PSD; zero rows/columns (linear variables) are
     fine.  Empty constraint blocks are represented by (0, n) matrices.
-    ``var_names`` is optional and only used in diagnostics.
+    ``lb`` and ``ub`` default to -inf and +inf; ``lb == ub`` fixes a
+    variable.
     """
 
     P: np.ndarray
@@ -49,7 +65,8 @@ class QpProblem:
     b_ineq: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
-    var_names: Optional[tuple] = None
+    lb: Optional[np.ndarray] = None
+    ub: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = len(self.r)
@@ -67,8 +84,19 @@ class QpProblem:
             if A.shape[0] != len(b):
                 raise QpError(f"{name} has {A.shape[0]} rows but its rhs has "
                               f"{len(b)} entries")
-        if self.var_names is not None and len(self.var_names) != n:
-            raise QpError(f"{len(self.var_names)} variable names for {n} variables")
+        for name, v, default in (("lb", self.lb, -np.inf), ("ub", self.ub, np.inf)):
+            v = np.full(n, default) if v is None else np.asarray(v, dtype=float)
+            if v.shape != (n,):
+                raise QpError(f"{name} has shape {v.shape}, expected ({n},)")
+            if np.isnan(v).any():
+                raise QpError(f"{name} contains NaN")
+            object.__setattr__(self, name, v)
+        bad = np.flatnonzero((self.lb > self.ub) | (self.lb == np.inf)
+                             | (self.ub == -np.inf))
+        if bad.size:
+            j = bad[0]
+            raise QpError(f"empty bound range for variable {j}: "
+                          f"lb {self.lb[j]} > ub {self.ub[j]} or infinite")
 
     @property
     def n_var(self) -> int:
@@ -88,7 +116,7 @@ class QpProblem:
 
 
 def make_problem(P, r, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
-                 var_names=None) -> QpProblem:
+                 lb=None, ub=None) -> QpProblem:
     """Convenience constructor that fills in empty constraint blocks."""
     r = np.asarray(r, dtype=float).ravel()
     n = len(r)
@@ -102,7 +130,7 @@ def make_problem(P, r, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                      b_ineq=np.asarray(b_ineq, dtype=float).ravel(),
                      A_eq=np.asarray(A_eq, dtype=float).reshape(-1, n),
                      b_eq=np.asarray(b_eq, dtype=float).ravel(),
-                     var_names=tuple(var_names) if var_names is not None else None)
+                     lb=lb, ub=ub)
 
 
 @dataclass(frozen=True)
@@ -111,14 +139,17 @@ class QpSolution:
 
     ``kkt_residuals`` holds max-norms for stationarity, primal
     feasibility, dual feasibility (multiplier negativity), and
-    complementarity.  On anything other than ``optimal`` the attached
-    iterate is the best one found; for ``infeasible`` the message carries
-    a Farkas-style residual report.
+    complementarity, bounds included.  On anything other than
+    ``optimal`` the attached iterate is the best one found; for
+    ``infeasible`` the message from :func:`solve` carries a Farkas-style
+    residual report.
     """
 
     x: np.ndarray
     mult_ineq: np.ndarray
     mult_eq: np.ndarray
+    mult_lb: np.ndarray
+    mult_ub: np.ndarray
     objective: float
     status: str
     kkt_residuals: dict
@@ -134,13 +165,30 @@ class QpBatchSolution:
     x: np.ndarray           # (B, n)
     mult_ineq: np.ndarray   # (B, m)
     mult_eq: np.ndarray     # (B, p)
+    mult_lb: np.ndarray     # (B, n)
+    mult_ub: np.ndarray     # (B, n)
     objective: np.ndarray   # (B,)
     status_code: np.ndarray  # (B,) ints, see _STATUS_CODES
-    residual: np.ndarray    # (B,) worst KKT residual
+    kkt_residuals: dict     # kind -> (B,) max-norm, see QpSolution
     iterations: np.ndarray  # (B,)
+    eps_reg: float = 0.0
+
+    @property
+    def residual(self) -> np.ndarray:
+        """(B,) worst KKT residual over all kinds."""
+        return np.max(list(self.kkt_residuals.values()), axis=0)
 
     def status(self, i: int) -> str:
         return _STATUS_CODES[int(self.status_code[i])]
+
+    def solution(self, i: int) -> QpSolution:
+        """Row ``i`` of the batch as a single solution."""
+        return QpSolution(
+            x=self.x[i], mult_ineq=self.mult_ineq[i], mult_eq=self.mult_eq[i],
+            mult_lb=self.mult_lb[i], mult_ub=self.mult_ub[i],
+            objective=float(self.objective[i]), status=self.status(i),
+            kkt_residuals={k: float(v[i]) for k, v in self.kkt_residuals.items()},
+            iterations=int(self.iterations[i]), eps_reg=self.eps_reg)
 
     @property
     def all_optimal(self) -> bool:
@@ -167,65 +215,33 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100,
     a tie-breaker for problems with degenerate optimal faces, picks the
     minimum-norm representative, and is reported back in the solution.
     """
-    batch = solve_batch(problem, problem.r[None, :], tol=tol,
-                        max_iter=max_iter, eps_reg=eps_reg, reg_mask=reg_mask,
-                        polish=polish)
-    status = batch.status(0)
+    sol = solve_batch(problem, problem.r[None, :], tol=tol,
+                      max_iter=max_iter, eps_reg=eps_reg, reg_mask=reg_mask,
+                      polish=polish).solution(0)
     message = ""
-    if status == STATUS_INFEASIBLE:
-        x = batch.x[0]
-        r_eq = problem.A_eq @ x - problem.b_eq
-        r_in = problem.A_ineq @ x - problem.b_ineq
-        z = batch.mult_ineq[0]
-        y = batch.mult_eq[0]
-        ray = np.abs(problem.A_ineq.T @ z + problem.A_eq.T @ y).max() if (z.size or y.size) else 0.0
-        gain = float(problem.b_ineq @ z + problem.b_eq @ y) if (z.size or y.size) else 0.0
-        bits = []
-        if r_eq.size:
-            bits.append(f"max |A_eq x - b_eq| = {np.abs(r_eq).max():.3e}")
-        if r_in.size:
-            bits.append(f"max (A_ineq x - b_ineq) = {r_in.max():.3e}")
-        bits.append(f"Farkas certificate: |A'z + A_eq'y| <= {ray:.3e} "
-                    f"with b'z + b_eq'y = {gain:.3e} for scaled multipliers")
-        message = "no feasible point found; " + "; ".join(bits)
-    elif status == STATUS_UNBOUNDED:
+    if sol.status == STATUS_INFEASIBLE:
+        z, y, zl, zu = sol.mult_ineq, sol.mult_eq, sol.mult_lb, sol.mult_ub
+        lo, up = np.isfinite(problem.lb), np.isfinite(problem.ub)
+        ray = np.abs(problem.A_ineq.T @ z + problem.A_eq.T @ y + zu - zl).max(initial=0.0)
+        gain = float(problem.b_ineq @ z + problem.b_eq @ y
+                     + problem.ub[up] @ zu[up] - problem.lb[lo] @ zl[lo])
+        message = (f"no feasible point found; worst primal residual "
+                   f"{sol.kkt_residuals['primal']:.3e}; Farkas certificate: "
+                   f"|A'z + A_eq'y + z_ub - z_lb| <= {ray:.3e} with "
+                   f"b'z + b_eq'y + ub'z_ub - lb'z_lb = {gain:.3e} "
+                   "for scaled multipliers")
+    elif sol.status == STATUS_UNBOUNDED:
         message = "objective appears unbounded below along a feasible ray"
-    elif status == STATUS_MAX_ITER:
+    elif sol.status == STATUS_MAX_ITER:
         message = f"stopped after {max_iter} iterations; best iterate attached"
-
-    x = batch.x[0]
-    z = batch.mult_ineq[0]
-    y = batch.mult_eq[0]
-    stat = problem.P @ x + problem.r + problem.A_ineq.T @ z + problem.A_eq.T @ y
-    if eps_reg:
-        mask = np.ones(problem.n_var) if reg_mask is None else np.asarray(reg_mask, dtype=float)
-        stat = stat + 2.0 * eps_reg * mask * x
-    primal = 0.0
-    comp = 0.0
-    if problem.n_eq:
-        primal = max(primal, float(np.abs(problem.A_eq @ x - problem.b_eq).max()))
-    if problem.n_ineq:
-        slack = problem.b_ineq - problem.A_ineq @ x
-        primal = max(primal, float(max(-slack.min(), 0.0)))
-        comp = float(np.abs(z * slack).max())
-    residuals = {
-        "stationarity": float(np.abs(stat).max()) if stat.size else 0.0,
-        "primal": primal,
-        "dual": float(max(-z.min(), 0.0)) if z.size else 0.0,
-        "complementarity": comp,
-    }
-    return QpSolution(x=x, mult_ineq=z, mult_eq=y,
-                      objective=problem.objective(x), status=status,
-                      kkt_residuals=residuals,
-                      iterations=int(batch.iterations[0]),
-                      eps_reg=eps_reg, message=message)
+    return dataclasses.replace(sol, message=message)
 
 
 def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                 max_iter: int = 100, eps_reg: float = 0.0,
                 reg_mask: Optional[np.ndarray] = None,
                 polish: bool = True) -> QpBatchSolution:
-    """Solve many QPs sharing P and constraints, row i using linear term R[i].
+    """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
     problem stops updating once converged, so results are independent of
@@ -245,20 +261,78 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         mask = np.ones(n) if reg_mask is None else np.asarray(reg_mask, dtype=float)
         P = P + 2.0 * eps_reg * np.diag(mask)
     B = R.shape[0]
-    G, h = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
-    A, b = np.asarray(problem.A_eq, float), np.asarray(problem.b_eq, float)
-    m, p = len(h), len(b)
+    G0, h0 = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
+    A0, b0 = np.asarray(problem.A_eq, float), np.asarray(problem.b_eq, float)
+    lb, ub = problem.lb, problem.ub
 
-    scale = 1.0 + max(np.abs(R).max() if R.size else 0.0,
-                      np.abs(h).max() if m else 0.0,
-                      np.abs(b).max() if p else 0.0,
-                      np.abs(P).max() if P.size else 0.0)
+    # Eliminate the fixed variables; the free variables' finite bounds
+    # become rows [ub rows; lb rows] after the problem's own inequalities.
+    fixed = lb == ub
+    free = np.flatnonzero(~fixed)
+    x_fix = lb[fixed]
+    up = np.flatnonzero(np.isfinite(ub[free]))
+    lo = np.flatnonzero(np.isfinite(lb[free]))
+    eye = np.eye(len(free))
+    Pf = P[np.ix_(free, free)]
+    Rf = R[:, free] + P[np.ix_(free, fixed)] @ x_fix
+    G = np.vstack([G0[:, free], eye[up], -eye[lo]])
+    h = np.concatenate([h0 - G0[:, fixed] @ x_fix, ub[free][up], -lb[free][lo]])
+    A, b = A0[:, free], b0 - A0[:, fixed] @ x_fix
+
+    scale = 1.0 + max(np.abs(Rf).max(initial=0.0), np.abs(h).max(initial=0.0),
+                      np.abs(b).max(initial=0.0), np.abs(Pf).max(initial=0.0))
     # Near-absolute convergence target; the mild scale term only matters
     # for badly scaled data and keeps the target attainable there.
     tol_conv = tol * (1.0 + 0.01 * scale)
+    if len(h):
+        xf, y, z, status, iters = _ipm(Pf, Rf, G, h, A, b, scale, tol_conv,
+                                       max_iter, polish)
+    else:
+        xf, y, status = _solve_equality_batch(Pf, Rf, A, b, tol_conv)
+        z, iters = np.zeros((B, 0)), np.ones(B, dtype=np.int32)
 
-    if m == 0:
-        return _solve_equality_batch(P, R, A, b, tol_conv)
+    # Back to the original variables and multipliers.
+    m = problem.n_ineq
+    x = np.empty((B, n))
+    x[:, free] = xf
+    x[:, fixed] = x_fix
+    z_in = z[:, :m]
+    mult_ub = np.zeros((B, n))
+    mult_lb = np.zeros((B, n))
+    mult_ub[:, free[up]] = z[:, m:m + len(up)]
+    mult_lb[:, free[lo]] = z[:, m + len(up):]
+    grad = x @ P + R + z_in @ G0 + y @ A0
+    mult_ub[:, fixed] = np.maximum(-grad[:, fixed], 0.0)
+    mult_lb[:, fixed] = np.maximum(grad[:, fixed], 0.0)
+
+    # The KKT residuals of the original problem, one max-norm per kind.
+    slack = h0 - x @ G0.T
+    lo_gap = np.where(np.isfinite(lb), x - lb, 0.0)
+    up_gap = np.where(np.isfinite(ub), ub - x, 0.0)
+    kkt = {
+        "stationarity": np.abs(grad + mult_ub - mult_lb).max(axis=1, initial=0.0),
+        "primal": np.hstack([np.abs(x @ A0.T - b0), -slack, -lo_gap, -up_gap])
+                  .max(axis=1, initial=0.0),
+        "dual": (-np.hstack([z_in, mult_lb, mult_ub])).max(axis=1, initial=0.0),
+        "complementarity": np.abs(np.hstack([z_in * slack, mult_lb * lo_gap,
+                                             mult_ub * up_gap])).max(axis=1, initial=0.0),
+    }
+    objective = 0.5 * np.einsum("bi,ij,bj->b", x, problem.P, x) + (R * x).sum(axis=1)
+    return QpBatchSolution(x=x, mult_ineq=z_in, mult_eq=y, mult_lb=mult_lb,
+                           mult_ub=mult_ub, objective=objective,
+                           status_code=status.astype(np.int8),
+                           kkt_residuals=kkt, iterations=iters, eps_reg=eps_reg)
+
+
+def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, polish):
+    """Mehrotra predictor-corrector iterations over the rows of ``R``.
+
+    Returns ``(x, y, z, status, iterations)`` of the problem
+    min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, which has at least one
+    inequality row.
+    """
+    B, n = R.shape
+    m, p = len(h), len(b)
 
     # Infeasible-start point: least-squares on the equalities, slacks
     # clipped away from zero, unit multipliers.
@@ -431,23 +505,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     if polish:
         _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale)
 
-    # Final residuals for reporting.
-    r_dual = x @ P + R + z @ G + (y @ A if p else 0.0)
-    worst = np.abs(r_dual).max(axis=1)
-    if p:
-        worst = np.maximum(worst, np.abs(x @ A.T - b).max(axis=1))
-    r_in = x @ G.T + s - h
-    worst = np.maximum(worst, np.abs(r_in).max(axis=1))
-    worst = np.maximum(worst, (z * s).max(axis=1))
-
-    objective = 0.5 * np.einsum("bi,ij,bj->b", x, P, x) + (R * x).sum(axis=1)
-    if eps_reg:
-        # Strip the Tikhonov term so the reported value is the original objective.
-        sq = x * x if reg_mask is None else (x * x) * np.asarray(reg_mask, float)
-        objective = objective - eps_reg * sq.sum(axis=1)
-    return QpBatchSolution(x=x, mult_ineq=z, mult_eq=y, objective=objective,
-                           status_code=status.astype(np.int8), residual=worst,
-                           iterations=iters)
+    return x, y, z, status, iters
 
 
 def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
@@ -527,8 +585,11 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1e10)
 
 
-def _solve_equality_batch(P, R, A, b, tol_abs) -> QpBatchSolution:
-    """Direct KKT solve for problems with no inequality constraints."""
+def _solve_equality_batch(P, R, A, b, tol_abs):
+    """Direct KKT solve for problems with no inequality constraints.
+
+    Returns ``(x, y, status)``.
+    """
     B, n = R.shape
     p = len(b)
     pscale = float(np.abs(P).max()) if P.size else 0.0
@@ -548,26 +609,21 @@ def _solve_equality_batch(P, R, A, b, tol_abs) -> QpBatchSolution:
     x = sol[:n].T
     y = sol[n:].T if p else np.zeros((B, 0))
     stat = x @ P + R + (y @ A if p else 0.0)
-    worst = np.abs(stat).max(axis=1) if n else np.zeros(B)
     status = np.zeros(B, dtype=np.int8)
     if p:
-        req = np.abs(x @ A.T - b).max(axis=1)
-        worst = np.maximum(worst, req)
-        status[req > tol_abs] = 1   # inconsistent equalities: infeasible
+        status[np.abs(x @ A.T - b).max(axis=1) > tol_abs] = 1   # inconsistent: infeasible
     # Leftover gradient with consistent equalities means a descent ray.
-    status[(np.abs(stat).max(axis=1) > tol_abs) & (status == 0)] = 2
-    objective = 0.5 * np.einsum("bi,ij,bj->b", x, P, x) + (R * x).sum(axis=1)
-    return QpBatchSolution(x=x, mult_ineq=np.zeros((B, 0)), mult_eq=y,
-                           objective=objective, status_code=status,
-                           residual=worst, iterations=np.ones(B, dtype=np.int32))
+    status[(np.abs(stat).max(axis=1, initial=0.0) > tol_abs) & (status == 0)] = 2
+    return x, y, status
 
 
 def brute_force_oracle(problem: QpProblem, box, grid: int = 21,
                        passes: int = 3, zoom: float = 10.0):
     """Grid-refinement search for small problems; the test-side referee.
 
-    ``box`` is a pair of per-variable arrays (lo, hi) bounding the search.
-    Equality constraints are eliminated through their null space; the
+    ``box`` is a pair of per-variable arrays (lo, hi) bounding the search;
+    points outside ``[lb, ub]`` are never accepted.  Equality constraints
+    and fixed variables are eliminated through their null space; the
     remaining free dimension must be at most 4.  Each pass lays a
     ``grid``-per-axis lattice over the current search region, keeps the
     best point satisfying the box and the inequalities, and shrinks the
@@ -578,9 +634,12 @@ def brute_force_oracle(problem: QpProblem, box, grid: int = 21,
     n = problem.n_var
     if lo.shape != (n,) or hi.shape != (n,):
         raise QpError(f"box must give bounds for all {n} variables")
+    lo, hi = np.maximum(lo, problem.lb), np.minimum(hi, problem.ub)
 
-    A, b = problem.A_eq, problem.b_eq
-    if problem.n_eq:
+    fixed = np.flatnonzero(problem.lb == problem.ub)
+    A = np.vstack([problem.A_eq, np.eye(n)[fixed]])
+    b = np.concatenate([problem.b_eq, problem.lb[fixed]])
+    if len(b):
         x_p, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
         if np.abs(A @ x_p - b).max() > 1e-8 * (1.0 + np.abs(b).max()):
             raise QpError("equality system is inconsistent; no feasible grid")

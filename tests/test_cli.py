@@ -64,13 +64,13 @@ def test_gne_axis_sweep(capsys, out):
     assert code == EXIT_OK
     assert "PoA lower bound: 1.411714" in text
     summary = json.loads(open(f"{out}/gne_three_node.json").read())
-    assert summary["distinct"] == 17
-    assert summary["valid"] == 17
+    assert summary["distinct"] == 15
+    assert summary["valid"] == 15
     assert summary["sw_min"] == pytest.approx(255.55, abs=1e-4)
     assert summary["worst_omega"] == {"1:0": 87.0, "2:0": 16.0,
                                       "1:2": 80.0}
     samples = open(f"{out}/gne_three_node_samples.csv").read()
-    assert len(samples.splitlines()) == 18
+    assert len(samples.splitlines()) == 16
     cloud = open(f"{out}/gne_three_node_cloud.csv").read()
     assert cloud.splitlines()[0] == "q01,q12,q20"
 

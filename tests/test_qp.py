@@ -72,8 +72,14 @@ def test_shape_mismatches_rejected():
         qp.QpProblem(P=np.eye(2), r=np.zeros(2),
                      A_ineq=np.eye(2), b_ineq=np.zeros(3),
                      A_eq=np.zeros((0, 2)), b_eq=np.zeros(0))
-    with pytest.raises(qp.QpError, match="variable names"):
-        qp.make_problem(np.eye(2), np.zeros(2), var_names=("x",))
+    with pytest.raises(qp.QpError, match="lb has shape"):
+        qp.make_problem(np.eye(2), np.zeros(2), lb=np.zeros(3))
+    with pytest.raises(qp.QpError, match="ub has shape"):
+        qp.make_problem(np.eye(2), np.zeros(2), ub=np.zeros(1))
+    with pytest.raises(qp.QpError, match="NaN"):
+        qp.make_problem(np.eye(2), np.zeros(2), ub=[1.0, np.nan])
+    with pytest.raises(qp.QpError, match="empty bound range"):
+        qp.make_problem(np.eye(2), np.zeros(2), lb=[0.0, 2.0], ub=[1.0, 1.0])
 
 
 def test_batch_matches_single_solves():
@@ -139,35 +145,75 @@ def test_bad_linear_term_shape():
 
 
 def _random_box_qp(rng, n):
+    """A strictly convex QP over the box [-5, 5]^n with some coordinates
+    fixed, posed twice: once with the box and the fixed values as
+    constraint rows, once with them as lb/ub.  Returns both and the
+    fixed mask."""
     M = rng.normal(size=(n, n))
     P = M @ M.T + 0.2 * np.eye(n)
     r = rng.normal(scale=2.0, size=n)
-    G = np.vstack([np.eye(n), -np.eye(n)])
-    h = np.concatenate([5.0 * np.ones(n), 5.0 * np.ones(n)])
-    return qp.make_problem(P, r, A_ineq=G, b_ineq=h)
+    fixed = rng.random(n) < 0.3
+    value = rng.uniform(-5.0, 5.0, size=n)
+    free = np.eye(n)[~fixed]
+    rows = qp.make_problem(P, r, A_ineq=np.vstack([free, -free]),
+                           b_ineq=5.0 * np.ones(2 * len(free)),
+                           A_eq=np.eye(n)[fixed], b_eq=value[fixed])
+    bounds = qp.make_problem(P, r, lb=np.where(fixed, value, -5.0),
+                             ub=np.where(fixed, value, 5.0))
+    return rows, bounds, fixed
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
 def test_random_qps_satisfy_kkt(seed, n):
-    prob = _random_box_qp(np.random.default_rng(seed), n)
-    sol = qp.solve(prob)
+    rows, bounds, fixed = _random_box_qp(np.random.default_rng(seed), n)
+    by_rows, by_bounds = qp.solve(rows), qp.solve(bounds)
+    for sol in (by_rows, by_bounds):
+        assert sol.status == "optimal"
+        res = sol.kkt_residuals
+        assert res["stationarity"] <= 1e-6
+        assert res["primal"] <= 1e-6
+        assert res["complementarity"] <= 1e-6
+        assert res["dual"] <= 1e-9
+    np.testing.assert_allclose(by_bounds.x, by_rows.x, atol=1e-6)
+    assert by_bounds.objective == pytest.approx(by_rows.objective, abs=1e-6)
+    # the rows' multipliers, per variable: box rows for the free
+    # coordinates, and the sign parts of the fixing equalities' multipliers
+    k = int((~fixed).sum())
+    upper, lower = np.zeros(n), np.zeros(n)
+    upper[~fixed], lower[~fixed] = by_rows.mult_ineq[:k], by_rows.mult_ineq[k:]
+    upper[fixed] = np.maximum(by_rows.mult_eq, 0.0)
+    lower[fixed] = np.maximum(-by_rows.mult_eq, 0.0)
+    np.testing.assert_allclose(by_bounds.mult_ub, upper, atol=1e-6)
+    np.testing.assert_allclose(by_bounds.mult_lb, lower, atol=1e-6)
+
+
+@pytest.mark.parametrize("value, mult_lb, mult_ub", [(1.0, 0.0, 4.0),
+                                                     (5.0, 4.0, 0.0)])
+def test_fixed_variable_multipliers(value, mult_lb, mult_ub):
+    # minimize (x - 3)^2 with lb = ub = value: the objective's slope 2(value - 3)
+    # is held by the upper bound below 3 and by the lower bound above it
+    sol = qp.solve(qp.make_problem([[2.0]], [-6.0], lb=[value], ub=[value]))
     assert sol.status == "optimal"
-    res = sol.kkt_residuals
-    assert res["stationarity"] <= 1e-6
-    assert res["primal"] <= 1e-6
-    assert res["complementarity"] <= 1e-6
-    assert res["dual"] <= 1e-9
+    assert sol.x[0] == value
+    assert sol.mult_lb[0] == pytest.approx(mult_lb, abs=1e-12)
+    assert sol.mult_ub[0] == pytest.approx(mult_ub, abs=1e-12)
+    assert sol.kkt_residuals["stationarity"] <= 1e-12
 
 
 def test_oracle_agrees_on_analytic_problem():
-    # projection of (3, -2) onto the unit box, solved both ways
-    prob = qp.make_problem(2.0 * np.eye(2), np.array([-6.0, 4.0]),
-                           A_ineq=np.vstack([np.eye(2), -np.eye(2)]),
+    # projection of (3, -2) onto the unit box, solved both ways; the box
+    # is given once as rows, once as lb/ub inside a wider search box
+    P, r = 2.0 * np.eye(2), np.array([-6.0, 4.0])
+    rows = qp.make_problem(P, r, A_ineq=np.vstack([np.eye(2), -np.eye(2)]),
                            b_ineq=np.ones(4))
-    x, val = qp.brute_force_oracle(prob, (-np.ones(2), np.ones(2)), passes=5)
-    np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-3)
-    assert abs(val - prob.objective([1.0, -1.0])) < 1e-4
+    bounds = qp.make_problem(P, r, lb=-np.ones(2), ub=np.ones(2))
+    for prob, box in ((rows, (-np.ones(2), np.ones(2))),
+                      (bounds, (-3 * np.ones(2), 3 * np.ones(2)))):
+        x, val = qp.brute_force_oracle(prob, box, passes=5)
+        np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-3)
+        assert abs(val - prob.objective([1.0, -1.0])) < 1e-4
+        np.testing.assert_allclose(qp.solve(prob).x, [1.0, -1.0], atol=1e-7)
 
 
 def test_oracle_eliminates_equalities():
