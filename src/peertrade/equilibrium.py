@@ -197,6 +197,8 @@ class AxisStrategy:
         """The (N, k) omega points, lexicographic in the support order."""
         vals = np.asarray(self.values, dtype=float)
         grids = np.meshgrid(*([vals] * len(support)), indexing="ij")
+        if not grids:   # an empty support has one point, the empty vector
+            return np.zeros((1, 0))
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -262,7 +264,7 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
 
     pairs = sorted(scenario.links)
     pair_cols = np.array([[idx.qpos[(lo, hi)], idx.qpos[(hi, lo)]]
-                          for lo, hi in pairs], dtype=int)
+                          for lo, hi in pairs], dtype=int).reshape(-1, 2)
     support_pair_index = np.array(
         [pairs.index((n, m) if n < m else (m, n)) for (n, m) in support],
         dtype=int)
@@ -281,8 +283,7 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
                                reg_mask=mask)
         x = batch.x
         slack = x[:, pair_cols[:, 0]] + x[:, pair_cols[:, 1]]   # (B, n_pairs)
-        viol = np.abs(W * slack[:, support_pair_index]).max(axis=1) if k else \
-            np.zeros(len(W))
+        viol = np.abs(W * slack[:, support_pair_index]).max(axis=1, initial=0.0)
         good = (batch.status_code == 0) & (viol <= eps)
 
         for i in np.flatnonzero(good):

@@ -22,10 +22,12 @@ defined once, over the original problem with its bounds.
 
 The engine is written once, vectorized over a leading batch axis: a batch
 of problems sharing P, the constraint matrices and the bounds but
-differing in the linear term r runs through the same arithmetic as a
-single solve.  That is what makes million-point parameter sweeps
-tractable on one core, and it keeps the two code paths trivially
-consistent.
+differing in the linear term r runs through the same arithmetic, and a
+single solve is a batch of one.  One function builds the saddle-point
+matrix, and one face solve, :func:`_face_solve`, minimizes the objective
+on a set of rows held as equalities: polish calls it with the active set
+guessed from a converged iterate, and a problem with no inequality rows
+is the face solve with an empty active set (no IPM iterations).
 """
 
 from __future__ import annotations
@@ -244,8 +246,10 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
-    problem stops updating once converged, so results are independent of
-    what else sits in the batch.  ``polish`` re-solves each converged
+    problem stops updating once decided.  Results are not independent of
+    what else sits in the batch: the data scale, and with it the
+    convergence target, the regularization and the step-length factor,
+    is taken over all rows of ``R``.  ``polish`` re-solves each converged
     iterate's active face exactly, which matters at degenerate vertices
     (see :func:`_polish_batch`).
     """
@@ -288,8 +292,10 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         xf, y, z, status, iters = _ipm(Pf, Rf, G, h, A, b, scale, tol_conv,
                                        max_iter, polish)
     else:
-        xf, y, status = _solve_equality_batch(Pf, Rf, A, b, tol_conv)
-        z, iters = np.zeros((B, 0)), np.ones(B, dtype=np.int32)
+        # No inequality rows: the face solve with an empty active set is
+        # the answer, and its status is read off the residuals below.
+        xf, y = _face_solve(Pf, Rf, A, b, 1e-12 * scale)
+        z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
 
     # Back to the original variables and multipliers.
     m = problem.n_ineq
@@ -317,6 +323,11 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         "complementarity": np.abs(np.hstack([z_in * slack, mult_lb * lo_gap,
                                              mult_ub * up_gap])).max(axis=1, initial=0.0),
     }
+    if status is None:
+        # Inconsistent equalities: infeasible; a leftover gradient with
+        # consistent equalities: a descent ray, so unbounded.
+        status = np.select([kkt["primal"] > tol_conv, kkt["stationarity"] > tol_conv],
+                           [1, 2], 0)
     objective = 0.5 * np.einsum("bi,ij,bj->b", x, problem.P, x) + (R * x).sum(axis=1)
     return QpBatchSolution(x=x, mult_ineq=z_in, mult_eq=y, mult_lb=mult_lb,
                            mult_ub=mult_ub, objective=objective,
@@ -324,139 +335,143 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                            kkt_residuals=kkt, iterations=iters, eps_reg=eps_reg)
 
 
+def _saddle(H, C, delta):
+    """[[H + delta*I, C'], [C, -delta*I]] for H of shape (n, n) or (B, n, n)."""
+    n, q = H.shape[-1], len(C)
+    K = np.zeros(H.shape[:-2] + (n + q, n + q))
+    K[..., :n, :n] = H
+    K[..., :n, n:] = C.T
+    K[..., n:, :n] = C
+    diag = np.einsum("...ii->...i", K)   # a writable view
+    diag += np.repeat([delta, -delta], [n, q])
+    return K
+
+
+def _face_solve(P, R, C, d, delta):
+    """Minimize 0.5 x'Px + R[i]'x subject to Cx = d, for every row i.
+
+    Returns ``(x, w)`` with ``w`` the multipliers of the rows of ``C``.
+    One regularized matrix serves every row; two refinement steps against
+    the unregularized system push the delta-perturbation error down to
+    machine precision.  A singular system falls back to least squares.
+    """
+    n = len(P)
+    K = _saddle(P, C, delta)
+    rhs = np.concatenate([-R.T, np.repeat(d[:, None], len(R), axis=1)])
+    try:
+        sol = np.linalg.solve(K, rhs)
+        K0 = _saddle(P, C, 0.0)
+        for _ in range(2):
+            sol = sol + np.linalg.solve(K, rhs - K0 @ sol)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    return sol[:n].T, sol[n:].T
+
+
+def _solve_rows(K, rhs):
+    """Solve K[i] u = rhs[i] for every row i.
+
+    The batched solve raises if any one row went singular (it happens in
+    the endgame with extreme active-set scaling); then the rows are redone
+    one by one, so that only the bad rows degrade to least squares.
+    """
+    try:
+        return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        sol = np.empty_like(rhs)
+        for i in range(len(K)):
+            try:
+                sol[i] = np.linalg.solve(K[i], rhs[i])
+            except np.linalg.LinAlgError:
+                sol[i] = np.linalg.lstsq(K[i], rhs[i], rcond=None)[0]
+        return sol
+
+
 def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, polish):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
     Returns ``(x, y, z, status, iterations)`` of the problem
     min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, which has at least one
-    inequality row.
+    inequality row.  The working arrays hold only the rows still
+    iterating; a row leaves them, with its current iterate as its answer,
+    at the first check at the top of an iteration that decides it.
     """
     B, n = R.shape
     m, p = len(h), len(b)
+    x, y, z, s = (np.empty((B, k)) for k in (n, p, m, m))
+    status, iters = np.empty(B, dtype=np.int8), np.empty(B, dtype=np.int32)
 
     # Infeasible-start point: least-squares on the equalities, slacks
     # clipped away from zero, unit multipliers.
-    if p:
-        x0 = np.linalg.lstsq(A, b, rcond=None)[0]
-    else:
-        x0 = np.zeros(n)
-    s0 = np.maximum(h - G @ x0, 1.0)
-    x = np.tile(x0, (B, 1))
-    y = np.zeros((B, p))
-    z = np.ones((B, m))
-    s = np.tile(s0, (B, 1))
-
-    status = np.full(B, 3, dtype=np.int8)   # max_iter until proven otherwise
-    iters = np.zeros(B, dtype=np.int32)
-    stall = np.zeros(B, dtype=np.int8)
-    active = np.ones(B, dtype=bool)
+    x0 = np.linalg.lstsq(A, b, rcond=None)[0]
+    idx = np.arange(B)
+    xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
+    za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
+    Ra, stall = R, np.zeros(B, dtype=np.int8)
     delta = 1e-12 * scale
 
-    eye_p = np.eye(p)
-    tol_abs = tol_conv
-
-    for it in range(max_iter):
-        if not active.any():
-            break
-        xa, ya, za, sa, Ra = x[active], y[active], z[active], s[active], R[active]
-
-        r_dual = xa @ P + Ra + za @ G + (ya @ A if p else 0.0)
-        r_eq = xa @ A.T - b if p else np.zeros((len(xa), 0))
+    # One check more than steps, so the iterate after the last step is
+    # checked too.
+    for it in range(max_iter + 1):
+        r_dual = xa @ P + Ra + za @ G + ya @ A
+        r_eq = xa @ A.T - b
         r_in = xa @ G.T + sa - h
         comp = za * sa
         mu = comp.mean(axis=1)
+        primal = np.maximum(np.abs(r_in).max(axis=1),
+                            np.abs(r_eq).max(axis=1, initial=0.0))
+        worst = np.maximum(np.maximum(np.abs(r_dual).max(axis=1, initial=0.0),
+                                      primal), comp.max(axis=1))
 
-        worst = np.maximum(np.abs(r_dual).max(axis=1), np.abs(r_in).max(axis=1))
-        if p:
-            worst = np.maximum(worst, np.abs(r_eq).max(axis=1))
-        worst = np.maximum(worst, comp.max(axis=1))
-        done = worst <= tol_abs
-
-        idx = np.flatnonzero(active)
-        if done.any():
-            status[idx[done]] = 0
-            iters[idx[done]] = it
-            keep = ~done
-            active[idx[done]] = False
-            if not keep.any():
+        # Divergence: exploding multipliers with a vanishing combined
+        # gradient form a Farkas certificate of infeasibility; exploding
+        # iterates mean an unbounded objective.  Five steps in a row
+        # below 1e-10 are a stall.
+        zn = np.abs(za).max(axis=1) + np.abs(ya).max(axis=1, initial=0.0)
+        ray = np.abs(za @ G + ya @ A).max(axis=1, initial=0.0)
+        farkas = (zn > 1e10) & (ray <= 1e-6 * zn) & (za @ h + ya @ b < 0)
+        hugex = np.abs(xa).max(axis=1, initial=0.0) > 1e10 * scale
+        conv, stalled = worst <= tol_conv, stall >= 5
+        stop = conv | farkas | hugex | stalled | (it == max_iter)
+        if stop.any():
+            done = idx[stop]
+            status[done] = np.select([conv, farkas, hugex, stalled],
+                                     [0, 1, 2, np.where(primal > tol_conv, 1, 3)],
+                                     3)[stop]
+            iters[done] = it
+            x[done], y[done], z[done], s[done] = xa[stop], ya[stop], za[stop], sa[stop]
+            if stop.all():
                 break
-            xa, ya, za, sa, Ra = xa[keep], ya[keep], za[keep], sa[keep], Ra[keep]
-            r_dual, r_in, comp, mu = r_dual[keep], r_in[keep], comp[keep], mu[keep]
-            r_eq = r_eq[keep]
-            idx = idx[keep]
-
-        # Divergence checks: exploding iterates mean an unbounded
-        # objective; exploding multipliers with a vanishing combined
-        # gradient form a Farkas certificate of infeasibility.
-        hugex = np.abs(xa).max(axis=1) > 1e10 * scale
-        zn = np.abs(za).max(axis=1) + (np.abs(ya).max(axis=1) if p else 0.0)
-        ray = np.abs(za @ G + (ya @ A if p else 0.0)).max(axis=1)
-        gain = za @ h + (ya @ b if p else 0.0)
-        hugez = (zn > 1e10) & (ray <= 1e-6 * zn) & (gain < 0)
-        if hugex.any() or hugez.any():
-            status[idx[hugez]] = 1
-            status[idx[hugex & ~hugez]] = 2
-            iters[idx[hugex | hugez]] = it
-            keep = ~(hugex | hugez)
-            active[idx[~keep]] = False
-            if not keep.any():
-                break
-            xa, ya, za, sa, Ra = xa[keep], ya[keep], za[keep], sa[keep], Ra[keep]
-            r_dual, r_in, comp, mu = r_dual[keep], r_in[keep], comp[keep], mu[keep]
-            r_eq = r_eq[keep]
-            idx = idx[keep]
+            keep = ~stop
+            idx, xa, ya, za, sa, Ra, stall, r_dual, r_eq, r_in, comp, mu = (
+                v[keep] for v in (idx, xa, ya, za, sa, Ra, stall,
+                                  r_dual, r_eq, r_in, comp, mu))
 
         # Guard the endgame: slacks of strongly active constraints head to
         # zero, and a denormal slack would overflow these divisions.
         sa_div = np.maximum(sa, 1e-300)
-        d = np.minimum(za / sa_div, 1e16)         # (Ba, m)
-        M = P + np.einsum("bm,mi,mj->bij", d, G, G, optimize=True)
-        Ba = len(xa)
-        K = np.zeros((Ba, n + p, n + p))
-        K[:, :n, :n] = M + delta * np.eye(n)
-        if p:
-            K[:, :n, n:] = A.T
-            K[:, n:, :n] = A
-            K[:, n:, n:] = -delta * eye_p
+        d = np.minimum(za / sa_div, 1e16)
+        K = _saddle(P + np.einsum("bm,mi,mj->bij", d, G, G, optimize=True), A, delta)
 
-        def kkt_solve(rhs_x, rhs_y):
-            rhs = np.concatenate([rhs_x, rhs_y], axis=1) if p else rhs_x
-            try:
-                sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                # The batched solve raises if any one row went singular
-                # (happens in the endgame with extreme active-set scaling);
-                # redo row by row so only the bad rows degrade.
-                sol = np.empty_like(rhs)
-                for i in range(len(K)):
-                    try:
-                        sol[i] = np.linalg.solve(K[i], rhs[i])
-                    except np.linalg.LinAlgError:
-                        sol[i] = np.linalg.lstsq(K[i], rhs[i], rcond=None)[0]
-            return sol[:, :n], sol[:, n:]
+        def newton(rc):
+            """The step (dx, dy, dz, ds) toward complementarity target rc."""
+            rc_s = rc / sa_div
+            sol = _solve_rows(K, np.concatenate(
+                [-r_dual - (d * r_in - rc_s) @ G, -r_eq], axis=1))
+            dx = sol[:, :n]
+            g_dx = dx @ G.T
+            return dx, sol[:, n:], d * (g_dx + r_in) - rc_s, -r_in - g_dx
 
         # Predictor: plain Newton step toward the central path target 0.
-        rc = comp.copy()
-        rhs_x = -r_dual - (d * r_in - rc / sa_div) @ G
-        dx, dy = kkt_solve(rhs_x, -r_eq if p else np.zeros((Ba, 0)))
-        dz = d * (dx @ G.T + r_in) - rc / sa_div
-        ds = -r_in - dx @ G.T
-
-        alpha_z = _max_step(za, dz)
-        alpha_s = _max_step(sa, ds)
-        alpha_aff = np.minimum(1.0, np.minimum(alpha_z, alpha_s))
+        dx, dy, dz, ds = newton(comp)
+        alpha_aff = np.minimum(1.0, np.minimum(_max_step(za, dz), _max_step(sa, ds)))
         mu_aff = ((za + alpha_aff[:, None] * dz) *
                   (sa + alpha_aff[:, None] * ds)).mean(axis=1)
         sigma = np.clip(mu_aff / np.maximum(mu, 1e-300), 0.0, 1.0) ** 3
 
         # Corrector: recenters and compensates the predictor's
         # linearization error dz*ds.
-        rc = comp + dz * ds - (sigma * mu)[:, None]
-        rhs_x = -r_dual - (d * r_in - rc / sa_div) @ G
-        dx, dy = kkt_solve(rhs_x, -r_eq if p else np.zeros((Ba, 0)))
-        dz = d * (dx @ G.T + r_in) - rc / sa_div
-        ds = -r_in - dx @ G.T
-
+        dx, dy, dz, ds = newton(comp + dz * ds - (sigma * mu)[:, None])
         tau = np.clip(1.0 - 0.1 * np.minimum(mu / scale, 1.0), 0.995, 0.99995)
         alpha = np.minimum(1.0, tau * np.minimum(_max_step(za, dz),
                                                  _max_step(sa, ds)))
@@ -464,47 +479,20 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, polish):
         # A non-finite step means the KKT solve broke down (the system
         # gets singular near degenerate faces); treat it like a stall so
         # the last finite iterate survives.
-        broken = ~(np.isfinite(dx).all(axis=1) & np.isfinite(dz).all(axis=1)
-                   & np.isfinite(ds).all(axis=1) & np.isfinite(alpha))
-        if p:
-            broken |= ~np.isfinite(dy).all(axis=1)
+        broken = ~(np.isfinite(dx).all(axis=1) & np.isfinite(dy).all(axis=1)
+                   & np.isfinite(dz).all(axis=1) & np.isfinite(ds).all(axis=1)
+                   & np.isfinite(alpha))
         if broken.any():
-            alpha = np.where(broken, 0.0, alpha)
-            dx[broken] = 0.0
-            dz[broken] = 0.0
-            ds[broken] = 0.0
-            if p:
-                dy[broken] = 0.0
+            alpha[broken] = 0.0
+            for v in (dx, dy, dz, ds):
+                v[broken] = 0.0
 
-        newstall = np.where(alpha < 1e-10, stall[idx] + 1, 0).astype(np.int8)
-        stall[idx] = newstall
-        give_up = newstall >= 5
-        if give_up.any():
-            bad_primal = np.maximum(np.abs(r_in).max(axis=1),
-                                    np.abs(r_eq).max(axis=1) if p else 0.0)
-            infeas = give_up & (bad_primal > tol_abs)
-            status[idx[infeas]] = 1
-            status[idx[give_up & ~infeas]] = 3
-            iters[idx[give_up]] = it
-            keep = ~give_up
-            active[idx[give_up]] = False
-            if not keep.any():
-                break
-            xa, ya, za, sa = xa[keep], ya[keep], za[keep], sa[keep]
-            dx, dy, dz, ds, alpha = dx[keep], dy[keep], dz[keep], ds[keep], alpha[keep]
-            idx = idx[keep]
-
+        stall = np.where(alpha < 1e-10, stall + 1, 0).astype(np.int8)
         a = alpha[:, None]
-        x[idx] = xa + a * dx
-        if p:
-            y[idx] = ya + a * dy
-        z[idx] = za + a * dz
-        s[idx] = sa + a * ds
-        iters[idx] = it + 1
+        xa, ya, za, sa = xa + a * dx, ya + a * dy, za + a * dz, sa + a * ds
 
     if polish:
         _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale)
-
     return x, y, z, status, iters
 
 
@@ -514,107 +502,42 @@ def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
     constraint is active with zero multiplier, leaving that constraint's
     slack around 1e-5 rather than machine precision.  This re-solves the
-    equality system of the guessed active set (grouped by pattern so each
-    group is one factorization) and overwrites an iterate only when the
-    polished point passes feasibility, multiplier-sign, and stationarity
-    checks, so a wrong guess is harmless.  Arrays are updated in place.
+    face of the guessed active set with :func:`_face_solve` (grouped by
+    pattern so each group is one factorization) and overwrites an iterate
+    only when the polished point passes feasibility, multiplier-sign, and
+    stationarity checks, so a wrong guess is harmless.  Arrays are updated
+    in place.
     """
     opt = np.flatnonzero(status == 0)
-    if opt.size == 0 or len(h) == 0:
+    if opt.size == 0:
         return
-    n = x.shape[1]
-    m, p = len(h), len(b)
-    delta = 1e-12 * scale
+    p = len(b)
     act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale)
     patterns, inverse = np.unique(act, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).ravel()
     for pi, pat in enumerate(patterns):
         rows = opt[inverse == pi]
-        C = np.vstack([A, G[pat]]) if p else G[pat]
-        d_rhs = np.concatenate([b, h[pat]]) if p else h[pat]
-        q = len(d_rhs)
-        K = np.zeros((n + q, n + q))
-        K[:n, :n] = P + delta * np.eye(n)
-        K[:n, n:] = C.T
-        K[n:, :n] = C
-        K[n:, n:] = -delta * np.eye(q)
-        K0 = np.zeros((n + q, n + q))
-        K0[:n, :n] = P
-        K0[:n, n:] = C.T
-        K0[n:, :n] = C
-        rhs = np.empty((n + q, len(rows)))
-        rhs[:n] = -R[rows].T
-        rhs[n:] = d_rhs[:, None]
-        try:
-            sol = np.linalg.solve(K, rhs)
-            # Two refinement steps against the unregularized system push
-            # the delta-perturbation error down to machine precision.
-            for _ in range(2):
-                sol = sol + np.linalg.solve(K, rhs - K0 @ sol)
-        except np.linalg.LinAlgError:
-            continue
-        xp = sol[:n].T
-        yp = sol[n:n + p].T
-        zraw = sol[n + p:].T
-        zfull = np.zeros((len(rows), m))
+        xp, w = _face_solve(P, R[rows], np.vstack([A, G[pat]]),
+                            np.concatenate([b, h[pat]]), 1e-12 * scale)
+        yp, zraw = w[:, :p], w[:, p:]
+        zfull = np.zeros((len(rows), len(h)))
         zfull[:, pat] = np.maximum(zraw, 0.0)
         slack = h - xp @ G.T
-        ok = slack.min(axis=1) >= -1e-9 * scale
-        if p:
-            ok &= np.abs(xp @ A.T - b).max(axis=1) <= 1e-8 * scale
-        if zraw.shape[1]:
-            ok &= zraw.min(axis=1) >= -1e-9 * scale
-        stat = xp @ P + R[rows] + zfull @ G + (yp @ A if p else 0.0)
-        ok &= np.abs(stat).max(axis=1) <= 1e-8 * scale
-        if not ok.any():
-            continue
+        stat = xp @ P + R[rows] + zfull @ G + yp @ A
+        ok = ((slack.min(axis=1) >= -1e-9 * scale)
+              & (np.abs(xp @ A.T - b).max(axis=1, initial=0.0) <= 1e-8 * scale)
+              & (zraw.min(axis=1, initial=0.0) >= -1e-9 * scale)
+              & (np.abs(stat).max(axis=1, initial=0.0) <= 1e-8 * scale))
         good = rows[ok]
-        sel = np.flatnonzero(ok)
-        x[good] = xp[sel]
-        if p:
-            y[good] = yp[sel]
-        z[good] = zfull[sel]
-        s[good] = np.maximum(slack[sel], 0.0)
+        x[good], y[good], z[good] = xp[ok], yp[ok], zfull[ok]
+        s[good] = np.maximum(slack[ok], 0.0)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Largest step keeping v + alpha*dv > 0, per batch row (cap 1e10)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(dv < 0, -v / dv, np.inf)
-    out = ratios.min(axis=1)
-    return np.minimum(out, 1e10)
-
-
-def _solve_equality_batch(P, R, A, b, tol_abs):
-    """Direct KKT solve for problems with no inequality constraints.
-
-    Returns ``(x, y, status)``.
-    """
-    B, n = R.shape
-    p = len(b)
-    pscale = float(np.abs(P).max()) if P.size else 0.0
-    K = np.zeros((n + p, n + p))
-    K[:n, :n] = P + 1e-14 * (1.0 + pscale) * np.eye(n)
-    if p:
-        K[:n, n:] = A.T
-        K[n:, :n] = A
-    rhs = np.zeros((n + p, B))
-    rhs[:n] = -R.T
-    if p:
-        rhs[n:] = b[:, None]
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    x = sol[:n].T
-    y = sol[n:].T if p else np.zeros((B, 0))
-    stat = x @ P + R + (y @ A if p else 0.0)
-    status = np.zeros(B, dtype=np.int8)
-    if p:
-        status[np.abs(x @ A.T - b).max(axis=1) > tol_abs] = 1   # inconsistent: infeasible
-    # Leftover gradient with consistent equalities means a descent ray.
-    status[(np.abs(stat).max(axis=1, initial=0.0) > tol_abs) & (status == 0)] = 2
-    return x, y, status
+    return np.minimum(ratios.min(axis=1), 1e10)
 
 
 def brute_force_oracle(problem: QpProblem, box, grid: int = 21,

@@ -222,6 +222,21 @@ def test_csv_exports(three_node):
     assert len(cloud.splitlines()) == len(samples) + 1
 
 
+@pytest.mark.parametrize("strategy", [eq.GridStrategy(0.0, 10.0, 5.0),
+                                      eq.AxisStrategy(values=[0.0, 1.0]),
+                                      eq.RandomStrategy(count_=3)])
+def test_sweep_without_links(strategy):
+    # No links: the support is empty and every strategy has one point,
+    # the empty omega vector, whose equilibrium is the VE.
+    node = sc.ProsumerParams(id=0, d_min=0.0, d_max=8.0, g_min=0.0, g_max=10.0,
+                             d_star=5.0, a_tilde=4.0, b_tilde=100.0, a=1.0,
+                             b=5.0, d=0.0, delta_g=1.0)
+    scn = sc.Scenario(name="one_node", units="MWh", prosumers=[node], links=[])
+    samples = eq.sweep_gne(scn, strategy)
+    assert len(samples) == 1
+    assert samples[0].sw == pytest.approx(eq.solve_ve(scn).sw, abs=1e-9)
+
+
 def test_budget_guard(three_node):
     with pytest.raises(ValueError, match="raise the budget explicitly"):
         eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 1.0),

@@ -55,6 +55,41 @@ def test_unbounded_detected():
     assert sol.status == "unbounded"
 
 
+def test_equality_only_statuses():
+    # With no inequality rows the solve is one face solve; its status is
+    # read off the residuals.
+    sol = qp.solve(qp.make_problem(np.zeros((1, 1)), [1.0]))
+    assert sol.status == "unbounded"
+    sol = qp.solve(qp.make_problem(np.eye(2), np.zeros(2),
+                                   A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
+    assert sol.status == "infeasible"
+    assert "Farkas" in sol.message
+
+
+@pytest.mark.parametrize("b_eq, status", [(5.0, "infeasible"), (3.0, "optimal")])
+def test_all_variables_fixed(b_eq, status):
+    prob = qp.make_problem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]],
+                           b_eq=[b_eq], lb=[1.0, 2.0], ub=[1.0, 2.0])
+    sol = qp.solve(prob)
+    assert sol.status == status
+    if status == "optimal":
+        np.testing.assert_array_equal(sol.x, [1.0, 2.0])
+
+
+def test_mixed_statuses_in_one_batch():
+    # minimize r*x subject to x >= 0: optimal at 0 for r = 1, unbounded
+    # for r = -1; each row leaves the iterations with its own status.
+    prob = qp.make_problem(np.zeros((1, 1)), [1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
+    batch = qp.solve_batch(prob, [[1.0], [-1.0]])
+    assert [batch.status(0), batch.status(1)] == ["optimal", "unbounded"]
+    assert batch.iterations[1] < 100   # left on the divergence test, not at max_iter
+    single = qp.solve(prob)
+    assert single.status == "optimal"
+    assert batch.x[0, 0] == pytest.approx(0.0, abs=1e-8)
+    np.testing.assert_array_equal(batch.x[0], single.x)
+    assert batch.iterations[0] == single.iterations
+
+
 def test_non_psd_rejected():
     with pytest.raises(qp.QpError, match="positive semidefinite"):
         qp.solve(qp.make_problem(np.array([[-1.0]]), np.zeros(1)))
