@@ -235,18 +235,23 @@ def _parse_strategy(config: RunConfig) -> object:
     if config.grid is not None:
         try:
             start, stop, step = (float(v) for v in config.grid.split(":"))
-        except ValueError:
+            return equilibrium.GridStrategy(start=start, stop=stop, step=step,
+                                            support=support)
+        except ValueError as exc:
             raise UsageError(
-                f"bad --grid {config.grid!r}; expected START:STOP:STEP"
+                f"bad --grid {config.grid!r}; expected START:STOP:STEP ({exc})"
             ) from None
-        return equilibrium.GridStrategy(start=start, stop=stop, step=step,
-                                        support=support)
     if config.random is not None:
         if config.random < 1:
             raise UsageError("--random count must be >= 1")
         return equilibrium.RandomStrategy(config.random, seed=config.seed,
                                           support=support)
-    values = tuple(float(v) for v in config.axis.split(","))
+    try:
+        values = tuple(float(v) for v in config.axis.split(","))
+    except ValueError:
+        raise UsageError(
+            f"bad --axis {config.axis!r}; expected comma-separated numbers"
+        ) from None
     return equilibrium.AxisStrategy(values, support=support)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -49,7 +50,7 @@ SUPPORT_FULL = "full"
 
 @dataclass(frozen=True)
 class OmegaVector:
-    """Nonnegative perturbation weights on directed trades.
+    """Nonnegative finite perturbation weights on directed trades.
 
     Keys are directed pairs ``(n, m)``: the weight is added to what agent
     ``n`` pays per unit bought from ``m``.
@@ -61,8 +62,8 @@ class OmegaVector:
         clean = {}
         for pair, w in dict(self.entries).items():
             n, m = pair
-            if w < 0:
-                raise ValueError(f"omega[{pair}] = {w} is negative")
+            if not (w >= 0 and math.isfinite(w)):
+                raise ValueError(f"omega[{pair}] = {w} is negative or not finite")
             clean[(int(n), int(m))] = float(w)
         object.__setattr__(self, "entries", clean)
 
@@ -75,9 +76,6 @@ class OmegaVector:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def max_weight(self) -> float:
-        return max(self.entries.values(), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,9 @@ def default_support(scenario: Scenario, mode: str = SUPPORT_LOW_BUYS_HIGH) -> tu
     node numbering, and ``three_node``'s reference equilibrium lies
     outside it (see ``SUPPORT_LOW_BUYS_HIGH``).  ``mode="full"`` doubles
     it to every directed pair.  An explicit list of directed pairs passes
-    through unchanged (after checking the links exist).
+    through unchanged; the solvers reject a pair with no link.
     """
     if isinstance(mode, (list, tuple)):
-        for (n, m) in mode:
-            if not scenario.has_link(n, m):
-                raise ValueError(f"support pair ({n}, {m}) has no link")
         return tuple(mode)
     if mode == SUPPORT_LOW_BUYS_HIGH:
         return tuple((hi, lo) for lo, hi in sorted(scenario.links))
@@ -128,48 +123,61 @@ def default_support(scenario: Scenario, mode: str = SUPPORT_LOW_BUYS_HIGH) -> tu
 
 def solve_ve(scenario: Scenario, tol: float = market.DEFAULT_TOL,
              eps_reg: float = 0.0) -> MarketSolution:
-    """The Variational Equilibrium: the welfare optimum with shared prices."""
-    sol = market.solve_centralized(scenario, tol=tol, eps_reg=eps_reg, kind="ve")
-    for n in sol.zeta:
-        for m, v in sol.zeta[n].items():
-            if abs(v - sol.zeta[m][n]) > 1e-12:
-                raise market.MarketError(
-                    f"reciprocity price not symmetric on ({n},{m})")
-    return sol
+    """The Variational Equilibrium: the welfare optimum with shared prices.
+
+    Both sides of a pair share one reciprocity price by construction:
+    :func:`market.extract_solution` reads ``zeta[n][m]`` and ``zeta[m][n]``
+    off the pair's single reciprocity row.
+    """
+    return market.solve_centralized(scenario, tol=tol, eps_reg=eps_reg, kind="ve")
 
 
 def solve_parameterized(scenario: Scenario, omega: OmegaVector,
                         tol: float = market.DEFAULT_TOL,
                         eps_reg: float = 0.0) -> GneSample:
     """Solve the omega-perturbed problem and classify the outcome."""
-    problem, idx = market.assemble(scenario)
+    problem, idx = market.assemble(scenario, eps_reg)
+    items = omega.items()
+    cols = _omega_columns(idx, [pair for pair, _ in items])
+    W = np.array([[w for _, w in items]])   # (1, k)
     r = problem.r.copy()
-    for (n, m), w in omega.items():
-        if (m, n) not in idx.qpos:
-            raise ValueError(f"omega[{(n, m)}] refers to a pair with no link")
-        r[idx.qpos[(m, n)]] += w
-    shifted = dataclasses.replace(problem, r=r)
-    mask = market.trade_reg_mask(idx) if eps_reg else None
-    sol = qp.solve(shifted, tol=tol, eps_reg=eps_reg, reg_mask=mask)
+    r[cols[:, 0]] += W[0]
+    sol = qp.solve(dataclasses.replace(problem, r=r), tol=tol)
     if sol.status != qp.STATUS_OPTIMAL:
         raise market.MarketError(
             f"parameterized solve returned {sol.status!r}: {sol.message}")
-    ms = market.extract_solution(scenario, idx, sol, eps_reg, kind="gne")
-    market.verify_solution(scenario, ms, tol, eps_reg,
-                           price_shift=dict(omega.items()))
-    return _classify(scenario, omega, ms)
+    ms = market.extract_solution(scenario, idx, sol, kind="gne")
+    market.verify_solution(scenario, ms, tol, price_shift=dict(omega.items()))
+    return _sample(scenario, omega, ms, _violation(sol.x[None, :], W, cols)[0])
 
 
-def _classify(scenario: Scenario, omega: OmegaVector,
-              ms: MarketSolution) -> GneSample:
+def _omega_columns(idx: market._MarketIndex, pairs) -> np.ndarray:
+    """The (k, 2) QP columns ``[q[m][n], q[n][m]]`` of directed pairs (n, m).
+
+    The first column is the trade that ``omega[(n, m)]`` shifts; the two
+    together are the pair's reciprocity slack.
+    """
+    cols = []
+    for (n, m) in pairs:
+        if (m, n) not in idx.qpos:
+            raise ValueError(f"omega pair ({n}, {m}) has no link")
+        cols.append((idx.qpos[(m, n)], idx.qpos[(n, m)]))
+    return np.array(cols, dtype=int).reshape(-1, 2)
+
+
+def _violation(x: np.ndarray, W: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(B,) equilibrium-filter residual max |omega * (q[m][n] + q[n][m])|."""
+    slack = x[:, cols[:, 0]] + x[:, cols[:, 1]]
+    return np.abs(W * slack).max(axis=1, initial=0.0)
+
+
+def _sample(scenario: Scenario, omega: OmegaVector, ms: MarketSolution,
+            violation: float) -> GneSample:
+    """The sample at ``omega``: the filter verdict and the agent-side prices."""
     recovered = {n: dict(row) for n, row in ms.zeta.items()}
     for (n, m), w in omega.items():
         recovered[n][m] += w
-
-    violation = 0.0
-    for (n, m), w in omega.items():
-        slack = ms.q[m][n] + ms.q[n][m]
-        violation = max(violation, abs(w * slack))
+    violation = float(violation)
     is_gne = violation <= epsilon_comp(scenario)
 
     r = {}
@@ -203,13 +211,15 @@ class AxisStrategy:
 
 
 class GridStrategy(AxisStrategy):
-    """Cartesian grid: each support direction takes values start..stop by step."""
+    """Cartesian grid: each support direction takes start + i*step <= stop."""
 
     def __init__(self, start: float = 0.0, stop: float = 100.0,
                  step: float = 1.0, support: object = SUPPORT_LOW_BUYS_HIGH):
-        if step <= 0:
+        if not step > 0:
             raise ValueError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 0.5)) + 1
+        if not (stop >= start and math.isfinite(stop - start)):
+            raise ValueError(f"grid range {start}..{stop} is empty or not finite")
+        count = int(np.floor((stop - start) / step + 1e-9)) + 1   # 1e-9: rounding
         super().__init__(values=tuple(start + step * np.arange(count)),
                          support=support)
 
@@ -253,37 +263,22 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
             f"sweep would evaluate {total} points, over the budget of {budget}; "
             "raise the budget explicitly if this is intended")
 
-    problem, idx = market.assemble(scenario)
-    mask = market.trade_reg_mask(idx) if eps_reg else None
-    omega_cols = []
-    for (n, m) in support:
-        if (m, n) not in idx.qpos:
-            raise ValueError(f"support pair ({n}, {m}) has no link")
-        omega_cols.append(idx.qpos[(m, n)])
-    omega_cols = np.array(omega_cols, dtype=int)
-
-    pairs = sorted(scenario.links)
-    pair_cols = np.array([[idx.qpos[(lo, hi)], idx.qpos[(hi, lo)]]
-                          for lo, hi in pairs], dtype=int).reshape(-1, 2)
-    support_pair_index = np.array(
-        [pairs.index((n, m) if n < m else (m, n)) for (n, m) in support],
-        dtype=int)
+    problem, idx = market.assemble(scenario, eps_reg)
+    cols = _omega_columns(idx, support)
     eps = epsilon_comp(scenario)
 
     omegas = strategy.generate(support)   # (N, k)
-    if omegas.size and omegas.min() < 0:
-        raise ValueError("omega values must be nonnegative")
+    if not (np.isfinite(omegas).all() and (omegas >= 0).all()):
+        raise ValueError("omega values must be finite and nonnegative")
     seen = set()
     out = []
     for start in range(0, len(omegas), batch_size):
         W = omegas[start:start + batch_size]
         R = np.tile(problem.r, (len(W), 1))
-        R[:, omega_cols] += W
-        batch = qp.solve_batch(problem, R, tol=tol, eps_reg=eps_reg,
-                               reg_mask=mask)
+        R[:, cols[:, 0]] += W
+        batch = qp.solve_batch(problem, R, tol=tol)
         x = batch.x
-        slack = x[:, pair_cols[:, 0]] + x[:, pair_cols[:, 1]]   # (B, n_pairs)
-        viol = np.abs(W * slack[:, support_pair_index]).max(axis=1, initial=0.0)
+        viol = _violation(x, W, cols)
         good = (batch.status_code == 0) & (viol <= eps)
 
         for i in np.flatnonzero(good):
@@ -294,8 +289,8 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
             omega = OmegaVector({pair: W[i, j] for j, pair in enumerate(support)
                                  if W[i, j] != 0.0})
             ms = market.extract_solution(scenario, idx, batch.solution(i),
-                                         eps_reg, kind="gne")
-            out.append(_classify(scenario, omega, ms))
+                                         kind="gne")
+            out.append(_sample(scenario, omega, ms, viol[i]))
     return out
 
 

@@ -77,9 +77,6 @@ class MarketSolution:
     solver_iterations: int = 0
     kkt_residuals: dict = field(default_factory=dict)
 
-    def trade(self, m: int, n: int) -> float:
-        return self.q[m][n]
-
 
 @dataclass(frozen=True)
 class _MarketIndex:
@@ -91,6 +88,7 @@ class _MarketIndex:
     qpos: dict            # (m, n) -> column of q[m][n]
     bal_row: dict         # node -> equality row
     recip_row: dict       # unordered pair -> inequality row
+    eps_reg: float        # weight of the trade regularization in P
 
 
 def _require_valid(scenario: Scenario) -> None:
@@ -100,14 +98,19 @@ def _require_valid(scenario: Scenario) -> None:
         raise ValueError(f"scenario {scenario.name!r} is invalid: {listing}")
 
 
-def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
+def assemble(scenario: Scenario,
+             eps_reg: float = 0.0) -> tuple[qp.QpProblem, _MarketIndex]:
     """Build the minimization QP and the index mapping back to the market.
 
     Variables are ordered deterministically: every ``D`` by node id,
     every ``G``, then the trades by (seller, buyer) lexicographic.  The
     demand and generation ranges and the trade caps are the variable
     bounds; the rows are the nodal balances and the reciprocity pairs.
+    ``eps_reg`` adds eps_reg*||q||^2 (``2*eps_reg`` on the trade diagonal
+    of ``P``), which picks the minimum-norm trades of a degenerate optimum.
     """
+    if not (np.isfinite(eps_reg) and eps_reg >= 0):
+        raise ValueError(f"eps_reg must be finite and nonnegative, got {eps_reg}")
     _require_valid(scenario)
     nodes = scenario.node_ids
     dpairs = list(scenario.directed_pairs())
@@ -138,6 +141,7 @@ def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
         b_eq[i] = p.delta_g
         bal_row[node] = i
     for (m, n), col in qpos.items():
+        P[col, col] = 2.0 * eps_reg
         r[col] = scenario.c(n, m)   # the buyer n pays c(n, m)
         ub[col] = scenario.kappa(m, n)
         A_eq[bal_row[n], col] = -1.0
@@ -152,15 +156,8 @@ def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
     problem = qp.QpProblem(P=P, r=r, A_ineq=A_ineq, b_ineq=np.zeros(len(links)),
                            A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
     index = _MarketIndex(nodes=nodes, dpos=dpos, gpos=gpos, qpos=qpos,
-                         bal_row=bal_row, recip_row=recip_row)
+                         bal_row=bal_row, recip_row=recip_row, eps_reg=eps_reg)
     return problem, index
-
-
-def trade_reg_mask(idx: _MarketIndex) -> np.ndarray:
-    """Mask selecting the trade variables, for Tikhonov regularization."""
-    mask = np.zeros(2 * len(idx.nodes) + len(idx.qpos))
-    mask[list(idx.qpos.values())] = 1.0
-    return mask
 
 
 def social_welfare(scenario: Scenario, D: dict, G: dict, q: dict) -> float:
@@ -182,14 +179,12 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
                       kind: str = "centralized") -> MarketSolution:
     """Solve the welfare problem and map every dual to its market name.
 
-    ``eps_reg > 0`` adds a Tikhonov term on the trade variables only; use
-    it to pick a reproducible representative when preferences make the
-    optimal trades non-unique.  The value is echoed in the solution.
+    ``eps_reg > 0`` adds a Tikhonov term on the trades (see :func:`assemble`)
+    to pick a reproducible representative when preferences make the optimal
+    trades non-unique.  The value is echoed in the solution.
     """
-    problem, idx = assemble(scenario)
-    mask = trade_reg_mask(idx) if eps_reg else None
-    sol = qp.solve(problem, tol=tol, max_iter=max_iter, eps_reg=eps_reg,
-                   reg_mask=mask)
+    problem, idx = assemble(scenario, eps_reg)
+    sol = qp.solve(problem, tol=tol, max_iter=max_iter)
     if sol.status == qp.STATUS_INFEASIBLE:
         raise InfeasibleMarketError(
             f"scenario {scenario.name!r}: "
@@ -197,8 +192,8 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
     if sol.status != qp.STATUS_OPTIMAL:
         raise MarketError(f"solver returned status {sol.status!r}: {sol.message}")
 
-    solution = extract_solution(scenario, idx, sol, eps_reg, kind)
-    verify_solution(scenario, solution, tol, eps_reg)
+    solution = extract_solution(scenario, idx, sol, kind)
+    verify_solution(scenario, solution, tol)
     return solution
 
 
@@ -230,7 +225,7 @@ def _attribute_infeasibility(problem: qp.QpProblem, idx: _MarketIndex,
 
 
 def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
-                     eps_reg: float = 0.0, kind: str = "centralized") -> MarketSolution:
+                     kind: str = "centralized") -> MarketSolution:
     """Map a raw QP solution back to market quantities and prices."""
     x, z, y = sol.x, sol.mult_ineq, sol.mult_eq
     nodes = idx.nodes
@@ -267,13 +262,13 @@ def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
     return MarketSolution(D=D, G=G, q=q, Q=Q, lam=lam, zeta=zeta, xi=xi,
                           mu_lo=mu_lo, mu_hi=mu_hi, nu_lo=nu_lo, nu_hi=nu_hi,
                           sw=sw, waste=waste, waste_total=total, kind=kind,
-                          eps_reg=eps_reg, solver_status=sol.status,
+                          eps_reg=idx.eps_reg, solver_status=sol.status,
                           solver_iterations=sol.iterations,
                           kkt_residuals=dict(sol.kkt_residuals))
 
 
 def verify_solution(scenario: Scenario, s: MarketSolution, tol: float,
-                    eps_reg: float = 0.0, price_shift=None) -> None:
+                    price_shift=None) -> None:
     """Re-derive the optimality identities from the extracted quantities.
 
     ``price_shift`` maps directed pairs (n, m) to an amount added to the
@@ -286,7 +281,7 @@ def verify_solution(scenario: Scenario, s: MarketSolution, tol: float,
     qmax = max((abs(v) for row in s.q.values() for v in row.values()),
                default=0.0)
     scale = 1.0 + max(max(abs(v) for v in s.lam.values()), qmax)
-    thr = 10.0 * tol * scale + 2.0 * eps_reg * (1.0 + qmax)
+    thr = 10.0 * tol * scale + 2.0 * s.eps_reg * (1.0 + qmax)
 
     for n in scenario.node_ids:
         p = scenario.prosumer(n)

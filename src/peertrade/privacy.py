@@ -250,14 +250,13 @@ def _pair_draw(errors: ErrorModel, pair, rng, count: int) -> np.ndarray:
 
 
 def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
-                     samples: int, seed: int = 0,
-                     chunk_size: int = DEFAULT_MC_CHUNK) -> dict:
+                     samples: int, seed: int = 0) -> dict:
     """Sampled mean and standard error of the utility bias per node.
 
     Errors are drawn independently across pairs from each pair's 2x2
-    covariance; chunk c uses the stream seeded by (seed, c), and running
-    means/variances are merged across chunks, so results depend only on
-    (seed, samples, chunk_size).
+    covariance; chunk c of ``DEFAULT_MC_CHUNK`` samples uses the stream
+    seeded by (seed, c), and running means/variances are merged across
+    chunks, so results depend only on (seed, samples).
     """
     if samples < 1000:
         raise PrivacyError(f"need at least 1000 samples, got {samples}")
@@ -273,7 +272,7 @@ def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
     m2 = {n: 0.0 for n in nodes}
     chunk_index = 0
     while count < samples:
-        b = min(chunk_size, samples - count)
+        b = min(DEFAULT_MC_CHUNK, samples - count)
         rng = np.random.default_rng([seed, chunk_index])
         for n in nodes:
             s = np.zeros(b)

@@ -28,6 +28,9 @@ matrix, and one face solve, :func:`_face_solve`, minimizes the objective
 on a set of rows held as equalities: polish calls it with the active set
 guessed from a converged iterate, and a problem with no inequality rows
 is the face solve with an empty active set (no IPM iterations).
+
+The problem is solved as given: a tie-breaking regularization belongs to
+``P`` (see ``market.assemble``), so the objective and residuals include it.
 """
 
 from __future__ import annotations
@@ -156,7 +159,6 @@ class QpSolution:
     status: str
     kkt_residuals: dict
     iterations: int
-    eps_reg: float = 0.0
     message: str = ""
 
 
@@ -173,7 +175,6 @@ class QpBatchSolution:
     status_code: np.ndarray  # (B,) ints, see _STATUS_CODES
     kkt_residuals: dict     # kind -> (B,) max-norm, see QpSolution
     iterations: np.ndarray  # (B,)
-    eps_reg: float = 0.0
 
     @property
     def residual(self) -> np.ndarray:
@@ -190,11 +191,7 @@ class QpBatchSolution:
             mult_lb=self.mult_lb[i], mult_ub=self.mult_ub[i],
             objective=float(self.objective[i]), status=self.status(i),
             kkt_residuals={k: float(v[i]) for k, v in self.kkt_residuals.items()},
-            iterations=int(self.iterations[i]), eps_reg=self.eps_reg)
-
-    @property
-    def all_optimal(self) -> bool:
-        return bool(np.all(self.status_code == 0))
+            iterations=int(self.iterations[i]))
 
 
 def _check_psd(P: np.ndarray) -> None:
@@ -207,19 +204,10 @@ def _check_psd(P: np.ndarray) -> None:
                       f"(floor {-1e-10 * scale:.3e})")
 
 
-def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100,
-          eps_reg: float = 0.0, reg_mask: Optional[np.ndarray] = None,
-          polish: bool = True) -> QpSolution:
-    """Solve one QP to ``tol`` on all KKT residual norms.
-
-    ``eps_reg`` adds a Tikhonov term eps_reg*||x_masked||^2 to the
-    objective (all variables unless ``reg_mask`` selects a subset).  It is
-    a tie-breaker for problems with degenerate optimal faces, picks the
-    minimum-norm representative, and is reported back in the solution.
-    """
+def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolution:
+    """Solve one QP to ``tol`` on all KKT residual norms."""
     sol = solve_batch(problem, problem.r[None, :], tol=tol,
-                      max_iter=max_iter, eps_reg=eps_reg, reg_mask=reg_mask,
-                      polish=polish).solution(0)
+                      max_iter=max_iter).solution(0)
     message = ""
     if sol.status == STATUS_INFEASIBLE:
         z, y, zl, zu = sol.mult_ineq, sol.mult_eq, sol.mult_lb, sol.mult_ub
@@ -240,18 +228,16 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100,
 
 
 def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
-                max_iter: int = 100, eps_reg: float = 0.0,
-                reg_mask: Optional[np.ndarray] = None,
-                polish: bool = True) -> QpBatchSolution:
+                max_iter: int = 100) -> QpBatchSolution:
     """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
     problem stops updating once decided.  Results are not independent of
     what else sits in the batch: the data scale, and with it the
     convergence target, the regularization and the step-length factor,
-    is taken over all rows of ``R``.  ``polish`` re-solves each converged
-    iterate's active face exactly, which matters at degenerate vertices
-    (see :func:`_polish_batch`).
+    is taken over all rows of ``R``.  Each converged iterate's active face
+    is then re-solved exactly, which matters at degenerate vertices (see
+    :func:`_polish_batch`).
     """
     P = np.asarray(problem.P, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -259,11 +245,6 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     if R.shape[1] != n:
         raise QpError(f"linear terms have {R.shape[1]} columns, expected {n}")
     _check_psd(P)
-    if eps_reg < 0:
-        raise QpError("eps_reg must be nonnegative")
-    if eps_reg:
-        mask = np.ones(n) if reg_mask is None else np.asarray(reg_mask, dtype=float)
-        P = P + 2.0 * eps_reg * np.diag(mask)
     B = R.shape[0]
     G0, h0 = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
     A0, b0 = np.asarray(problem.A_eq, float), np.asarray(problem.b_eq, float)
@@ -290,7 +271,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     tol_conv = tol * (1.0 + 0.01 * scale)
     if len(h):
         xf, y, z, status, iters = _ipm(Pf, Rf, G, h, A, b, scale, tol_conv,
-                                       max_iter, polish)
+                                       max_iter)
     else:
         # No inequality rows: the face solve with an empty active set is
         # the answer, and its status is read off the residuals below.
@@ -328,11 +309,11 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         # consistent equalities: a descent ray, so unbounded.
         status = np.select([kkt["primal"] > tol_conv, kkt["stationarity"] > tol_conv],
                            [1, 2], 0)
-    objective = 0.5 * np.einsum("bi,ij,bj->b", x, problem.P, x) + (R * x).sum(axis=1)
+    objective = 0.5 * np.einsum("bi,ij,bj->b", x, P, x) + (R * x).sum(axis=1)
     return QpBatchSolution(x=x, mult_ineq=z_in, mult_eq=y, mult_lb=mult_lb,
                            mult_ub=mult_ub, objective=objective,
                            status_code=status.astype(np.int8),
-                           kkt_residuals=kkt, iterations=iters, eps_reg=eps_reg)
+                           kkt_residuals=kkt, iterations=iters)
 
 
 def _saddle(H, C, delta):
@@ -387,7 +368,7 @@ def _solve_rows(K, rhs):
         return sol
 
 
-def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, polish):
+def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
     Returns ``(x, y, z, status, iterations)`` of the problem
@@ -491,8 +472,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, polish):
         a = alpha[:, None]
         xa, ya, za, sa = xa + a * dx, ya + a * dy, za + a * dz, sa + a * ds
 
-    if polish:
-        _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale)
+    _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale)
     return x, y, z, status, iters
 
 

@@ -94,6 +94,11 @@ def test_gne_usage_errors(capsys, out):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "gne", "--builtin", "three_node", "--out", out)
     assert code == EXIT_USAGE
+    for flag, value in (("--axis", "1,x"), ("--grid", "0:10:0"),
+                        ("--grid", "10:0:1"), ("--grid", "0:inf:1")):
+        code, _ = run(capsys, "gne", "--builtin", "three_node",
+                      flag, value, "--out", out)
+        assert code == EXIT_USAGE, (flag, value)
 
 
 def test_gne_random_support_full(capsys, out):

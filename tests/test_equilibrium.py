@@ -248,6 +248,27 @@ def test_negative_omega_rejected():
         eq.OmegaVector({(1, 0): -1.0})
 
 
+def test_non_finite_omega_rejected(three_node):
+    for w in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="negative or not finite"):
+            eq.OmegaVector({(1, 0): w})
+    for values in ((0.0, np.nan), (0.0, np.inf), (-1.0,)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            eq.sweep_gne(three_node, eq.AxisStrategy(values))
+
+
+def test_grid_strategy_stops_at_stop():
+    assert eq.GridStrategy(0.0, 100.0, 40.0).values == (0.0, 40.0, 80.0)
+    assert len(eq.GridStrategy(0.0, 100.0, 5.0).values) == 21
+    assert len(eq.GridStrategy(0.0, 0.3, 0.1).values) == 4
+    assert eq.GridStrategy(2.0, 2.0, 1.0).values == (2.0,)
+    for start, stop in ((10.0, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="empty or not finite"):
+            eq.GridStrategy(start, stop, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        eq.GridStrategy(0.0, 10.0, 0.0)
+
+
 def test_epsilon_comp_scale(three_node):
     assert eq.epsilon_comp(three_node) == pytest.approx(1.1e-5)
 

@@ -182,6 +182,19 @@ def test_regularization_echoed_and_stable():
         assert s1.q[lo][hi] == s2.q[lo][hi]
 
 
+def test_eps_reg_is_the_trade_diagonal_of_p(three_node):
+    plain, idx = market.assemble(three_node)
+    reg, reg_idx = market.assemble(three_node, 1e-7)
+    cols = list(idx.qpos.values())
+    expected = np.zeros_like(plain.P)
+    expected[cols, cols] = 2e-7
+    np.testing.assert_array_equal(reg.P - plain.P, expected)
+    assert (idx.eps_reg, reg_idx.eps_reg) == (0.0, 1e-7)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps_reg"):
+            market.assemble(three_node, bad)
+
+
 def test_report_dict_json_csv(solved):
     d = market.solution_to_dict(solved)
     assert d["sw"] == pytest.approx(SW_EXACT, rel=1e-10)

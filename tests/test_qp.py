@@ -131,14 +131,15 @@ def test_batch_matches_single_solves():
         np.testing.assert_allclose(batch.x[i], single.x, atol=1e-6)
 
 
-def test_polish_lands_exactly_on_degenerate_vertex():
+def test_polish_lands_exactly_on_degenerate_vertex(monkeypatch):
     # minimize (x - 1)^2 with x <= 1: the constraint is active with a
     # zero multiplier, which pure interior-point iterations approach
     # only to O(sqrt(tolerance)).
     prob = qp.make_problem(np.array([[2.0]]), np.array([-2.0]),
                            A_ineq=np.array([[1.0]]), b_ineq=np.array([1.0]))
-    rough = qp.solve(prob, polish=False)
-    polished = qp.solve(prob, polish=True)
+    polished = qp.solve(prob)
+    monkeypatch.setattr(qp, "_polish_batch", lambda *args: None)
+    rough = qp.solve(prob)
     assert abs(rough.x[0] - 1.0) > 1e-14, "premise: raw iterate is not exact"
     assert polished.x[0] == pytest.approx(1.0, abs=1e-12)
     assert polished.kkt_residuals["complementarity"] <= 1e-12
@@ -152,31 +153,10 @@ def test_polish_does_not_break_strictly_active_solutions():
     assert sol.mult_ineq[0] == pytest.approx(6.0, abs=1e-6)
 
 
-def test_eps_reg_picks_minimum_norm_representative():
-    # minimize 0 over x0 + x1 = 1: every point on the line is optimal;
-    # the regularizer selects the symmetric one.
-    prob = qp.make_problem(np.zeros((2, 2)), np.zeros(2),
-                           A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([1.0]))
-    sol = qp.solve(prob, eps_reg=1e-7)
-    np.testing.assert_allclose(sol.x, [0.5, 0.5], atol=1e-6)
-    assert sol.eps_reg == 1e-7
-
-
-def test_reg_mask_limits_regularization():
-    prob = qp.make_problem(np.diag([2.0, 0.0]), np.array([-2.0, 0.0]),
-                           A_ineq=np.array([[0.0, 1.0], [0.0, -1.0]]),
-                           b_ineq=np.array([4.0, 0.0]))
-    sol = qp.solve(prob, eps_reg=1e-6, reg_mask=np.array([0.0, 1.0]))
-    # x0 governed by its own strictly convex term, x1 pulled to zero
-    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-5)
-
-
 def test_bad_linear_term_shape():
     prob = qp.make_problem(np.eye(2), np.zeros(2))
     with pytest.raises(qp.QpError, match="columns"):
         qp.solve_batch(prob, np.zeros((3, 5)))
-    with pytest.raises(qp.QpError, match="nonnegative"):
-        qp.solve(prob, eps_reg=-1.0)
 
 
 def _random_box_qp(rng, n):
