@@ -409,7 +409,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         config = _config_from_args(args)
         return _COMMANDS[config.command](config)
-    except UsageError as exc:
+    except (UsageError, equilibrium.OmegaError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except market.InfeasibleMarketError as exc:

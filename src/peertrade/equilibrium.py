@@ -48,6 +48,10 @@ SUPPORT_LOW_BUYS_HIGH = "n_gt_m"
 SUPPORT_FULL = "full"
 
 
+class OmegaError(ValueError):
+    """Bad omega input: a negative or non-finite weight, or a bad support pair."""
+
+
 @dataclass(frozen=True)
 class OmegaVector:
     """Nonnegative finite perturbation weights on directed trades.
@@ -63,7 +67,7 @@ class OmegaVector:
         for pair, w in dict(self.entries).items():
             n, m = pair
             if not (w >= 0 and math.isfinite(w)):
-                raise ValueError(f"omega[{pair}] = {w} is negative or not finite")
+                raise OmegaError(f"omega[{pair}] = {w} is negative or not finite")
             clean[(int(n), int(m))] = float(w)
         object.__setattr__(self, "entries", clean)
 
@@ -157,10 +161,13 @@ def _omega_columns(idx: market._MarketIndex, pairs) -> np.ndarray:
     The first column is the trade that ``omega[(n, m)]`` shifts; the two
     together are the pair's reciprocity slack.
     """
+    pairs = [tuple(pair) for pair in pairs]
     cols = []
     for (n, m) in pairs:
         if (m, n) not in idx.qpos:
-            raise ValueError(f"omega pair ({n}, {m}) has no link")
+            raise OmegaError(f"omega pair ({n}, {m}) has no link")
+        if pairs.count((n, m)) > 1:
+            raise OmegaError(f"omega pair ({n}, {m}) is listed twice")
         cols.append((idx.qpos[(m, n)], idx.qpos[(n, m)]))
     return np.array(cols, dtype=int).reshape(-1, 2)
 
@@ -253,7 +260,8 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     for random draws).  Samples failing the equilibrium filter are
     dropped; surviving duplicates, i.e. omega points mapping to the same
     primal solution after rounding (D, G, q) to 1e-4, are collapsed to
-    their first occurrence.
+    their first occurrence.  Points are solved as if alone; ``batch_size``
+    and order change only rounding and which duplicate is kept first.
     """
     support = default_support(scenario, strategy.support)
     k = len(support)
@@ -269,7 +277,7 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
 
     omegas = strategy.generate(support)   # (N, k)
     if not (np.isfinite(omegas).all() and (omegas >= 0).all()):
-        raise ValueError("omega values must be finite and nonnegative")
+        raise OmegaError("omega values must be finite and nonnegative")
     seen = set()
     out = []
     for start in range(0, len(omegas), batch_size):

@@ -236,8 +236,6 @@ def _pair_draw(errors: ErrorModel, pair, rng, count: int) -> np.ndarray:
     sd = errors.sigma_d.get(pair, 0.0)
     sg = errors.sigma_g.get(pair, 0.0)
     cv = errors.cov.get(pair, 0.0)
-    if sd * sg < abs(cv) - 1e-12:
-        raise PrivacyError(f"covariance for pair {pair} is not feasible")
     u = rng.standard_normal(count)
     if sd > 0:
         resid = max(sg ** 2 - (cv / sd) ** 2, 0.0)

@@ -17,17 +17,18 @@ known, and its bound multipliers are read off the stationarity residual
 afterwards (the positive part goes to ``mult_ub``, the negative part to
 ``mult_lb``).  The remaining finite bounds become inequality rows of the
 engine in one place, :func:`solve_batch`, and their multipliers are
-reported per variable as ``mult_lb`` and ``mult_ub``.  KKT residuals are
-defined once, over the original problem with its bounds.
+reported per variable as ``mult_lb`` and ``mult_ub``.  :func:`_kkt`
+defines the KKT residuals once, for the report and for polish.
 
 The engine is written once, vectorized over a leading batch axis: a batch
 of problems sharing P, the constraint matrices and the bounds but
-differing in the linear term r runs through the same arithmetic, and a
-single solve is a batch of one.  One function builds the saddle-point
-matrix, and one face solve, :func:`_face_solve`, minimizes the objective
-on a set of rows held as equalities: polish calls it with the active set
-guessed from a converged iterate, and a problem with no inequality rows
-is the face solve with an empty active set (no IPM iterations).
+differing in the linear term r is solved as independent problems, each
+row with its own data scale, and a single solve is a batch of one.  One
+function builds the saddle-point matrix, and one face solve,
+:func:`_face_solve`, minimizes the objective on a set of rows held as
+equalities: polish calls it with the active set guessed from a converged
+iterate, and a problem with no inequality rows is the face solve with an
+empty active set (no IPM iterations).
 
 The problem is solved as given: a tie-breaking regularization belongs to
 ``P`` (see ``market.assemble``), so the objective and residuals include it.
@@ -232,12 +233,11 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
-    problem stops updating once decided.  Results are not independent of
-    what else sits in the batch: the data scale, and with it the
-    convergence target, the regularization and the step-length factor,
-    is taken over all rows of ``R``.  Each converged iterate's active face
-    is then re-solved exactly, which matters at degenerate vertices (see
-    :func:`_polish_batch`).
+    problem stops updating once decided.  Every number a row's solve reads
+    comes from that row and the shared data, so the rest of the batch can
+    change its answer only by rounding (amplified on degenerate faces).
+    Each converged iterate's active face is then re-solved exactly, which
+    matters at degenerate vertices (see :func:`_polish_batch`).
     """
     P = np.asarray(problem.P, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -264,10 +264,10 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     h = np.concatenate([h0 - G0[:, fixed] @ x_fix, ub[free][up], -lb[free][lo]])
     A, b = A0[:, free], b0 - A0[:, fixed] @ x_fix
 
-    scale = 1.0 + max(np.abs(Rf).max(initial=0.0), np.abs(h).max(initial=0.0),
-                      np.abs(b).max(initial=0.0), np.abs(Pf).max(initial=0.0))
-    # Near-absolute convergence target; the mild scale term only matters
-    # for badly scaled data and keeps the target attainable there.
+    # Per-row data scale; near-absolute convergence target (the mild scale
+    # term keeps it attainable for badly scaled data).
+    shared = max(np.abs(M).max(initial=0.0) for M in (h, b, Pf))
+    scale = 1.0 + np.maximum(np.abs(Rf).max(axis=1, initial=0.0), shared)
     tol_conv = tol * (1.0 + 0.01 * scale)
     if len(h):
         xf, y, z, status, iters = _ipm(Pf, Rf, G, h, A, b, scale, tol_conv,
@@ -275,7 +275,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     else:
         # No inequality rows: the face solve with an empty active set is
         # the answer, and its status is read off the residuals below.
-        xf, y = _face_solve(Pf, Rf, A, b, 1e-12 * scale)
+        xf, y = _face_solve(Pf, Rf, A, b)
         z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
 
     # Back to the original variables and multipliers.
@@ -288,22 +288,15 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     mult_lb = np.zeros((B, n))
     mult_ub[:, free[up]] = z[:, m:m + len(up)]
     mult_lb[:, free[lo]] = z[:, m + len(up):]
-    grad = x @ P + R + z_in @ G0 + y @ A0
-    mult_ub[:, fixed] = np.maximum(-grad[:, fixed], 0.0)
-    mult_lb[:, fixed] = np.maximum(grad[:, fixed], 0.0)
+    grad = (x @ P + R + z_in @ G0 + y @ A0)[:, fixed]
+    mult_ub[:, fixed] = np.maximum(-grad, 0.0)
+    mult_lb[:, fixed] = np.maximum(grad, 0.0)
 
-    # The KKT residuals of the original problem, one max-norm per kind.
-    slack = h0 - x @ G0.T
-    lo_gap = np.where(np.isfinite(lb), x - lb, 0.0)
-    up_gap = np.where(np.isfinite(ub), ub - x, 0.0)
-    kkt = {
-        "stationarity": np.abs(grad + mult_ub - mult_lb).max(axis=1, initial=0.0),
-        "primal": np.hstack([np.abs(x @ A0.T - b0), -slack, -lo_gap, -up_gap])
-                  .max(axis=1, initial=0.0),
-        "dual": (-np.hstack([z_in, mult_lb, mult_ub])).max(axis=1, initial=0.0),
-        "complementarity": np.abs(np.hstack([z_in * slack, mult_lb * lo_gap,
-                                             mult_ub * up_gap])).max(axis=1, initial=0.0),
-    }
+    # The KKT residuals of the original problem, every finite bound a row.
+    ku, kl = np.flatnonzero(np.isfinite(ub)), np.flatnonzero(np.isfinite(lb))
+    kkt = _kkt(P, R, np.vstack([G0, np.eye(n)[ku], -np.eye(n)[kl]]),
+               np.concatenate([h0, ub[ku], -lb[kl]]), A0, b0, x, y,
+               np.hstack([z_in, mult_ub[:, ku], mult_lb[:, kl]]))
     if status is None:
         # Inconsistent equalities: infeasible; a leftover gradient with
         # consistent equalities: a descent ray, so unbounded.
@@ -316,28 +309,45 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                            kkt_residuals=kkt, iterations=iters)
 
 
+def _kkt(P, R, G, h, A, b, x, y, z):
+    """KKT residuals of min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, per row.
+
+    Returns (B,) max-norms of stationarity, primal feasibility, dual
+    feasibility (multiplier negativity) and complementarity, by kind."""
+    slack = h - x @ G.T
+    return {
+        "stationarity": np.abs(x @ P + R + z @ G + y @ A).max(axis=1, initial=0.0),
+        "primal": np.maximum(np.abs(x @ A.T - b).max(axis=1, initial=0.0),
+                             (-slack).max(axis=1, initial=0.0)),
+        "dual": (-z).max(axis=1, initial=0.0),
+        "complementarity": np.abs(z * slack).max(axis=1, initial=0.0),
+    }
+
+
 def _saddle(H, C, delta):
-    """[[H + delta*I, C'], [C, -delta*I]] for H of shape (n, n) or (B, n, n)."""
+    """[[H + delta*I, C'], [C, -delta*I]] for H (n, n) or (B, n, n), delta () or (B,)."""
     n, q = H.shape[-1], len(C)
     K = np.zeros(H.shape[:-2] + (n + q, n + q))
     K[..., :n, :n] = H
     K[..., :n, n:] = C.T
     K[..., n:, :n] = C
     diag = np.einsum("...ii->...i", K)   # a writable view
-    diag += np.repeat([delta, -delta], [n, q])
+    diag += np.asarray(delta)[..., None] * np.repeat([1.0, -1.0], [n, q])
     return K
 
 
-def _face_solve(P, R, C, d, delta):
+def _face_solve(P, R, C, d):
     """Minimize 0.5 x'Px + R[i]'x subject to Cx = d, for every row i.
 
     Returns ``(x, w)`` with ``w`` the multipliers of the rows of ``C``.
-    One regularized matrix serves every row; two refinement steps against
-    the unregularized system push the delta-perturbation error down to
-    machine precision.  A singular system falls back to least squares.
+    One matrix, regularized by delta relative to its own entries, serves
+    every row; two refinement steps against the unregularized system push
+    the delta-perturbation error down to machine precision.  A singular
+    system falls back to least squares.
     """
     n = len(P)
-    K = _saddle(P, C, delta)
+    K = _saddle(P, C, 1e-12 * (1.0 + max(np.abs(P).max(initial=0.0),
+                                         np.abs(C).max(initial=0.0))))
     rhs = np.concatenate([-R.T, np.repeat(d[:, None], len(R), axis=1)])
     try:
         sol = np.linalg.solve(K, rhs)
@@ -373,9 +383,9 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
 
     Returns ``(x, y, z, status, iterations)`` of the problem
     min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, which has at least one
-    inequality row.  The working arrays hold only the rows still
-    iterating; a row leaves them, with its current iterate as its answer,
-    at the first check at the top of an iteration that decides it.
+    inequality row; ``scale`` and ``tol_conv`` are per row.  The working
+    arrays hold only the rows still iterating; a row leaves them, with its
+    current iterate as its answer, at the first check that decides it.
     """
     B, n = R.shape
     m, p = len(h), len(b)
@@ -388,8 +398,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     idx = np.arange(B)
     xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
     za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
-    Ra, stall = R, np.zeros(B, dtype=np.int8)
-    delta = 1e-12 * scale
+    Ra, stall, sc, tc = R, np.zeros(B, dtype=np.int8), scale, tol_conv
 
     # One check more than steps, so the iterate after the last step is
     # checked too.
@@ -411,28 +420,28 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
         zn = np.abs(za).max(axis=1) + np.abs(ya).max(axis=1, initial=0.0)
         ray = np.abs(za @ G + ya @ A).max(axis=1, initial=0.0)
         farkas = (zn > 1e10) & (ray <= 1e-6 * zn) & (za @ h + ya @ b < 0)
-        hugex = np.abs(xa).max(axis=1, initial=0.0) > 1e10 * scale
-        conv, stalled = worst <= tol_conv, stall >= 5
+        hugex = np.abs(xa).max(axis=1, initial=0.0) > 1e10 * sc
+        conv, stalled = worst <= tc, stall >= 5
         stop = conv | farkas | hugex | stalled | (it == max_iter)
         if stop.any():
             done = idx[stop]
             status[done] = np.select([conv, farkas, hugex, stalled],
-                                     [0, 1, 2, np.where(primal > tol_conv, 1, 3)],
+                                     [0, 1, 2, np.where(primal > tc, 1, 3)],
                                      3)[stop]
             iters[done] = it
             x[done], y[done], z[done], s[done] = xa[stop], ya[stop], za[stop], sa[stop]
             if stop.all():
                 break
             keep = ~stop
-            idx, xa, ya, za, sa, Ra, stall, r_dual, r_eq, r_in, comp, mu = (
-                v[keep] for v in (idx, xa, ya, za, sa, Ra, stall,
+            idx, xa, ya, za, sa, Ra, stall, sc, tc, r_dual, r_eq, r_in, comp, mu = (
+                v[keep] for v in (idx, xa, ya, za, sa, Ra, stall, sc, tc,
                                   r_dual, r_eq, r_in, comp, mu))
 
         # Guard the endgame: slacks of strongly active constraints head to
         # zero, and a denormal slack would overflow these divisions.
         sa_div = np.maximum(sa, 1e-300)
         d = np.minimum(za / sa_div, 1e16)
-        K = _saddle(P + np.einsum("bm,mi,mj->bij", d, G, G, optimize=True), A, delta)
+        K = _saddle(P + np.einsum("bm,mi,mj->bij", d, G, G, optimize=True), A, 1e-12 * sc)
 
         def newton(rc):
             """The step (dx, dy, dz, ds) toward complementarity target rc."""
@@ -453,7 +462,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
         # Corrector: recenters and compensates the predictor's
         # linearization error dz*ds.
         dx, dy, dz, ds = newton(comp + dz * ds - (sigma * mu)[:, None])
-        tau = np.clip(1.0 - 0.1 * np.minimum(mu / scale, 1.0), 0.995, 0.99995)
+        tau = np.clip(1.0 - 0.1 * np.minimum(mu / sc, 1.0), 0.995, 0.99995)
         alpha = np.minimum(1.0, tau * np.minimum(_max_step(za, dz),
                                                  _max_step(sa, ds)))
 
@@ -484,33 +493,25 @@ def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
     slack around 1e-5 rather than machine precision.  This re-solves the
     face of the guessed active set with :func:`_face_solve` (grouped by
     pattern so each group is one factorization) and overwrites an iterate
-    only when the polished point passes feasibility, multiplier-sign, and
-    stationarity checks, so a wrong guess is harmless.  Arrays are updated
-    in place.
+    only when all four KKT residuals of the polished point, taken with the
+    face multipliers as solved, are within 1e-8 of the row's ``scale``; so
+    a wrong guess is harmless.  ``x``, ``y`` and ``z`` are updated in place.
     """
     opt = np.flatnonzero(status == 0)
-    if opt.size == 0:
-        return
     p = len(b)
-    act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale)
+    act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale[opt, None])
     patterns, inverse = np.unique(act, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).ravel()
     for pi, pat in enumerate(patterns):
         rows = opt[inverse == pi]
         xp, w = _face_solve(P, R[rows], np.vstack([A, G[pat]]),
-                            np.concatenate([b, h[pat]]), 1e-12 * scale)
-        yp, zraw = w[:, :p], w[:, p:]
-        zfull = np.zeros((len(rows), len(h)))
-        zfull[:, pat] = np.maximum(zraw, 0.0)
-        slack = h - xp @ G.T
-        stat = xp @ P + R[rows] + zfull @ G + yp @ A
-        ok = ((slack.min(axis=1) >= -1e-9 * scale)
-              & (np.abs(xp @ A.T - b).max(axis=1, initial=0.0) <= 1e-8 * scale)
-              & (zraw.min(axis=1, initial=0.0) >= -1e-9 * scale)
-              & (np.abs(stat).max(axis=1, initial=0.0) <= 1e-8 * scale))
+                            np.concatenate([b, h[pat]]))
+        zp = np.zeros((len(rows), len(h)))
+        zp[:, pat] = w[:, p:]
+        res = _kkt(P, R[rows], G, h, A, b, xp, w[:, :p], zp).values()
+        ok = np.max(list(res), axis=0) <= 1e-8 * scale[rows]
         good = rows[ok]
-        x[good], y[good], z[good] = xp[ok], yp[ok], zfull[ok]
-        s[good] = np.maximum(slack[ok], 0.0)
+        x[good], y[good], z[good] = xp[ok], w[ok, :p], np.maximum(zp[ok], 0.0)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ verified against solutions, never fed back into the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .market import MarketSolution
@@ -208,26 +208,20 @@ def detect_game_cycles(scenario: Scenario, max_len: Optional[int] = None,
     the cycle gives twice the total weight), so every hit is also a
     negative preference cycle, but not conversely.
     """
-    n_nodes = scenario.n_nodes
-    if max_len is None:
-        max_len = n_nodes
-    if max_len > n_nodes:
-        raise ValueError(f"max_len {max_len} exceeds the node count {n_nodes}")
+    return _game_cycles(scenario, detect_preference_cycles(scenario, max_len, budget))
+
+
+def _game_cycles(scenario: Scenario, cycles: list) -> list:
+    """The game cycles among ``detect_preference_cycles``' list ``cycles``.
+
+    Node i's margin C[i][i+1] - C[i][i-1] is the sum of its two edges'
+    weights.  Every margin is below -1e-9 and the cycle weight is half
+    their sum, so every game cycle is on that list, tagged negative."""
     out = []
-    for nodes in _simple_cycles(scenario, max_len, budget):
-        k = len(nodes)
-        ok = True
-        for i in range(k):
-            ahead = scenario.c_tilde(nodes[i], nodes[(i + 1) % k])
-            behind = scenario.c_tilde(nodes[i], nodes[(i - 1) % k])
-            if ahead - behind >= -1e-9:
-                ok = False
-                break
-        if ok:
-            out.append(PreferenceCycle(nodes=nodes,
-                                       weight=cycle_weight(scenario, nodes),
-                                       sign="negative", kind="game"))
-    out.sort(key=lambda c: (c.weight, c.nodes))
+    for c in cycles:
+        w = [scenario.c_tilde(a, b) for a, b in c.edges()]
+        if c.sign == "negative" and all(w[i] + w[i - 1] < -1e-9 for i in range(len(w))):
+            out.append(replace(c, kind="game"))
     return out
 
 
@@ -438,7 +432,7 @@ def analysis_report(scenario: Scenario, solution: MarketSolution,
                     max_path_len: Optional[int] = None) -> dict:
     """One JSON-ready dict bundling every diagnostic for a solved market."""
     cycles = detect_preference_cycles(scenario, max_cycle_len)
-    game = detect_game_cycles(scenario, max_cycle_len)
+    game = _game_cycles(scenario, cycles)
     predictions = predict_asymmetry_congestion(scenario)
     certs = waste_certificates(scenario, solution, max_path_len)
     necessary, witness = no_waste_necessary(scenario)

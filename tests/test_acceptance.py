@@ -94,6 +94,7 @@ def _matches_target(sample):
     return sample.sw <= 256.0 and lam_ok and q_ok
 
 
+@pytest.mark.slow
 def test_criterion_3_gne_grid_buyer_side_directions(three_node):
     valid, bound, elapsed = _sweep_three_node(three_node,
                                               eq.SUPPORT_LOW_BUYS_HIGH)
@@ -141,6 +142,7 @@ def test_criterion_3_gne_grid_buyer_side_directions(three_node):
     assert ok, "failed: " + ", ".join(k for k, v in checks.items() if not v)
 
 
+@pytest.mark.slow
 def test_criterion_3_companion_seller_direction_attains_targets(three_node):
     valid, bound, elapsed = _sweep_three_node(
         three_node, ((1, 0), (2, 0), (1, 2)))

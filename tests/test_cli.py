@@ -95,10 +95,16 @@ def test_gne_usage_errors(capsys, out):
     code, _ = run(capsys, "gne", "--builtin", "three_node", "--out", out)
     assert code == EXIT_USAGE
     for flag, value in (("--axis", "1,x"), ("--grid", "0:10:0"),
-                        ("--grid", "10:0:1"), ("--grid", "0:inf:1")):
+                        ("--grid", "10:0:1"), ("--grid", "0:inf:1"),
+                        ("--axis", "nan")):
         code, _ = run(capsys, "gne", "--builtin", "three_node",
                       flag, value, "--out", out)
         assert code == EXIT_USAGE, (flag, value)
+    # A support pair without a link, and one listed twice.
+    for support in ("0:5", "1:0,1:0"):
+        code, _ = run(capsys, "gne", "--builtin", "three_node", "--axis",
+                      "0,50", "--support", support, "--out", out)
+        assert code == EXIT_USAGE, support
 
 
 def test_gne_random_support_full(capsys, out):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import random_scenario
 from peertrade import equilibrium as eq
-from peertrade import market, scenario as sc
+from peertrade import market, qp, scenario as sc
 from reference_points import (BUYER_SIDE, OMEGA_BUYER_SIDE, REFERENCE,
                               agent_reports, max_gap)
 
@@ -255,6 +257,56 @@ def test_non_finite_omega_rejected(three_node):
     for values in ((0.0, np.nan), (0.0, np.inf), (-1.0,)):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             eq.sweep_gne(three_node, eq.AxisStrategy(values))
+
+
+def test_repeated_support_pair_rejected(three_node):
+    strategy = eq.AxisStrategy((0.0, 50.0), support=((1, 0), (1, 0)))
+    with pytest.raises(eq.OmegaError, match="listed twice"):
+        eq.sweep_gne(three_node, strategy)
+
+
+def _assert_rows_match(part, full, rows):
+    """The first len(rows) rows of batch ``part`` are rows ``rows`` of ``full``."""
+    k = len(rows)
+    for name in ("x", "mult_ineq", "mult_eq", "mult_lb", "mult_ub"):
+        np.testing.assert_allclose(getattr(part, name)[:k], getattr(full, name)[rows],
+                                   rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_array_equal(part.status_code[:k], full.status_code[rows])
+    np.testing.assert_array_equal(part.iterations[:k], full.iterations[rows])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from([0.0, 10.0, 50.0, 100.0])
+                            | st.floats(0.0, 100.0)] * 3),
+                min_size=2, max_size=12),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 7))
+def test_batch_rows_solve_as_if_alone(W, seed, size):
+    # A row's answer depends only on its own omega: not on the rows next
+    # to it, their order, or an extreme row in the same batch.
+    scn = sc.builtin("three_node")
+    problem, idx = market.assemble(scn)
+    cols = eq._omega_columns(idx, eq.default_support(scn))
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, cols[:, 0]] += np.array(W)
+    full = qp.solve_batch(problem, R)
+    for i in range(len(R)):
+        _assert_rows_match(qp.solve_batch(problem, R[i:i + 1]), full, [i])
+    perm = np.random.default_rng(seed).permutation(len(R))
+    for start in range(0, len(R), size):
+        rows = perm[start:start + size]
+        _assert_rows_match(qp.solve_batch(problem, R[rows]), full, rows)
+    extended = qp.solve_batch(problem, np.vstack([R, problem.r + 1e4]))
+    _assert_rows_match(extended, full, np.arange(len(R)))
+
+
+def test_sweep_independent_of_batch_size(three_node):
+    # 6^3 points; batches of one solve each point alone.
+    strategy = eq.GridStrategy(0.0, 100.0, 20.0)
+    sws = [sorted(s.sw for s in eq.sweep_gne(three_node, strategy, batch_size=size))
+           for size in (1, 7, 1024)]
+    assert len(sws[0]) == len(sws[1]) == len(sws[2]) > 0
+    np.testing.assert_allclose(sws[0], sws[2], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sws[1], sws[2], rtol=0, atol=1e-9)
 
 
 def test_grid_strategy_stops_at_stop():

@@ -129,6 +129,7 @@ def test_batch_matches_single_solves():
         single = qp.solve(qp.make_problem(P, R[i], A_ineq=G, b_ineq=h))
         assert batch.status(i) == "optimal"
         np.testing.assert_allclose(batch.x[i], single.x, atol=1e-6)
+        assert batch.iterations[i] == single.iterations
 
 
 def test_polish_lands_exactly_on_degenerate_vertex(monkeypatch):
