@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -139,6 +140,10 @@ def _config_from_args(args) -> RunConfig:
     bad = set(formats) - {"json", "csv", "dot"}
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
+    if args.max_iter < 0:
+        raise UsageError(f"--max-iter must be >= 0, got {args.max_iter}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     out_dir = args.out or os.environ.get("PEERTRADE_OUT") or "out"
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     extra = {k: v for k, v in vars(args).items()

@@ -263,6 +263,8 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     their first occurrence.  Points are solved as if alone; ``batch_size``
     and order change only rounding and which duplicate is kept first.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     support = default_support(scenario, strategy.support)
     k = len(support)
     total = strategy.count(k)

@@ -26,9 +26,11 @@ differing in the linear term r is solved as independent problems, each
 row with its own data scale, and a single solve is a batch of one.  One
 function builds the saddle-point matrix, and one face solve,
 :func:`_face_solve`, minimizes the objective on a set of rows held as
-equalities: polish calls it with the active set guessed from a converged
-iterate, and a problem with no inequality rows is the face solve with an
-empty active set (no IPM iterations).
+equalities by one minimum-norm least-squares solve, singular faces
+included.  Polish calls it for the correction from a converged iterate,
+on the active set guessed there, and so moves the iterate to the nearest
+point of that face; a problem with no inequality rows is the face solve
+with an empty active set (no IPM iterations).
 
 The problem is solved as given: a tie-breaking regularization belongs to
 ``P`` (see ``market.assemble``), so the objective and residuals include it.
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -76,6 +79,9 @@ class QpProblem:
 
     def __post_init__(self):
         n = len(self.r)
+        for name in ("P", "r", "A_ineq", "b_ineq", "A_eq", "b_eq"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise QpError(f"{name} contains NaN or infinity")
         P = np.asarray(self.P, dtype=float)
         if P.shape != (n, n):
             raise QpError(f"P has shape {P.shape}, expected ({n}, {n})")
@@ -147,8 +153,8 @@ class QpSolution:
     feasibility, dual feasibility (multiplier negativity), and
     complementarity, bounds included.  On anything other than
     ``optimal`` the attached iterate is the best one found; for
-    ``infeasible`` the message from :func:`solve` carries a Farkas-style
-    residual report.
+    ``infeasible`` the message from :func:`solve` gives the worst primal
+    residual, and a Farkas certificate when the multipliers form one.
     """
 
     x: np.ndarray
@@ -211,16 +217,20 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolut
                       max_iter=max_iter).solution(0)
     message = ""
     if sol.status == STATUS_INFEASIBLE:
+        # Claim a Farkas certificate only when the multipliers form one, by
+        # the test the iterations use.
         z, y, zl, zu = sol.mult_ineq, sol.mult_eq, sol.mult_lb, sol.mult_ub
         lo, up = np.isfinite(problem.lb), np.isfinite(problem.ub)
         ray = np.abs(problem.A_ineq.T @ z + problem.A_eq.T @ y + zu - zl).max(initial=0.0)
         gain = float(problem.b_ineq @ z + problem.b_eq @ y
                      + problem.ub[up] @ zu[up] - problem.lb[lo] @ zl[lo])
+        size = max(np.abs(v).max(initial=0.0) for v in (z, y, zl, zu))
         message = (f"no feasible point found; worst primal residual "
-                   f"{sol.kkt_residuals['primal']:.3e}; Farkas certificate: "
-                   f"|A'z + A_eq'y + z_ub - z_lb| <= {ray:.3e} with "
-                   f"b'z + b_eq'y + ub'z_ub - lb'z_lb = {gain:.3e} "
-                   "for scaled multipliers")
+                   f"{sol.kkt_residuals['primal']:.3e}")
+        if ray <= 1e-6 * size and gain < 0:
+            message += (f"; Farkas certificate: |A'z + A_eq'y + z_ub - z_lb| "
+                        f"<= {ray:.3e} with b'z + b_eq'y + ub'z_ub - lb'z_lb "
+                        f"= {gain:.3e} for the returned multipliers")
     elif sol.status == STATUS_UNBOUNDED:
         message = "objective appears unbounded below along a feasible ray"
     elif sol.status == STATUS_MAX_ITER:
@@ -244,6 +254,12 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     n = problem.n_var
     if R.shape[1] != n:
         raise QpError(f"linear terms have {R.shape[1]} columns, expected {n}")
+    if not np.isfinite(R).all():
+        raise QpError("linear terms contain NaN or infinity")
+    if max_iter < 0:
+        raise QpError(f"max_iter must be >= 0, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise QpError(f"tol must be finite and positive, got {tol}")
     _check_psd(P)
     B = R.shape[0]
     G0, h0 = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
@@ -274,8 +290,12 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                                        max_iter)
     else:
         # No inequality rows: the face solve with an empty active set is
-        # the answer, and its status is read off the residuals below.
+        # the answer, and its status is read off the residuals below.  On
+        # inconsistent equalities x minimizes |Ax - b|, so y = Ax - b is a
+        # Farkas certificate: A'y = 0 and b'y = -|Ax - b|^2 < 0.
         xf, y = _face_solve(Pf, Rf, A, b)
+        gap = xf @ A.T - b
+        y = np.where((np.abs(gap) > tol_conv[:, None]).any(axis=1, keepdims=True), gap, y)
         z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
 
     # Back to the original variables and multipliers.
@@ -339,23 +359,15 @@ def _saddle(H, C, delta):
 def _face_solve(P, R, C, d):
     """Minimize 0.5 x'Px + R[i]'x subject to Cx = d, for every row i.
 
-    Returns ``(x, w)`` with ``w`` the multipliers of the rows of ``C``.
-    One matrix, regularized by delta relative to its own entries, serves
-    every row; two refinement steps against the unregularized system push
-    the delta-perturbation error down to machine precision.  A singular
-    system falls back to least squares.
+    Returns ``(x, w)`` with ``w`` the multipliers of the rows of ``C``;
+    ``d`` is ``(q,)`` or one per row.  One minimum-norm least-squares solve
+    of the unregularized face matrix serves every row, so a rank-deficient
+    face needs no special case, and on inconsistent rows ``x`` minimizes
+    ``|Cx - d|``.
     """
     n = len(P)
-    K = _saddle(P, C, 1e-12 * (1.0 + max(np.abs(P).max(initial=0.0),
-                                         np.abs(C).max(initial=0.0))))
-    rhs = np.concatenate([-R.T, np.repeat(d[:, None], len(R), axis=1)])
-    try:
-        sol = np.linalg.solve(K, rhs)
-        K0 = _saddle(P, C, 0.0)
-        for _ in range(2):
-            sol = sol + np.linalg.solve(K, rhs - K0 @ sol)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    rhs = np.concatenate([-R.T, np.broadcast_to(d, (len(R), len(C))).T])
+    sol = scipy.linalg.lstsq(_saddle(P, C, 0.0), rhs, lapack_driver="gelsy")[0]
     return sol[:n].T, sol[n:].T
 
 
@@ -441,7 +453,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
         # zero, and a denormal slack would overflow these divisions.
         sa_div = np.maximum(sa, 1e-300)
         d = np.minimum(za / sa_div, 1e16)
-        K = _saddle(P + np.einsum("bm,mi,mj->bij", d, G, G, optimize=True), A, 1e-12 * sc)
+        K = _saddle(P + (G.T * d[:, None, :]) @ G, A, 1e-12 * sc)
 
         def newton(rc):
             """The step (dx, dy, dz, ds) toward complementarity target rc."""
@@ -490,12 +502,12 @@ def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
 
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
     constraint is active with zero multiplier, leaving that constraint's
-    slack around 1e-5 rather than machine precision.  This re-solves the
-    face of the guessed active set with :func:`_face_solve` (grouped by
-    pattern so each group is one factorization) and overwrites an iterate
-    only when all four KKT residuals of the polished point, taken with the
-    face multipliers as solved, are within 1e-8 of the row's ``scale``; so
-    a wrong guess is harmless.  ``x``, ``y`` and ``z`` are updated in place.
+    slack around 1e-5 rather than machine precision.  This solves the face
+    of the guessed active set (one :func:`_face_solve` per pattern) for the
+    correction from the iterate: its minimum-norm answer is the face point
+    nearest the iterate.  A row is overwritten, in place, only when all four
+    KKT residuals of that point, taken with the face multipliers as solved,
+    are within 1e-8 of the row's ``scale``; so a wrong guess is harmless.
     """
     opt = np.flatnonzero(status == 0)
     p = len(b)
@@ -504,8 +516,10 @@ def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
     inverse = np.asarray(inverse).ravel()
     for pi, pat in enumerate(patterns):
         rows = opt[inverse == pi]
-        xp, w = _face_solve(P, R[rows], np.vstack([A, G[pat]]),
-                            np.concatenate([b, h[pat]]))
+        C, w0 = np.vstack([A, G[pat]]), np.hstack([y[rows], z[rows][:, pat]])
+        dx, dw = _face_solve(P, R[rows] + x[rows] @ P + w0 @ C, C,
+                             np.concatenate([b, h[pat]]) - x[rows] @ C.T)
+        xp, w = x[rows] + dx, w0 + dw
         zp = np.zeros((len(rows), len(h)))
         zp[:, pat] = w[:, p:]
         res = _kkt(P, R[rows], G, h, A, b, xp, w[:, :p], zp).values()

@@ -325,8 +325,10 @@ def _coerce(raw: dict, fields: tuple[str, ...], path: str, cls):
                 raise ScenarioFormatError(f"{path}.{f}: expected an integer, got {v!r}")
             kwargs[f] = v
         else:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ScenarioFormatError(f"{path}.{f}: expected a number, got {v!r}")
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise ScenarioFormatError(
+                    f"{path}.{f}: expected a finite number, got {v!r}")
             kwargs[f] = float(v)
     if not isinstance(raw.get("assumed", False), bool):
         raise ScenarioFormatError(f"{path}.assumed: expected true or false")

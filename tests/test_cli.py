@@ -240,6 +240,10 @@ def test_bad_formats_rejected(capsys, out):
     code, _ = run(capsys, "solve", "--builtin", "three_node",
                   "--out", out, "--formats", "xml")
     assert code == EXIT_USAGE
+    for flag, value in (("--max-iter", "-1"), ("--tol", "0"), ("--tol", "nan")):
+        code, _ = run(capsys, "solve", "--builtin", "three_node",
+                      "--out", out, flag, value)
+        assert code == EXIT_USAGE, (flag, value)
 
 
 def test_reports_deterministic(capsys, tmp_path):

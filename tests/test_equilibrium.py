@@ -245,6 +245,17 @@ def test_budget_guard(three_node):
                      budget=100)
 
 
+def test_batch_size_checked_before_any_solve(three_node, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking batch_size")
+
+    monkeypatch.setattr(qp, "solve_batch", no_solve)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 50.0),
+                         batch_size=size)
+
+
 def test_negative_omega_rejected():
     with pytest.raises(ValueError, match="negative"):
         eq.OmegaVector({(1, 0): -1.0})
@@ -297,6 +308,21 @@ def test_batch_rows_solve_as_if_alone(W, seed, size):
         _assert_rows_match(qp.solve_batch(problem, R[rows]), full, rows)
     extended = qp.solve_batch(problem, np.vstack([R, problem.r + 1e4]))
     _assert_rows_match(extended, full, np.arange(len(R)))
+
+
+def test_grid_rows_land_on_their_face(three_node):
+    # Polish moves each converged row onto its active face, flat faces
+    # included, so complementarity holds to rounding.
+    problem, idx = market.assemble(three_node)
+    support = eq.default_support(three_node)
+    cols = eq._omega_columns(idx, support)
+    W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)   # 11^3 points
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, cols[:, 0]] += W
+    batch = qp.solve_batch(problem, R)
+    assert (batch.status_code == 0).all()
+    landed = batch.kkt_residuals["complementarity"] <= 1e-12
+    assert landed.mean() >= 0.99, f"{landed.sum()} of {len(R)} rows"
 
 
 def test_sweep_independent_of_batch_size(three_node):

@@ -74,6 +74,10 @@ def test_all_variables_fixed(b_eq, status):
     assert sol.status == status
     if status == "optimal":
         np.testing.assert_array_equal(sol.x, [1.0, 2.0])
+    else:
+        # The fixed variables' bound multipliers come from the gradient,
+        # and with them the returned multipliers are no Farkas ray.
+        assert "Farkas" not in sol.message
 
 
 def test_mixed_statuses_in_one_batch():
@@ -115,6 +119,20 @@ def test_shape_mismatches_rejected():
         qp.make_problem(np.eye(2), np.zeros(2), ub=[1.0, np.nan])
     with pytest.raises(qp.QpError, match="empty bound range"):
         qp.make_problem(np.eye(2), np.zeros(2), lb=[0.0, 2.0], ub=[1.0, 1.0])
+    good = dict(P=np.eye(2), r=np.zeros(2), A_ineq=np.ones((1, 2)),
+                b_ineq=np.ones(1), A_eq=np.ones((1, 2)), b_eq=np.ones(1))
+    for name, value in good.items():
+        for bad in (np.nan, np.inf):
+            with pytest.raises(qp.QpError, match=f"{name} contains NaN or infinity"):
+                qp.QpProblem(**dict(good, **{name: np.full_like(value, bad)}))
+    prob = qp.QpProblem(**good)
+    with pytest.raises(qp.QpError, match="linear terms contain NaN"):
+        qp.solve_batch(prob, [[0.0, np.nan]])
+    with pytest.raises(qp.QpError, match="max_iter"):
+        qp.solve_batch(prob, [[0.0, 0.0]], max_iter=-1)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(qp.QpError, match="tol"):
+            qp.solve_batch(prob, [[0.0, 0.0]], tol=tol)
 
 
 def test_batch_matches_single_solves():
@@ -144,6 +162,22 @@ def test_polish_lands_exactly_on_degenerate_vertex(monkeypatch):
     assert abs(rough.x[0] - 1.0) > 1e-14, "premise: raw iterate is not exact"
     assert polished.x[0] == pytest.approx(1.0, abs=1e-12)
     assert polished.kkt_residuals["complementarity"] <= 1e-12
+
+
+def test_polish_picks_the_face_point_nearest_the_iterate(monkeypatch):
+    # minimize x1 + x2 s.t. x1 + x2 >= 1 in the unit box: the optimal face
+    # is a segment, and the iterate approaches its center (0.5, 0.5) up to
+    # the rounding of the last, nearly singular Newton step (about 4e-11).
+    prob = qp.make_problem(np.zeros((2, 2)), [1.0, 1.0], A_ineq=[[-1.0, -1.0]],
+                           b_ineq=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    polished = qp.solve(prob)
+    monkeypatch.setattr(qp, "_polish_batch", lambda *args: None)
+    rough = qp.solve(prob)
+    assert polished.status == "optimal"
+    assert polished.kkt_residuals["complementarity"] <= 1e-12
+    step = polished.x - rough.x   # along the face normal (1, 1) only
+    assert step[0] == pytest.approx(step[1], abs=1e-15)
+    assert polished.x[0] == pytest.approx(polished.x[1], abs=1e-10)
 
 
 def test_polish_does_not_break_strictly_active_solutions():

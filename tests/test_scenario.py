@@ -123,6 +123,17 @@ def test_malformed_json_reports_location():
     with pytest.raises(sc.ScenarioFormatError, match="schema_version"):
         sc.loads_scenario(json.dumps(bad))
 
+    # json.dumps writes NaN and Infinity, and json.loads reads them back.
+    for value in (float("nan"), float("inf"), -float("inf")):
+        bad = dict(good)
+        bad["prosumers"] = [dict(good["prosumers"][0], delta_g=value)] + good["prosumers"][1:]
+        with pytest.raises(sc.ScenarioFormatError, match=r"prosumers\[0\]\.delta_g"):
+            sc.loads_scenario(json.dumps(bad))
+        bad = dict(good)
+        bad["links"] = [dict(good["links"][0], kappa=value)] + good["links"][1:]
+        with pytest.raises(sc.ScenarioFormatError, match=r"links\[0\]\.kappa"):
+            sc.loads_scenario(json.dumps(bad))
+
 
 def _single_node_scenario(**overrides):
     fields = dict(id=0, d_min=0.0, d_max=10.0, g_min=0.0, g_max=5.0,
