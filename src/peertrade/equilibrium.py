@@ -260,8 +260,14 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     for random draws).  Samples failing the equilibrium filter are
     dropped; surviving duplicates, i.e. omega points mapping to the same
     primal solution after rounding (D, G, q) to 1e-4, are collapsed to
-    their first occurrence.  Points are solved as if alone; ``batch_size``
-    and order change only rounding and which duplicate is kept first.
+    their first occurrence.  Each batch first tries the optimal faces that
+    earlier batches landed on (``qp.solve_batch``'s ``faces``), and only
+    the points they do not claim run the interior-point iterations; a
+    claimed point's solver reports 0 iterations.  Points are otherwise
+    solved as if alone: ``batch_size`` and order change rounding, which
+    duplicate is kept first and, on a point whose polish misses its face,
+    whether the exact face point is returned (it is when an earlier batch
+    learned that face).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -282,11 +288,12 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
         raise OmegaError("omega values must be finite and nonnegative")
     seen = set()
     out = []
+    faces = {}   # optimal faces learned so far, see qp.solve_batch
     for start in range(0, len(omegas), batch_size):
         W = omegas[start:start + batch_size]
         R = np.tile(problem.r, (len(W), 1))
         R[:, cols[:, 0]] += W
-        batch = qp.solve_batch(problem, R, tol=tol)
+        batch = qp.solve_batch(problem, R, tol=tol, faces=faces)
         x = batch.x
         viol = _violation(x, W, cols)
         good = (batch.status_code == 0) & (viol <= eps)

@@ -27,10 +27,16 @@ row with its own data scale, and a single solve is a batch of one.  One
 function builds the saddle-point matrix, and one face solve,
 :func:`_face_solve`, minimizes the objective on a set of rows held as
 equalities by one minimum-norm least-squares solve, singular faces
-included.  Polish calls it for the correction from a converged iterate,
-on the active set guessed there, and so moves the iterate to the nearest
-point of that face; a problem with no inequality rows is the face solve
-with an empty active set (no IPM iterations).
+included, and one active-face test, :func:`_on_face`, wraps it with the
+KKT check.  Polish calls that for the correction from a converged
+iterate, on the active set guessed there, and so moves the iterate to the
+nearest point of that face; a problem with no inequality rows is the face
+solve with an empty active set (no IPM iterations).
+
+Neighbouring rows of a sweep share their optimal face.  Successive
+:func:`solve_batch` calls given one ``faces`` dict claim rows on the
+full-rank faces polish has landed on, by one face solve each, and run
+the IPM only on the rest (see :func:`_claim`).
 
 The problem is solved as given: a tie-breaking regularization belongs to
 ``P`` (see ``market.assemble``), so the objective and residuals include it.
@@ -239,7 +245,8 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolut
 
 
 def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
-                max_iter: int = 100) -> QpBatchSolution:
+                max_iter: int = 100, *, faces: Optional[dict] = None
+                ) -> QpBatchSolution:
     """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
@@ -248,6 +255,13 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     change its answer only by rounding (amplified on degenerate faces).
     Each converged iterate's active face is then re-solved exactly, which
     matters at degenerate vertices (see :func:`_polish_batch`).
+
+    ``faces`` is state a caller passes to successive calls on one
+    problem: a dict from an engine active-set pattern (bytes of a bool
+    array) to the number of rows that face has claimed.  Polish adds the
+    full-rank faces it lands rows on, and later calls try them first; a
+    row claimed on a learned face is its unique optimum, solved directly,
+    and reports 0 iterations (see :func:`_claim`).
     """
     P = np.asarray(problem.P, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -285,15 +299,25 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     shared = max(np.abs(M).max(initial=0.0) for M in (h, b, Pf))
     scale = 1.0 + np.maximum(np.abs(Rf).max(axis=1, initial=0.0), shared)
     tol_conv = tol * (1.0 + 0.01 * scale)
+    if faces is not None and any(len(key) != len(h) for key in faces):
+        raise QpError(f"faces hold active-set patterns of another problem; "
+                      f"this one has {len(h)} inequality rows")
     if len(h):
-        xf, y, z, status, iters = _ipm(Pf, Rf, G, h, A, b, scale, tol_conv,
-                                       max_iter)
+        # Rows on a learned face are solved directly; the rest iterate.
+        xf, y, z = (np.zeros((B, k)) for k in (len(free), len(b), len(h)))
+        status, iters = np.zeros(B, dtype=np.int8), np.zeros(B, dtype=np.int32)
+        rest = _claim(Pf, Rf, G, h, A, b, scale, faces, xf, y, z) if faces else np.arange(B)
+        if len(rest):
+            Rr, sr = Rf[rest], scale[rest]
+            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest], max_iter)
+            _polish_batch(Pf, Rr, G, h, A, b, xr, yr, zr, s, st, sr, faces)
+            xf[rest], y[rest], z[rest], status[rest], iters[rest] = xr, yr, zr, st, it
     else:
         # No inequality rows: the face solve with an empty active set is
         # the answer, and its status is read off the residuals below.  On
         # inconsistent equalities x minimizes |Ax - b|, so y = Ax - b is a
         # Farkas certificate: A'y = 0 and b'y = -|Ax - b|^2 < 0.
-        xf, y = _face_solve(Pf, Rf, A, b)
+        xf, y, _ = _face_solve(Pf, Rf, A, b)
         gap = xf @ A.T - b
         y = np.where((np.abs(gap) > tol_conv[:, None]).any(axis=1, keepdims=True), gap, y)
         z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
@@ -359,16 +383,18 @@ def _saddle(H, C, delta):
 def _face_solve(P, R, C, d):
     """Minimize 0.5 x'Px + R[i]'x subject to Cx = d, for every row i.
 
-    Returns ``(x, w)`` with ``w`` the multipliers of the rows of ``C``;
-    ``d`` is ``(q,)`` or one per row.  One minimum-norm least-squares solve
-    of the unregularized face matrix serves every row, so a rank-deficient
-    face needs no special case, and on inconsistent rows ``x`` minimizes
+    Returns ``(x, w, full)`` with ``w`` the multipliers of the rows of
+    ``C`` and ``full`` whether the face matrix has full rank; ``d`` is
+    ``(q,)`` or one per row.  One minimum-norm least-squares solve of the
+    unregularized face matrix serves every row, so a rank-deficient face
+    needs no special case, and on inconsistent rows ``x`` minimizes
     ``|Cx - d|``.
     """
     n = len(P)
     rhs = np.concatenate([-R.T, np.broadcast_to(d, (len(R), len(C))).T])
-    sol = scipy.linalg.lstsq(_saddle(P, C, 0.0), rhs, lapack_driver="gelsy")[0]
-    return sol[:n].T, sol[n:].T
+    sol, _, rank, _ = scipy.linalg.lstsq(_saddle(P, C, 0.0), rhs,
+                                         lapack_driver="gelsy")
+    return sol[:n].T, sol[n:].T, rank == n + len(C)
 
 
 def _solve_rows(K, rhs):
@@ -393,7 +419,7 @@ def _solve_rows(K, rhs):
 def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
-    Returns ``(x, y, z, status, iterations)`` of the problem
+    Returns ``(x, y, z, s, status, iterations)`` of the problem
     min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, which has at least one
     inequality row; ``scale`` and ``tol_conv`` are per row.  The working
     arrays hold only the rows still iterating; a row leaves them, with its
@@ -493,39 +519,87 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
         a = alpha[:, None]
         xa, ya, za, sa = xa + a * dx, ya + a * dy, za + a * dz, sa + a * ds
 
-    _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale)
-    return x, y, z, status, iters
+    return x, y, z, s, status, iters
 
 
-def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale) -> None:
+def _on_face(P, R, G, h, A, b, pat, x, w0, scale):
+    """The point of active face ``pat`` nearest ``(x, w0)``, and its test.
+
+    One :func:`_face_solve` of the equalities plus the rows ``G[pat]``
+    for the correction from the point ``x`` and face multipliers ``w0``
+    (from zero, the face point itself).  Returns ``(x, y, z, ok, full)``:
+    ``z`` clipped at zero, ``ok`` whether all four KKT residuals, taken
+    with the face multipliers as solved, are within 1e-8 of the row's
+    ``scale``, and ``full`` whether the face matrix has full rank.
+    """
+    p = len(b)
+    C = np.vstack([A, G[pat]])
+    dx, dw, full = _face_solve(P, R + x @ P + w0 @ C, C,
+                               np.concatenate([b, h[pat]]) - x @ C.T)
+    xp, w = x + dx, w0 + dw
+    zp = np.zeros((len(R), len(h)))
+    zp[:, pat] = w[:, p:]
+    res = _kkt(P, R, G, h, A, b, xp, w[:, :p], zp).values()
+    ok = np.max(list(res), axis=0) <= 1e-8 * scale
+    return xp, w[:, :p], np.maximum(zp, 0.0), ok, full
+
+
+def _claim(P, R, G, h, A, b, scale, faces, x, y, z):
+    """Solve rows on learned faces directly; return the rows left over.
+
+    Tries the faces, most recently claimed or learned first, while
+    unclaimed rows remain: one :func:`_on_face` from zero for all of them.
+    A row is claimed, and ``x``, ``y`` and ``z`` written in place, when the
+    face has full rank, the point passes polish's KKT test and every
+    active multiplier exceeds 1e-8 times the row's ``scale``.  Then the
+    point is the unique optimum: what the iterations and polish return, to
+    rounding.  A face that claims no row on its first try is dropped.
+    """
+    rest = np.arange(len(R))
+    for key in list(reversed(faces)):
+        if not len(rest):
+            break
+        pat = np.frombuffer(key, dtype=bool)
+        q = len(b) + np.count_nonzero(pat)
+        xp, yp, zp, ok, full = _on_face(P, R[rest], G, h, A, b, pat,
+                                        np.zeros((len(rest), len(P))),
+                                        np.zeros((len(rest), q)), scale[rest])
+        ok &= full & (zp[:, pat] > 1e-8 * scale[rest, None]).all(axis=1)
+        if ok.any():
+            faces[key] = faces.pop(key) + int(ok.sum())
+            got = rest[ok]
+            x[got], y[got], z[got] = xp[ok], yp[ok], zp[ok]
+            rest = rest[~ok]
+        elif not faces[key]:
+            del faces[key]
+    return rest
+
+
+def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale, faces) -> None:
     """Snap converged iterates onto their active face by one exact solve.
 
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
     constraint is active with zero multiplier, leaving that constraint's
     slack around 1e-5 rather than machine precision.  This solves the face
-    of the guessed active set (one :func:`_face_solve` per pattern) for the
+    of the guessed active set (one :func:`_on_face` per pattern) for the
     correction from the iterate: its minimum-norm answer is the face point
-    nearest the iterate.  A row is overwritten, in place, only when all four
-    KKT residuals of that point, taken with the face multipliers as solved,
-    are within 1e-8 of the row's ``scale``; so a wrong guess is harmless.
+    nearest the iterate.  A row is overwritten, in place, only when that
+    point passes the face's KKT test; so a wrong guess is harmless.  A
+    full-rank face that accepts a row is added to ``faces`` if given.
     """
     opt = np.flatnonzero(status == 0)
-    p = len(b)
     act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale[opt, None])
     patterns, inverse = np.unique(act, axis=0, return_inverse=True)
     inverse = np.asarray(inverse).ravel()
     for pi, pat in enumerate(patterns):
         rows = opt[inverse == pi]
-        C, w0 = np.vstack([A, G[pat]]), np.hstack([y[rows], z[rows][:, pat]])
-        dx, dw = _face_solve(P, R[rows] + x[rows] @ P + w0 @ C, C,
-                             np.concatenate([b, h[pat]]) - x[rows] @ C.T)
-        xp, w = x[rows] + dx, w0 + dw
-        zp = np.zeros((len(rows), len(h)))
-        zp[:, pat] = w[:, p:]
-        res = _kkt(P, R[rows], G, h, A, b, xp, w[:, :p], zp).values()
-        ok = np.max(list(res), axis=0) <= 1e-8 * scale[rows]
+        xp, yp, zp, ok, full = _on_face(P, R[rows], G, h, A, b, pat, x[rows],
+                                        np.hstack([y[rows], z[rows][:, pat]]),
+                                        scale[rows])
         good = rows[ok]
-        x[good], y[good], z[good] = xp[ok], w[ok, :p], np.maximum(zp[ok], 0.0)
+        x[good], y[good], z[good] = xp[ok], yp[ok], zp[ok]
+        if faces is not None and full and ok.any():
+            faces.setdefault(pat.tobytes(), 0)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:

@@ -243,8 +243,8 @@ class Scenario:
         return reached >= set(self.prosumers)
 
     def _validate_prosumer(self, p: ProsumerParams) -> list[Violation]:
-        out = []
         subj = f"node {p.id}"
+        out = _non_finite(p, _PROSUMER_FIELDS[1:], subj)
         if not p.d_min <= p.d_max:
             out.append(Violation("error", "demand_bounds", subj,
                                  f"d_min={p.d_min} exceeds d_max={p.d_max}"))
@@ -282,8 +282,8 @@ class Scenario:
         return out
 
     def _validate_link(self, l: TradeLink) -> list[Violation]:
-        out = []
         subj = f"link {l.pair}"
+        out = _non_finite(l, _LINK_FIELDS[2:], subj)
         if l.kappa < 0:
             out.append(Violation("error", "negative_capacity", subj,
                                  f"kappa={l.kappa} is negative"))
@@ -301,6 +301,13 @@ class Scenario:
                     f"node {end} can generate {p.g_max} but the link only "
                     f"carries {l.kappa}"))
         return out
+
+
+def _non_finite(params, fields: tuple[str, ...], subj: str) -> list[Violation]:
+    """One error per float field of ``params`` that is NaN or infinite."""
+    return [Violation("error", "non_finite", subj,
+                      f"{name}={getattr(params, name)} is not a finite number")
+            for name in fields if not math.isfinite(getattr(params, name))]
 
 
 # -- JSON serialization ---------------------------------------------------

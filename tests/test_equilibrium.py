@@ -325,6 +325,34 @@ def test_grid_rows_land_on_their_face(three_node):
     assert landed.mean() >= 0.99, f"{landed.sum()} of {len(R)} rows"
 
 
+def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
+    # The odd points of the 11^3 grid lie between the even ones.  Solved
+    # with the faces learned on the even points, most of them are claimed
+    # on a learned face (0 iterations) and get the answer the iterations
+    # give; the rest are solved as without faces.
+    problem, idx = market.assemble(three_node)
+    support = eq.default_support(three_node)
+    cols = eq._omega_columns(idx, support)
+    W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, cols[:, 0]] += W
+    faces = {}
+    qp.solve_batch(problem, R[::2], faces=faces)
+    reuse = qp.solve_batch(problem, R[1::2], faces=faces)
+    plain = qp.solve_batch(problem, R[1::2])
+    claimed = reuse.iterations == 0
+    assert claimed.mean() >= 0.4, f"{claimed.sum()} of {len(claimed)} rows"
+    assert (reuse.status_code[claimed] == 0).all()
+    for name in ("x", "mult_ineq", "mult_eq", "mult_lb", "mult_ub"):
+        a, b = getattr(reuse, name), getattr(plain, name)
+        np.testing.assert_allclose(a[claimed], b[claimed], rtol=0, atol=1e-10,
+                                   err_msg=name)
+        np.testing.assert_allclose(a[~claimed], b[~claimed], rtol=0, atol=1e-12,
+                                   err_msg=name)
+    np.testing.assert_array_equal(reuse.status_code, plain.status_code)
+    np.testing.assert_array_equal(reuse.iterations[~claimed], plain.iterations[~claimed])
+
+
 def test_sweep_independent_of_batch_size(three_node):
     # 6^3 points; batches of one solve each point alone.
     strategy = eq.GridStrategy(0.0, 100.0, 20.0)

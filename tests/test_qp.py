@@ -188,6 +188,41 @@ def test_polish_does_not_break_strictly_active_solutions():
     assert sol.mult_ineq[0] == pytest.approx(6.0, abs=1e-6)
 
 
+# minimize x^2 + r x s.t. x >= 3: for r > -6 the optimum is the vertex x = 3
+# with multiplier 6 + r, a full-rank face with a positive price; for r < -6
+# it is x = -r/2 with the constraint inactive.
+VERTEX = qp.make_problem(np.array([[2.0]]), [0.0], A_ineq=[[-1.0]], b_ineq=[-3.0])
+ACTIVE, INACTIVE = np.array([True]).tobytes(), np.array([False]).tobytes()
+
+
+def test_learned_face_claims_rows():
+    faces = {}
+    first = qp.solve_batch(VERTEX, [[0.0]], faces=faces)
+    assert first.iterations[0] > 0 and faces == {ACTIVE: 0}
+    again = qp.solve_batch(VERTEX, [[0.0], [1.0], [-10.0]], faces=faces)
+    np.testing.assert_array_equal(again.iterations == 0, [True, True, False])
+    np.testing.assert_array_equal(again.status_code, 0)
+    np.testing.assert_allclose(again.x[:, 0], [3.0, 3.0, 5.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(again.mult_ineq[:, 0], [6.0, 7.0, 0.0], rtol=0, atol=1e-12)
+    assert faces == {ACTIVE: 2, INACTIVE: 0}
+
+
+@pytest.mark.parametrize("claimed,kept", [(0, False), (1, True)])
+def test_face_claiming_no_row_is_dropped_unless_it_claimed_before(claimed, kept):
+    faces = {ACTIVE: claimed}
+    sol = qp.solve_batch(VERTEX, [[-10.0]], faces=faces)
+    assert sol.iterations[0] > 0
+    assert (ACTIVE in faces) == kept and faces[INACTIVE] == 0
+
+
+def test_faces_of_another_problem_rejected():
+    faces = {}
+    qp.solve_batch(VERTEX, [[0.0]], faces=faces)
+    two = qp.make_problem(np.eye(2), [1.0, 1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    with pytest.raises(qp.QpError, match="another problem"):
+        qp.solve_batch(two, [[1.0, 1.0]], faces=faces)
+
+
 def test_bad_linear_term_shape():
     prob = qp.make_problem(np.eye(2), np.zeros(2))
     with pytest.raises(qp.QpError, match="columns"):

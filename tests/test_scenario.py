@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_scenario
-from peertrade import scenario as sc
+from peertrade import market, scenario as sc
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,9 @@ def _single_node_scenario(**overrides):
     (dict(a_tilde=-2.0), "curvature"),
     (dict(delta_g=-0.5), "negative_infeed"),
     (dict(b_tilde=-1.0), "negative_benefit_cap"),
+    (dict(delta_g=float("nan")), "non_finite"),
+    (dict(d=float("inf")), "non_finite"),
+    (dict(b=-float("inf")), "non_finite"),
 ])
 def test_prosumer_validation_errors(override, code):
     scn = _single_node_scenario(**override)
@@ -168,6 +171,18 @@ def test_link_validation_errors(three_node):
                       links=links)
     codes = {v.code for v in scn.validate() if v.severity == "error"}
     assert {"negative_capacity", "nonpositive_price"} <= codes
+    links[0] = dataclasses.replace(links[0], kappa=1.0, c_nm=1.0, c_mn=float("inf"))
+    scn = dataclasses.replace(scn, links=links)
+    assert [v.code for v in scn.validate() if v.severity == "error"] == ["non_finite"]
+
+
+def test_non_finite_field_is_a_validation_error(three_node):
+    # Built in Python, not loaded from JSON: validate() is the only guard.
+    bad = dataclasses.replace(three_node.prosumer(0), delta_g=float("nan"))
+    scn = dataclasses.replace(three_node, prosumers={**three_node.prosumers, 0: bad})
+    assert [v.code for v in scn.validate() if v.severity == "error"] == ["non_finite"]
+    with pytest.raises(ValueError, match="is invalid.*delta_g=nan"):
+        market.assemble(scn)
 
 
 def test_missing_root_flagged():
