@@ -24,11 +24,17 @@ The engine is written once, vectorized over a leading batch axis: a batch
 of problems sharing P, the constraint matrices and the bounds but
 differing in the linear term r is solved as independent problems, each
 row with its own data scale, and a single solve is a batch of one.  One
-function builds the saddle-point matrix, and one face solve,
-:func:`_face_solve`, minimizes the objective on a set of rows held as
-equalities by one minimum-norm least-squares solve, singular faces
-included, and one active-face test, :func:`_on_face`, wraps it with the
-KKT check.  Polish calls that for the correction from a converged
+function builds the saddle-point matrix.  The IPM's Newton system is
+that matrix with the separable variables eliminated: a variable whose
+row of P is diagonal and positive and whose only inequality rows are
+its own bounds contributes one diagonal pivot, so its step follows from
+the equality multipliers' step, and the dense solve covers the coupled
+variables (the trades) and the equality rows only (:func:`_newton`).
+
+One face solve, :func:`_face_solve`, minimizes the objective on a set of
+rows held as equalities by one minimum-norm least-squares solve, singular
+faces included, and one active-face test, :func:`_on_face`, wraps it with
+the KKT check.  Polish calls that for the correction from a converged
 iterate, on the active set guessed there, and so moves the iterate to the
 nearest point of that face; a problem with no inequality rows is the face
 solve with an empty active set (no IPM iterations).
@@ -416,6 +422,64 @@ def _solve_rows(K, rhs):
         return sol
 
 
+def _separable(P, G):
+    """Mask of the variables :func:`_newton` eliminates exactly.
+
+    Variable j is separable when row j of ``P`` is zero off the diagonal,
+    ``P[j, j] > 0``, and every row of ``G`` touching j touches only j (in
+    practice its bound rows).  Then, whatever the slack weights, its row
+    of the Newton matrix has no entry off the diagonal outside the
+    equality columns.
+    """
+    touch = G != 0
+    shared = touch[touch.sum(axis=1) > 1].any(axis=0)
+    return (P.diagonal() > 0) & (np.count_nonzero(P, axis=1) == 1) & ~shared
+
+
+def _newton(P, G, A):
+    """The Newton step solver of :func:`_ipm` for the data ``P``, ``G``, ``A``.
+
+    A step solves, per row, the saddle system of :func:`_saddle` with
+    ``H = P + G' diag(d) G``: ``[[H + delta I, A'], [A, -delta I]] (dx, dy)
+    = (f, g)``.  A separable variable j (see :func:`_separable`) has the
+    row ``h_j dx_j + (A'dy)_j = f_j`` with ``h_j = H_jj + delta >= P_jj > 0``,
+    so it is eliminated exactly: the matrix factored is the saddle of the
+    other variables with the equality block ``-delta I - A_c diag(1/h_c)
+    A_c'``, and ``dx_c = (f_c - A_c'dy) / h_c`` follows the solve (block
+    elimination of a quasidefinite system; Vanderbei, SIAM J. Optim. 5,
+    1995).  With no separable variable this is the full saddle matrix.
+    The elimination divides by ``h_c``, so its rounding, relative to the
+    step, grows like eps / min(h_c); ``h_c >= P_jj`` bounds that.
+
+    Returns ``system(d, delta)``, which builds the matrix for the slack
+    weights ``d`` (B, m) and regularization ``delta`` (B,) and returns
+    ``step(f, g) -> (dx, dy)``: one matrix for the predictor and the
+    corrector.
+    """
+    sep = _separable(P, G)
+    keep, cut = np.flatnonzero(~sep), np.flatnonzero(sep)
+    nk = len(keep)
+    Pk, pc = P[np.ix_(keep, keep)], P.diagonal()[cut]
+    Gk, Gc2, Ak, Ac = G[:, keep], G[:, cut] ** 2, A[:, keep], A[:, cut]
+
+    def system(d, delta):
+        hc = pc + d @ Gc2 + delta[:, None]
+        K = _saddle(Pk + (Gk.T * d[:, None, :]) @ Gk, Ak, delta)
+        K[:, nk:, nk:] -= (Ac / hc[:, None, :]) @ Ac.T
+
+        def step(f, g):
+            u = f[:, cut] / hc
+            sol = _solve_rows(K, np.concatenate([f[:, keep], g - u @ Ac.T], axis=1))
+            dx, dy = np.empty_like(f), sol[:, nk:]
+            dx[:, keep] = sol[:, :nk]
+            dx[:, cut] = u - dy @ Ac / hc
+            return dx, dy
+
+        return step
+
+    return system
+
+
 def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
@@ -424,6 +488,13 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     inequality row; ``scale`` and ``tol_conv`` are per row.  The working
     arrays hold only the rows still iterating; a row leaves them, with its
     current iterate as its answer, at the first check that decides it.
+
+    Each iteration builds one Newton matrix per row and solves it twice,
+    for the predictor and the corrector.  The separable variables (a
+    diagonal row of ``P``, positive curvature, only bound rows; the
+    market's demands and generations) are eliminated from it exactly, so
+    the matrix factored covers the other variables and the equality rows
+    only (see :func:`_newton`).
     """
     B, n = R.shape
     m, p = len(h), len(b)
@@ -437,6 +508,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
     za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
     Ra, stall, sc, tc = R, np.zeros(B, dtype=np.int8), scale, tol_conv
+    newton_system = _newton(P, G, A)
 
     # One check more than steps, so the iterate after the last step is
     # checked too.
@@ -479,16 +551,14 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
         # zero, and a denormal slack would overflow these divisions.
         sa_div = np.maximum(sa, 1e-300)
         d = np.minimum(za / sa_div, 1e16)
-        K = _saddle(P + (G.T * d[:, None, :]) @ G, A, 1e-12 * sc)
+        step = newton_system(d, 1e-12 * sc)
 
         def newton(rc):
             """The step (dx, dy, dz, ds) toward complementarity target rc."""
             rc_s = rc / sa_div
-            sol = _solve_rows(K, np.concatenate(
-                [-r_dual - (d * r_in - rc_s) @ G, -r_eq], axis=1))
-            dx = sol[:, :n]
+            dx, dy = step(-r_dual - (d * r_in - rc_s) @ G, -r_eq)
             g_dx = dx @ G.T
-            return dx, sol[:, n:], d * (g_dx + r_in) - rc_s, -r_in - g_dx
+            return dx, dy, d * (g_dx + r_in) - rc_s, -r_in - g_dx
 
         # Predictor: plain Newton step toward the central path target 0.
         dx, dy, dz, ds = newton(comp)

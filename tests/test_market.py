@@ -218,3 +218,55 @@ def test_random_scenarios_roundtrip_welfare():
         sw = market.social_welfare(scn, sol.D, sol.G, sol.q)
         assert sw == pytest.approx(sol.sw, abs=1e-7 * (1 + abs(sol.sw)))
         assert sol.kkt_residuals["stationarity"] <= 1e-6
+
+
+def _market(name, prosumers, links):
+    return Scenario(name=name, units="MWh",
+                    prosumers=[ProsumerParams(id=i, d_min=0.0, g_min=0.0, **p)
+                               for i, p in enumerate(prosumers)],
+                    links=[TradeLink(n=n, m=m, kappa=k, c_nm=c, c_mn=r)
+                           for n, m, k, c, r in links])
+
+
+# Two markets of the benchmark's generated suite (seed 9 market 72 and
+# seed 400 market 181) on which the interior-point method stops at
+# max_iter: mu enters a period-4 Mehrotra cycle, 0.185, 1.08, 0.835, 1.37
+# from iteration 9 and 0.147, 0.870, 0.616, 1.33 from iteration 12.  A safeguard
+# that finishes them turns these into passes (ROADMAP item 4).
+STALLED_MARKETS = [
+    _market("suite_9_72", [
+        dict(d_max=9.243462303730798, g_max=3.4437578529089476, d_star=3.0856424582359416,
+             a_tilde=16.090711238572133, b_tilde=125.3378111496317, a=4.233615293772739,
+             b=22.7818221645843, d=8.850884272742297, delta_g=4.239911815527577),
+        dict(d_max=10.30549478569334, g_max=0.0, d_star=7.043537035358835,
+             a_tilde=11.24810133329286, b_tilde=97.79309600276785, a=4.701630239662597,
+             b=2.3677356611278846, d=3.012046872995332, delta_g=5.607305474930436),
+        dict(d_max=6.89869844958541, g_max=0.0, d_star=5.008378085804696,
+             a_tilde=14.31736891741761, b_tilde=196.48294432948794, a=3.1045033276153626,
+             b=24.888281467640688, d=5.939745305158434, delta_g=1.2683246867035363),
+    ], [(0, 1, 1.3411234215739358, 3.319666456394041, 3.5715311218841688),
+        (1, 2, 5.029161744724415, 3.699653224186071, 1.9874931568817078)]),
+    _market("suite_400_181", [
+        dict(d_max=9.066668895215958, g_max=11.460268172768222, d_star=3.3520493491689045,
+             a_tilde=13.518059052172665, b_tilde=165.2732266866064, a=1.048361431536382,
+             b=14.049405735688541, d=4.604927729972607, delta_g=4.280189982714308),
+        dict(d_max=10.095490406951418, g_max=0.0, d_star=6.227586992856653,
+             a_tilde=12.089790548707205, b_tilde=140.84116006998568, a=4.065276325624347,
+             b=26.626834933082336, d=8.45494841471215, delta_g=0.0),
+        dict(d_max=7.711437939322406, g_max=5.038425904567584, d_star=1.603534392962781,
+             a_tilde=11.9045810831628, b_tilde=168.1634275562801, a=2.479529913659159,
+             b=28.702990935990318, d=0.5624911957767498, delta_g=0.0),
+        dict(d_max=7.328936261472464, g_max=0.0, d_star=3.551943426327444,
+             a_tilde=9.588895478079273, b_tilde=85.97332884057747, a=0.9220367685161743,
+             b=16.63634399016309, d=9.403537420405337, delta_g=1.731986902342356),
+    ], [(1, 2, 8.200867995883465, 3.119618322942938, 3.406145251270559),
+        (0, 2, 6.1410004923763895, 0.8084797989708642, 1.983001331181443),
+        (1, 3, 8.537770291054883, 3.655331591986587, 1.3104293915659853)]),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=market.MarketError,
+                   reason="period-4 Mehrotra cycle ends at max_iter (ROADMAP item 4)")
+@pytest.mark.parametrize("scn", STALLED_MARKETS, ids=lambda s: s.name)
+def test_stalled_market_solves(scn):
+    market.solve_centralized(scn)
