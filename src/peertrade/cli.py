@@ -85,17 +85,17 @@ def _build_parser() -> _Parser:
                          help="scenario JSON file")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: $PEERTRADE_OUT or ./out)")
-        p.add_argument("--formats", default="json,csv,dot",
+        p.add_argument("--formats", default=",".join(RunConfig.formats),
                        help="comma list from json,csv,dot (default all)")
-        p.add_argument("--tol", type=float, default=market.DEFAULT_TOL,
+        p.add_argument("--tol", type=float, default=RunConfig.tol,
                        help="solver convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=100,
+        p.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
                        help="solver iteration cap")
-        p.add_argument("--reg", type=float, default=0.0,
+        p.add_argument("--reg", type=float, default=RunConfig.reg,
                        help="trade regularization weight (picks a "
                             "reproducible representative when optima are "
                             "degenerate; noted in the report)")
-        p.add_argument("--seed", type=int, default=0, help="root RNG seed")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="root RNG seed")
 
     p = sub.add_parser("solve", help="centralized welfare optimum with prices")
     common(p)
@@ -108,10 +108,10 @@ def _build_parser() -> _Parser:
                    help="uniform random weight vectors")
     p.add_argument("--axis", metavar="V1,V2,...",
                    help="explicit weight values per direction")
-    p.add_argument("--support", default="n_gt_m",
+    p.add_argument("--support", default=RunConfig.support,
                    help="sampled directions: n_gt_m (default), full, or an "
                         "explicit list like 1:0,2:0,1:2 meaning buyer:seller")
-    p.add_argument("--budget", type=int, default=10 ** 6,
+    p.add_argument("--budget", type=int, default=RunConfig.budget,
                    help="solve budget guard for the sweep")
 
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
@@ -121,7 +121,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
     common(p)
-    p.add_argument("--samples", type=int, default=10 ** 5,
+    p.add_argument("--samples", type=int, default=RunConfig.samples,
                    help="Monte-Carlo sample count (>= 1000)")
     p.add_argument("--r-box", metavar="LO:HI", default=None,
                    help="ratio box for the bias bound on non-root nodes "
@@ -144,7 +144,7 @@ def _config_from_args(args) -> RunConfig:
         raise UsageError(f"--max-iter must be >= 0, got {args.max_iter}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be finite and positive, got {args.tol}")
-    out_dir = args.out or os.environ.get("PEERTRADE_OUT") or "out"
+    out_dir = args.out or os.environ.get("PEERTRADE_OUT") or RunConfig.out_dir
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     extra = {k: v for k, v in vars(args).items()
              if k in fields and k not in ("command", "out_dir", "formats")}

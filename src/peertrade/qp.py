@@ -15,21 +15,28 @@ Simple bounds are problem data, not constraint rows.  A variable with
 ``lb == ub`` is eliminated before the iterations start: its value is
 known, and its bound multipliers are read off the stationarity residual
 afterwards (the positive part goes to ``mult_ub``, the negative part to
-``mult_lb``).  The remaining finite bounds become inequality rows of the
-engine in one place, :func:`solve_batch`, and their multipliers are
-reported per variable as ``mult_lb`` and ``mult_ub``.  :func:`_kkt`
-defines the KKT residuals once, for the report and for polish.
+``mult_lb``).  :func:`_kkt` defines the KKT residuals once, for the
+report and for polish.
+
+The engine's layout is decided once, in :func:`solve_batch`.  The free
+variables are ordered coupled first and separable last, each group in
+its original order.  A separable variable has a diagonal, positive row
+of P and no inequality row shared with another variable (the market's
+demands and generations); the rest are coupled (the trades).  The finite
+bounds of the free variables become inequality rows after the problem's
+own, in that order, by :func:`_bound_rows`, which also builds the
+original problem's rows for the report; their multipliers are reported
+per variable as ``mult_lb`` and ``mult_ub``.
 
 The engine is written once, vectorized over a leading batch axis: a batch
 of problems sharing P, the constraint matrices and the bounds but
 differing in the linear term r is solved as independent problems, each
 row with its own data scale, and a single solve is a batch of one.  One
 function builds the saddle-point matrix.  The IPM's Newton system is
-that matrix with the separable variables eliminated: a variable whose
-row of P is diagonal and positive and whose only inequality rows are
-its own bounds contributes one diagonal pivot, so its step follows from
-the equality multipliers' step, and the dense solve covers the coupled
-variables (the trades) and the equality rows only (:func:`_newton`).
+that matrix with the separable variables eliminated: each contributes
+one diagonal pivot, so its step follows from the equality multipliers'
+step, and the dense solve covers the leading, coupled variables and the
+equality rows only (:func:`_newton`).
 
 One face solve, :func:`_face_solve`, minimizes the objective on a set of
 rows held as equalities by one minimum-norm least-squares solve, singular
@@ -286,18 +293,19 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     A0, b0 = np.asarray(problem.A_eq, float), np.asarray(problem.b_eq, float)
     lb, ub = problem.lb, problem.ub
 
-    # Eliminate the fixed variables; the free variables' finite bounds
-    # become rows [ub rows; lb rows] after the problem's own inequalities.
+    # The engine layout: the fixed variables eliminated, the free ones
+    # ordered coupled first and separable last (bound rows touch one
+    # variable, so they leave the mask alone), and their finite bounds
+    # made rows after the problem's own inequalities.
     fixed = lb == ub
     free = np.flatnonzero(~fixed)
+    sep = _separable(P[np.ix_(free, free)], G0[:, free])
+    free, nc = np.concatenate([free[~sep], free[sep]]), np.count_nonzero(~sep)
     x_fix = lb[fixed]
-    up = np.flatnonzero(np.isfinite(ub[free]))
-    lo = np.flatnonzero(np.isfinite(lb[free]))
-    eye = np.eye(len(free))
+    up, lo = np.isfinite(ub[free]), np.isfinite(lb[free])
     Pf = P[np.ix_(free, free)]
     Rf = R[:, free] + P[np.ix_(free, fixed)] @ x_fix
-    G = np.vstack([G0[:, free], eye[up], -eye[lo]])
-    h = np.concatenate([h0 - G0[:, fixed] @ x_fix, ub[free][up], -lb[free][lo]])
+    G, h = _bound_rows(G0[:, free], h0 - G0[:, fixed] @ x_fix, lb[free], ub[free])
     A, b = A0[:, free], b0 - A0[:, fixed] @ x_fix
 
     # Per-row data scale; near-absolute convergence target (the mild scale
@@ -315,7 +323,8 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         rest = _claim(Pf, Rf, G, h, A, b, scale, faces, xf, y, z) if faces else np.arange(B)
         if len(rest):
             Rr, sr = Rf[rest], scale[rest]
-            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest], max_iter)
+            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest],
+                                         max_iter, nc)
             _polish_batch(Pf, Rr, G, h, A, b, xr, yr, zr, s, st, sr, faces)
             xf[rest], y[rest], z[rest], status[rest], iters[rest] = xr, yr, zr, st, it
     else:
@@ -336,17 +345,16 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     z_in = z[:, :m]
     mult_ub = np.zeros((B, n))
     mult_lb = np.zeros((B, n))
-    mult_ub[:, free[up]] = z[:, m:m + len(up)]
-    mult_lb[:, free[lo]] = z[:, m + len(up):]
+    n_up = np.count_nonzero(up)
+    mult_ub[:, free[up]] = z[:, m:m + n_up]
+    mult_lb[:, free[lo]] = z[:, m + n_up:]
     grad = (x @ P + R + z_in @ G0 + y @ A0)[:, fixed]
     mult_ub[:, fixed] = np.maximum(-grad, 0.0)
     mult_lb[:, fixed] = np.maximum(grad, 0.0)
 
     # The KKT residuals of the original problem, every finite bound a row.
-    ku, kl = np.flatnonzero(np.isfinite(ub)), np.flatnonzero(np.isfinite(lb))
-    kkt = _kkt(P, R, np.vstack([G0, np.eye(n)[ku], -np.eye(n)[kl]]),
-               np.concatenate([h0, ub[ku], -lb[kl]]), A0, b0, x, y,
-               np.hstack([z_in, mult_ub[:, ku], mult_lb[:, kl]]))
+    z_all = np.hstack([z_in, mult_ub[:, np.isfinite(ub)], mult_lb[:, np.isfinite(lb)]])
+    kkt = _kkt(P, R, *_bound_rows(G0, h0, lb, ub), A0, b0, x, y, z_all)
     if status is None:
         # Inconsistent equalities: infeasible; a leftover gradient with
         # consistent equalities: a descent ray, so unbounded.
@@ -357,6 +365,19 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                            mult_ub=mult_ub, objective=objective,
                            status_code=status.astype(np.int8),
                            kkt_residuals=kkt, iterations=iters)
+
+
+def _bound_rows(G, h, lb, ub):
+    """The rows ``[G; I_up; -I_lo]`` and their right-hand side.
+
+    ``Gx <= h`` followed by one row ``x_j <= ub_j`` per finite upper bound
+    and one row ``-x_j <= -lb_j`` per finite lower bound, in variable
+    order: the engine's inequality rows on the free variables, and the
+    report's on the original problem.
+    """
+    up, lo = np.isfinite(ub), np.isfinite(lb)
+    eye = np.eye(len(ub))
+    return np.vstack([G, eye[up], -eye[lo]]), np.concatenate([h, ub[up], -lb[lo]])
 
 
 def _kkt(P, R, G, h, A, b, x, y, z):
@@ -429,58 +450,56 @@ def _separable(P, G):
     ``P[j, j] > 0``, and every row of ``G`` touching j touches only j (in
     practice its bound rows).  Then, whatever the slack weights, its row
     of the Newton matrix has no entry off the diagonal outside the
-    equality columns.
+    equality columns.  Adding bound rows to ``G`` never changes the mask.
     """
     touch = G != 0
     shared = touch[touch.sum(axis=1) > 1].any(axis=0)
     return (P.diagonal() > 0) & (np.count_nonzero(P, axis=1) == 1) & ~shared
 
 
-def _newton(P, G, A):
+def _newton(P, G, A, nc):
     """The Newton step solver of :func:`_ipm` for the data ``P``, ``G``, ``A``.
 
-    A step solves, per row, the saddle system of :func:`_saddle` with
-    ``H = P + G' diag(d) G``: ``[[H + delta I, A'], [A, -delta I]] (dx, dy)
-    = (f, g)``.  A separable variable j (see :func:`_separable`) has the
-    row ``h_j dx_j + (A'dy)_j = f_j`` with ``h_j = H_jj + delta >= P_jj > 0``,
+    The variables come in the engine layout of :func:`solve_batch`: the
+    first ``nc`` are coupled and the rest separable (see
+    :func:`_separable`), so every block below is a leading or trailing
+    slice.  A step solves, per row, the saddle system of :func:`_saddle`
+    with ``H = P + G' diag(d) G``: ``[[H + delta I, A'], [A, -delta I]]
+    (dx, dy) = (f, g)``.  A separable variable j has the row
+    ``h_j dx_j + (A'dy)_j = f_j`` with ``h_j = H_jj + delta >= P_jj > 0``,
     so it is eliminated exactly: the matrix factored is the saddle of the
-    other variables with the equality block ``-delta I - A_c diag(1/h_c)
-    A_c'``, and ``dx_c = (f_c - A_c'dy) / h_c`` follows the solve (block
+    coupled variables with the equality block ``-delta I - A_s diag(1/h_s)
+    A_s'``, and ``dx_s = (f_s - A_s'dy) / h_s`` follows the solve (block
     elimination of a quasidefinite system; Vanderbei, SIAM J. Optim. 5,
     1995).  With no separable variable this is the full saddle matrix.
-    The elimination divides by ``h_c``, so its rounding, relative to the
-    step, grows like eps / min(h_c); ``h_c >= P_jj`` bounds that.
+    The elimination divides by ``h_s``, so its rounding, relative to the
+    step, grows like eps / min(h_s); ``h_s >= P_jj`` bounds that.
 
     Returns ``system(d, delta)``, which builds the matrix for the slack
     weights ``d`` (B, m) and regularization ``delta`` (B,) and returns
     ``step(f, g) -> (dx, dy)``: one matrix for the predictor and the
     corrector.
     """
-    sep = _separable(P, G)
-    keep, cut = np.flatnonzero(~sep), np.flatnonzero(sep)
-    nk = len(keep)
-    Pk, pc = P[np.ix_(keep, keep)], P.diagonal()[cut]
-    Gk, Gc2, Ak, Ac = G[:, keep], G[:, cut] ** 2, A[:, keep], A[:, cut]
+    Pc, ps = P[:nc, :nc], P.diagonal()[nc:]
+    Gc, Gs2, Ac, As = G[:, :nc], G[:, nc:] ** 2, A[:, :nc], A[:, nc:]
 
     def system(d, delta):
-        hc = pc + d @ Gc2 + delta[:, None]
-        K = _saddle(Pk + (Gk.T * d[:, None, :]) @ Gk, Ak, delta)
-        K[:, nk:, nk:] -= (Ac / hc[:, None, :]) @ Ac.T
+        hs = ps + d @ Gs2 + delta[:, None]
+        K = _saddle(Pc + (Gc.T * d[:, None, :]) @ Gc, Ac, delta)
+        K[:, nc:, nc:] -= (As / hs[:, None, :]) @ As.T
 
         def step(f, g):
-            u = f[:, cut] / hc
-            sol = _solve_rows(K, np.concatenate([f[:, keep], g - u @ Ac.T], axis=1))
-            dx, dy = np.empty_like(f), sol[:, nk:]
-            dx[:, keep] = sol[:, :nk]
-            dx[:, cut] = u - dy @ Ac / hc
-            return dx, dy
+            u = f[:, nc:] / hs
+            sol = _solve_rows(K, np.concatenate([f[:, :nc], g - u @ As.T], axis=1))
+            dy = sol[:, nc:]
+            return np.concatenate([sol[:, :nc], u - dy @ As / hs], axis=1), dy
 
         return step
 
     return system
 
 
-def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
+def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
     Returns ``(x, y, z, s, status, iterations)`` of the problem
@@ -489,11 +508,13 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     arrays hold only the rows still iterating; a row leaves them, with its
     current iterate as its answer, at the first check that decides it.
 
-    Each iteration builds one Newton matrix per row and solves it twice,
-    for the predictor and the corrector.  The separable variables (a
+    The variables come in the engine layout of :func:`solve_batch`: the
+    first ``nc`` are coupled (the market's trades), the rest separable (a
     diagonal row of ``P``, positive curvature, only bound rows; the
-    market's demands and generations) are eliminated from it exactly, so
-    the matrix factored covers the other variables and the equality rows
+    market's demands and generations).  Each iteration builds one Newton
+    matrix per row and solves it twice, for the predictor and the
+    corrector.  The separable variables are eliminated from it exactly, so
+    the matrix factored covers the coupled variables and the equality rows
     only (see :func:`_newton`).
     """
     B, n = R.shape
@@ -508,7 +529,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter):
     xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
     za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
     Ra, stall, sc, tc = R, np.zeros(B, dtype=np.int8), scale, tol_conv
-    newton_system = _newton(P, G, A)
+    newton_system = _newton(P, G, A, nc)
 
     # One check more than steps, so the iterate after the last step is
     # checked too.

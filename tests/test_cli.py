@@ -8,7 +8,7 @@ import pytest
 
 from peertrade import scenario as sc
 from peertrade.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
-                           EXIT_USAGE, main)
+                           EXIT_USAGE, RunConfig, main)
 
 
 def run(capsys, *argv):
@@ -73,6 +73,16 @@ def test_gne_axis_sweep(capsys, out):
     assert len(samples.splitlines()) == 16
     cloud = open(f"{out}/gne_three_node_cloud.csv").read()
     assert cloud.splitlines()[0] == "q01,q12,q20"
+
+
+def test_gne_without_optional_flags_echoes_run_config_defaults(capsys, out,
+                                                               monkeypatch):
+    monkeypatch.setenv("PEERTRADE_OUT", out)
+    code, _ = run(capsys, "gne", "--builtin", "three_node", "--axis", "0")
+    assert code == EXIT_OK
+    report = json.loads(open(f"{out}/gne_three_node.json").read())
+    want = RunConfig(command="gne", builtin="three_node", axis="0", out_dir=out)
+    assert report["config"] == want.to_dict()
 
 
 def test_gne_degenerate_grid_gives_poa_one(capsys, out):

@@ -226,13 +226,15 @@ def test_faces_of_another_problem_rejected():
 def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
     """Random data of one batch of Newton systems, as ``_ipm`` poses them.
 
+    In the engine layout, coupled variables first: ``n_cpl`` coupled ones
+    (``P = MM' + I``) with bound rows and pair rows ``x_j + x_k``; then
     ``n_sep`` diagonal variables with P_jj from 1e-9 to 10 and two bound
-    rows each; ``n_cpl`` coupled ones (``P = MM' + I``) with bound rows and
-    pair rows ``x_j + x_k``; ``p`` random equality rows, each with its own
-    unbounded unit-curvature variable, so that dy stays well posed when
-    d = 1e16 pins every bounded variable.  Bound rows' slack weights span
-    1e-8 to 1e16.  Pair rows' span 1e-2 to 1e2: a pair row weighted 1e16
-    makes the coupled block ill conditioned for both solves alike.
+    rows each; then, for each of ``p`` random equality rows, its own
+    unbounded unit-curvature variable (separable too), so that dy stays
+    well posed when d = 1e16 pins every bounded variable.  Bound rows'
+    slack weights span 1e-8 to 1e16.  Pair rows' span 1e-2 to 1e2: a pair
+    row weighted 1e16 makes the coupled block ill conditioned for both
+    solves alike.
     ``zero_p`` sets P = 0 and drops the unbounded variables.
     """
     rng = np.random.default_rng(seed)
@@ -240,14 +242,15 @@ def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
     n = n_box + (0 if zero_p else p)
     P = np.zeros((n, n))
     if not zero_p:
-        P[range(n_sep), range(n_sep)] = 10.0 ** rng.uniform(-9.0, 1.0, n_sep)
+        diag = range(n_cpl, n_box)
+        P[diag, diag] = 10.0 ** rng.uniform(-9.0, 1.0, n_sep)
         M = rng.normal(size=(n_cpl, n_cpl))
-        P[n_sep:n_box, n_sep:n_box] = M @ M.T + np.eye(n_cpl)
+        P[:n_cpl, :n_cpl] = M @ M.T + np.eye(n_cpl)
         P[range(n_box, n), range(n_box, n)] = 1.0
     box = np.eye(n)[:n_box]
     pairs = np.zeros((n_cpl if n_cpl > 1 else 0, n))
     for row in pairs:
-        row[n_sep + rng.choice(n_cpl, 2, replace=False)] = 1.0
+        row[rng.choice(n_cpl, 2, replace=False)] = 1.0
     G = np.vstack([box, -box, pairs])
     A = rng.normal(size=(p, n))
     A[:, n_box:] = np.eye(p)[:, :n - n_box]
@@ -269,8 +272,9 @@ def test_newton_step_matches_full_saddle(seed, n_sep, n_cpl, p, zero_p):
     P, G, A, d, delta, f, g = _newton_data(seed, n_sep, n_cpl, p, zero_p)
     n = len(P)
     sep = qp._separable(P, G)
-    assert sep.sum() == (0 if zero_p else n_sep + p)
-    dx, dy = qp._newton(P, G, A)(d, delta)(f, g)
+    nc = n_cpl + n_sep if zero_p else n_cpl
+    np.testing.assert_array_equal(sep, np.arange(n) >= nc)
+    dx, dy = qp._newton(P, G, A, nc)(d, delta)(f, g)
     K = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
     full = np.linalg.solve(K, np.hstack([f, g])[:, :, None])[:, :, 0]
     got = np.hstack([dx, dy])
@@ -321,6 +325,45 @@ def test_unused_coupling_row_changes_nothing(seed, n, with_eq):
                         wide.kkt_residuals["complementarity"]) <= 1e-12
     np.testing.assert_allclose(wide.x[done & landed], plain.x[done & landed],
                                rtol=0, atol=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(1, 4), st.integers(0, 3))
+def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
+    # solve_batch orders the free variables coupled first; a problem posed
+    # with its variables permuted gets the same answer, permuted.
+    rng = np.random.default_rng(seed)
+    n = n_sep + n_cpl
+    P = np.zeros((n, n))
+    P[range(n_sep), range(n_sep)] = rng.uniform(0.1, 10.0, n_sep)
+    M = rng.normal(size=(n_cpl, n_cpl))
+    P[n_sep:, n_sep:] = M @ M.T + np.eye(n_cpl)
+    x0 = rng.uniform(-2.0, 2.0, n)
+    G = np.zeros((m, n))
+    G[:, n_sep:] = rng.normal(size=(m, n_cpl))
+    h = G @ x0 + rng.uniform(0.1, 1.0, m)
+    a = rng.normal(size=(1, n))
+    lb = np.where(rng.random(n) < 0.2, -np.inf, x0 - rng.uniform(0.1, 2.0, n))
+    ub = np.where(rng.random(n) < 0.2, np.inf, x0 + rng.uniform(0.1, 2.0, n))
+    # One variable stays free: with all fixed, the equality row's
+    # multiplier would not be unique.
+    fixed = (rng.random(n) < 0.15) & (np.arange(n) != rng.integers(n))
+    lb[fixed] = ub[fixed] = x0[fixed]
+    R = rng.normal(scale=5.0, size=(6, n))
+    perm = rng.permutation(n)
+    back = np.argsort(perm)
+    posed = qp.solve_batch(qp.make_problem(P, R[0], G, h, a, a @ x0, lb, ub), R)
+    moved = qp.solve_batch(
+        qp.make_problem(P[np.ix_(perm, perm)], R[0, perm], G[:, perm], h,
+                        a[:, perm], a @ x0, lb[perm], ub[perm]), R[:, perm])
+    opt = posed.status_code == 0
+    np.testing.assert_array_equal(moved.status_code[opt], 0)
+    for name in ("x", "mult_lb", "mult_ub"):
+        np.testing.assert_allclose(getattr(moved, name)[opt][:, back],
+                                   getattr(posed, name)[opt], rtol=0, atol=1e-7)
+    for name in ("mult_ineq", "mult_eq"):
+        np.testing.assert_allclose(getattr(moved, name)[opt], getattr(posed, name)[opt],
+                                   rtol=0, atol=1e-7)
 
 
 @pytest.mark.xfail(strict=True, reason="period-4 Mehrotra cycle (ROADMAP item 4)")
