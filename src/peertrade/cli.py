@@ -77,7 +77,19 @@ def _build_parser() -> _Parser:
                "3 usage error.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def common(p):
+    # Solver and RNG flags, each registered only where the command reads it.
+    options = {
+        "--tol": dict(type=float, default=RunConfig.tol,
+                      help="solver convergence tolerance"),
+        "--max-iter": dict(type=int, default=RunConfig.max_iter,
+                           help="solver iteration cap"),
+        "--reg": dict(type=float, default=RunConfig.reg,
+                      help="trade regularization weight (picks a reproducible "
+                           "representative of degenerate optima; reported)"),
+        "--seed": dict(type=int, default=RunConfig.seed, help="root RNG seed"),
+    }
+
+    def common(p, *flags):
         src = p.add_argument_group("scenario source (exactly one)")
         src.add_argument("--builtin", metavar="NAME",
                          help="packaged scenario: three_node or ieee14")
@@ -87,21 +99,14 @@ def _build_parser() -> _Parser:
                        help="output directory (default: $PEERTRADE_OUT or ./out)")
         p.add_argument("--formats", default=",".join(RunConfig.formats),
                        help="comma list from json,csv,dot (default all)")
-        p.add_argument("--tol", type=float, default=RunConfig.tol,
-                       help="solver convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=RunConfig.max_iter,
-                       help="solver iteration cap")
-        p.add_argument("--reg", type=float, default=RunConfig.reg,
-                       help="trade regularization weight (picks a "
-                            "reproducible representative when optima are "
-                            "degenerate; noted in the report)")
-        p.add_argument("--seed", type=int, default=RunConfig.seed, help="root RNG seed")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
     p = sub.add_parser("solve", help="centralized welfare optimum with prices")
-    common(p)
+    common(p, "--tol", "--max-iter", "--reg")
 
     p = sub.add_parser("gne", help="sample generalized Nash equilibria")
-    common(p)
+    common(p, "--tol", "--reg", "--seed")
     p.add_argument("--grid", metavar="START:STOP:STEP",
                    help="weight grid per sampled direction, e.g. 0:100:5")
     p.add_argument("--random", type=int, metavar="COUNT",
@@ -115,12 +120,12 @@ def _build_parser() -> _Parser:
                    help="solve budget guard for the sweep")
 
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
-    common(p)
+    common(p, "--tol", "--max-iter", "--reg")
     p.add_argument("--max-cycle-len", type=int, default=None)
     p.add_argument("--max-path-len", type=int, default=None)
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--samples", type=int, default=RunConfig.samples,
                    help="Monte-Carlo sample count (>= 1000)")
     p.add_argument("--r-box", metavar="LO:HI", default=None,
@@ -140,16 +145,17 @@ def _config_from_args(args) -> RunConfig:
     bad = set(formats) - {"json", "csv", "dot"}
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
-    if args.max_iter < 0:
-        raise UsageError(f"--max-iter must be >= 0, got {args.max_iter}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
     out_dir = args.out or os.environ.get("PEERTRADE_OUT") or RunConfig.out_dir
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     extra = {k: v for k, v in vars(args).items()
              if k in fields and k not in ("command", "out_dir", "formats")}
-    return RunConfig(command=args.command, out_dir=out_dir, formats=formats,
-                     **extra)
+    config = RunConfig(command=args.command, out_dir=out_dir, formats=formats,
+                       **extra)
+    if config.max_iter < 0:
+        raise UsageError(f"--max-iter must be >= 0, got {config.max_iter}")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {config.tol}")
+    return config
 
 
 def _load(config: RunConfig) -> scenario_mod.Scenario:

@@ -528,7 +528,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
     idx = np.arange(B)
     xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
     za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
-    Ra, stall, sc, tc = R, np.zeros(B, dtype=np.int8), scale, tol_conv
+    Ra, sc, tc = R, scale, tol_conv
     newton_system = _newton(P, G, A, nc)
 
     # One check more than steps, so the iterate after the last step is
@@ -546,26 +546,23 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
 
         # Divergence: exploding multipliers with a vanishing combined
         # gradient form a Farkas certificate of infeasibility; exploding
-        # iterates mean an unbounded objective.  Five steps in a row
-        # below 1e-10 are a stall.
+        # iterates mean an unbounded objective.
         zn = np.abs(za).max(axis=1) + np.abs(ya).max(axis=1, initial=0.0)
         ray = np.abs(za @ G + ya @ A).max(axis=1, initial=0.0)
         farkas = (zn > 1e10) & (ray <= 1e-6 * zn) & (za @ h + ya @ b < 0)
         hugex = np.abs(xa).max(axis=1, initial=0.0) > 1e10 * sc
-        conv, stalled = worst <= tc, stall >= 5
-        stop = conv | farkas | hugex | stalled | (it == max_iter)
+        conv = worst <= tc
+        stop = conv | farkas | hugex | (it == max_iter)
         if stop.any():
             done = idx[stop]
-            status[done] = np.select([conv, farkas, hugex, stalled],
-                                     [0, 1, 2, np.where(primal > tc, 1, 3)],
-                                     3)[stop]
+            status[done] = np.select([conv, farkas, hugex], [0, 1, 2], 3)[stop]
             iters[done] = it
             x[done], y[done], z[done], s[done] = xa[stop], ya[stop], za[stop], sa[stop]
             if stop.all():
                 break
             keep = ~stop
-            idx, xa, ya, za, sa, Ra, stall, sc, tc, r_dual, r_eq, r_in, comp, mu = (
-                v[keep] for v in (idx, xa, ya, za, sa, Ra, stall, sc, tc,
+            idx, xa, ya, za, sa, Ra, sc, tc, r_dual, r_eq, r_in, comp, mu = (
+                v[keep] for v in (idx, xa, ya, za, sa, Ra, sc, tc,
                                   r_dual, r_eq, r_in, comp, mu))
 
         # Guard the endgame: slacks of strongly active constraints head to
@@ -594,19 +591,6 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
         tau = np.clip(1.0 - 0.1 * np.minimum(mu / sc, 1.0), 0.995, 0.99995)
         alpha = np.minimum(1.0, tau * np.minimum(_max_step(za, dz),
                                                  _max_step(sa, ds)))
-
-        # A non-finite step means the KKT solve broke down (the system
-        # gets singular near degenerate faces); treat it like a stall so
-        # the last finite iterate survives.
-        broken = ~(np.isfinite(dx).all(axis=1) & np.isfinite(dy).all(axis=1)
-                   & np.isfinite(dz).all(axis=1) & np.isfinite(ds).all(axis=1)
-                   & np.isfinite(alpha))
-        if broken.any():
-            alpha[broken] = 0.0
-            for v in (dx, dy, dz, ds):
-                v[broken] = 0.0
-
-        stall = np.where(alpha < 1e-10, stall + 1, 0).astype(np.int8)
         a = alpha[:, None]
         xa, ya, za, sa = xa + a * dx, ya + a * dy, za + a * dz, sa + a * ds
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -152,14 +153,19 @@ class Scenario:
     def has_link(self, n: int, m: int) -> bool:
         return ((n, m) if n < m else (m, n)) in self.links
 
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        out = []
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each linked node's neighbours, ascending; cached (frozen value)."""
+        adj: dict[int, list[int]] = {}
         for lo, hi in self.links:
-            if lo == node_id:
-                out.append(hi)
-            elif hi == node_id:
-                out.append(lo)
-        return tuple(sorted(out))
+            adj.setdefault(lo, []).append(hi)
+            if hi != lo:
+                adj.setdefault(hi, []).append(lo)
+        return {n: tuple(sorted(ms)) for n, ms in adj.items()}
+
+    def neighbors(self, node_id: int) -> tuple[int, ...]:
+        """Nodes sharing a link with ``node_id``, ascending; () if none."""
+        return self._adjacency.get(node_id, ())
 
     def kappa(self, n: int, m: int) -> float:
         return self.link(n, m).kappa
@@ -174,11 +180,8 @@ class Scenario:
 
     def directed_pairs(self) -> Iterator[tuple[int, int]]:
         """All (m, n) with a link, both orientations, lexicographic order."""
-        pairs = []
-        for lo, hi in self.links:
-            pairs.append((lo, hi))
-            pairs.append((hi, lo))
-        return iter(sorted(pairs))
+        return iter(sorted((n, m) for n, ms in self._adjacency.items()
+                           for m in ms))
 
     # -- validation ------------------------------------------------------
 
@@ -234,10 +237,8 @@ class Scenario:
         reached = {0}
         frontier = [0]
         while frontier:
-            node = frontier.pop()
-            for lo, hi in self.links:
-                other = hi if lo == node else lo if hi == node else None
-                if other is not None and other not in reached:
+            for other in self.neighbors(frontier.pop()):
+                if other not in reached:
                     reached.add(other)
                     frontier.append(other)
         return reached >= set(self.prosumers)

@@ -12,6 +12,8 @@ predictions or certificates that can be checked against the solution:
   for a trade when some non-congested path reaches a node whose price
   beats the trade's preference cost.
 
+Cycles and waste paths come from one depth-first search of simple paths
+over the trade graph, ``_simple_paths``, each with its own budget.
 Predictions are advisory: they are produced before or after solving and
 verified against solutions, never fed back into the solver.
 """
@@ -19,7 +21,7 @@ verified against solutions, never fed back into the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .market import MarketSolution
 from .scenario import Scenario
@@ -61,6 +63,7 @@ class PreferenceCycle:
             raise ValueError("positive-tagged cycle with nonpositive weight")
 
     def edges(self) -> list:
+        """The directed edges (a, b) around the cycle, closing edge last."""
         n = self.nodes
         return [(n[i], n[(i + 1) % len(n)]) for i in range(len(n))]
 
@@ -84,6 +87,11 @@ class CongestionPrediction:
 
 @dataclass(frozen=True)
 class CycleCongestionVerdict:
+    """One cycle's congestion prediction checked against a solution.
+
+    ``edge`` is the first trade (m, n) found with q[m][n] at capacity;
+    ``applicable`` is False where theory does not back the prediction."""
+
     verified: bool
     edge: Optional[tuple]
     applicable: bool
@@ -110,52 +118,41 @@ class WasteCertificate:
     observed_waste: float
 
 
-def _cycle_budget_guard(count: int, budget: int) -> None:
-    if count > budget:
-        raise StructureError(
-            f"cycle enumeration exceeded the budget of {budget}; "
-            "raise it explicitly for dense preference graphs")
+def _simple_paths(scenario: Scenario, start: int, step: Callable,
+                  max_nodes: int) -> Iterator[tuple]:
+    """Every simple path of at least one edge from ``start``, depth first.
 
-
-def _simple_cycles(scenario: Scenario, max_len: int,
-                   budget: int) -> Iterator[tuple]:
-    """All directed simple cycles of length 3..max_len, smallest node first.
-
-    Each undirected cycle is produced in both orientations.  Rotations
-    are deduplicated by only emitting cycles that start at their smallest
-    node and never revisit smaller ones.
+    Yields ``(path, value)``: the node tuple and the running sum of
+    C[p_i][p_i+1] along it.  Neighbours are taken in ascending order and
+    a path comes before its extensions.  The edge a -> b is taken only
+    when ``step(a, b)`` allows it, and a path is extended only while it
+    has fewer than ``max_nodes`` nodes (the start always is).  This is the
+    one trade-graph search behind the cycle and waste diagnostics.
     """
-    nodes = scenario.node_ids
-    adj = {n: sorted(scenario.neighbors(n)) for n in nodes}
-    emitted = 0
-    for start in nodes:
-        path = [start]
-        on_path = {start}
-
-        def dfs():
-            nonlocal emitted
-            here = path[-1]
-            for nxt in adj[here]:
-                if nxt == start and len(path) >= 3:
-                    emitted += 1
-                    _cycle_budget_guard(emitted, budget)
-                    yield tuple(path)
-                elif nxt > start and nxt not in on_path and len(path) < max_len:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    yield from dfs()
-                    path.pop()
-                    on_path.remove(nxt)
-
-        yield from dfs()
+    path, sums, on_path = [start], [0.0], {start}
+    stack = [iter(scenario.neighbors(start))]
+    while stack:
+        a = path[-1]
+        for b in stack[-1]:
+            if b in on_path or not step(a, b):
+                continue
+            path.append(b)
+            sums.append(sums[-1] + scenario.c_tilde(a, b))
+            on_path.add(b)
+            yield tuple(path), sums[-1]
+            stack.append(iter(scenario.neighbors(b) if len(path) < max_nodes else ()))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            sums.pop()
 
 
 def _has_negative_cycle(scenario: Scenario, tol: float = 1e-12) -> bool:
     """Bellman-Ford existence pre-check on the C-weighted trade graph."""
     nodes = scenario.node_ids
     dist = {n: 0.0 for n in nodes}
-    edges = [(n, m, scenario.c_tilde(n, m))
-             for n in nodes for m in scenario.neighbors(n)]
+    edges = [(n, m, scenario.c_tilde(n, m)) for n, m in scenario.directed_pairs()]
     for _ in range(len(nodes) - 1):
         changed = False
         for n, m, w in edges:
@@ -168,6 +165,7 @@ def _has_negative_cycle(scenario: Scenario, tol: float = 1e-12) -> bool:
 
 
 def cycle_weight(scenario: Scenario, nodes) -> float:
+    """Sum of C[n][m] around the closed cycle ``nodes``, closing edge last."""
     nodes = tuple(nodes)
     return sum(scenario.c_tilde(nodes[i], nodes[(i + 1) % len(nodes)])
                for i in range(len(nodes)))
@@ -180,6 +178,10 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
     Both orientations of each cycle appear (their weights are exact
     negations), tagged ``negative`` and ``positive``.  A Bellman-Ford
     pass skips the enumeration entirely when no nonzero cycle exists.
+    Otherwise each cycle is a simple path from its smallest node through
+    larger ones that closes back, of at most ``max_len`` nodes (default
+    all; more than the node count raises ``ValueError``).  More than
+    ``budget`` cycles, zero-weight ones included, raise StructureError.
     """
     n_nodes = scenario.n_nodes
     if max_len is None:
@@ -188,13 +190,21 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
         raise ValueError(f"max_len {max_len} exceeds the node count {n_nodes}")
     if not _has_negative_cycle(scenario):
         return []
-    out = []
-    for nodes in _simple_cycles(scenario, max_len, budget):
-        w = cycle_weight(scenario, nodes)
-        if abs(w) <= 1e-9:
-            continue
-        out.append(PreferenceCycle(nodes=nodes, weight=w,
-                                   sign="negative" if w < 0 else "positive"))
+    out, emitted = [], 0
+    for start in scenario.node_ids:
+        for nodes, value in _simple_paths(scenario, start, lambda a, b: b > start,
+                                          max_len):
+            if len(nodes) < 3 or not scenario.has_link(nodes[-1], start):
+                continue
+            emitted += 1
+            if emitted > budget:
+                raise StructureError(
+                    f"cycle enumeration exceeded the budget of {budget}; "
+                    "raise it explicitly for dense preference graphs")
+            w = value + scenario.c_tilde(nodes[-1], start)
+            if abs(w) > 1e-9:
+                out.append(PreferenceCycle(nodes=nodes, weight=w,
+                                           sign="negative" if w < 0 else "positive"))
     out.sort(key=lambda c: (c.weight, c.nodes))
     return out
 
@@ -328,52 +338,6 @@ def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution,
     return bad
 
 
-def _best_paths(scenario: Scenario, solution: MarketSolution, n0: int,
-                max_path_len: int, budget: int, tol: float):
-    """Best accumulated preference difference over simple non-congested paths.
-
-    Returns ``{m: (value, path)}`` where value maximizes the sum of
-    C[p_i][p_i+1] over simple paths n0 -> m whose every edge has the
-    forward trade strictly below capacity and a negligible congestion
-    price.  The empty path to n0 itself is included with value 0.
-    """
-    def usable(a, b):
-        # Pushing along a -> b raises q[a][b]; needs slack on that cap.
-        return (solution.q[a][b] < scenario.kappa(a, b) - tol
-                and solution.xi[b][a] < 1e-8)
-
-    best = {n0: (0.0, (n0,))}
-    visited = 0
-    path = [n0]
-    on_path = {n0}
-    acc = [0.0]
-
-    def dfs():
-        nonlocal visited
-        here = path[-1]
-        for nxt in sorted(scenario.neighbors(here)):
-            if nxt in on_path or not usable(here, nxt):
-                continue
-            visited += 1
-            if visited > budget:
-                raise StructureError(
-                    f"path enumeration exceeded the budget of {budget}")
-            val = acc[-1] + scenario.c_tilde(here, nxt)
-            path.append(nxt)
-            on_path.add(nxt)
-            acc.append(val)
-            if nxt not in best or val > best[nxt][0]:
-                best[nxt] = (val, tuple(path))
-            if len(path) <= max_path_len:
-                dfs()
-            path.pop()
-            on_path.remove(nxt)
-            acc.pop()
-
-    dfs()
-    return best
-
-
 def waste_certificates(scenario: Scenario, solution: MarketSolution,
                        max_path_len: Optional[int] = None,
                        budget: int = DEFAULT_PATH_BUDGET,
@@ -385,18 +349,33 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     lambda_m + sum of preference differences along the path > c(n0, m0):
     diverting the wasted energy there would raise welfare, so the
     optimum wastes nothing here.  With the empty path this includes the
-    single-node case lambda_n0 > c(n0, m0).
+    single-node case lambda_n0 > c(n0, m0).  Paths have at most
+    ``max(max_path_len, 1)`` edges (default the node count); each node
+    keeps the first of its equally good paths.  More than ``budget`` paths from one node raise
+    StructureError.
     """
     if max_path_len is None:
         max_path_len = scenario.n_nodes
+
+    def usable(a, b):
+        # Pushing along a -> b raises q[a][b]; needs slack on that cap.
+        return (solution.q[a][b] < scenario.kappa(a, b) - tol
+                and solution.xi[b][a] < 1e-8)
+
     out = []
     for n0 in scenario.node_ids:
         if not scenario.neighbors(n0):
             continue
-        best = _best_paths(scenario, solution, n0, max_path_len, budget, tol)
-        reachable = [(solution.lam[m] + v, m, pth)
-                     for m, (v, pth) in sorted(best.items())]
-        top_val, top_m, top_path = max(reachable)
+        best = {n0: (0.0, (n0,))}
+        paths = _simple_paths(scenario, n0, usable, max_path_len + 1)
+        for visited, (path, value) in enumerate(paths, 1):
+            if visited > budget:
+                raise StructureError(
+                    f"path enumeration exceeded the budget of {budget}")
+            if path[-1] not in best or value > best[path[-1]][0]:
+                best[path[-1]] = (value, path)
+        top_val, top_m, top_path = max((solution.lam[m] + v, m, pth)
+                                       for m, (v, pth) in best.items())
         for m0 in sorted(scenario.neighbors(n0)):
             margin = top_val - scenario.c(n0, m0)
             pair = (n0, m0) if n0 < m0 else (m0, n0)

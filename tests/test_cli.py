@@ -256,6 +256,19 @@ def test_bad_formats_rejected(capsys, out):
         assert code == EXIT_USAGE, (flag, value)
 
 
+def test_unread_flags_rejected(capsys, out):
+    # Each subcommand registers only the solver and RNG flags it uses.
+    for command, flag, value in (("gne", "--max-iter", "5"),
+                                 ("validate", "--tol", "1e-6"),
+                                 ("validate", "--seed", "1"),
+                                 ("solve", "--seed", "1"),
+                                 ("analyze", "--seed", "1"),
+                                 ("privacy", "--reg", "1e-7")):
+        code, _ = run(capsys, command, "--builtin", "three_node",
+                      "--out", out, flag, value)
+        assert code == EXIT_USAGE, (command, flag)
+
+
 def test_reports_deterministic(capsys, tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")

@@ -1,5 +1,6 @@
 """Cost-structure analysis: cycles, congestion predictions, waste proofs."""
 
+import itertools
 import json
 
 import numpy as np
@@ -201,6 +202,60 @@ def test_analysis_report_serializes(three_node, solved):
 def test_cycle_budget_guard(three_node):
     with pytest.raises(st.StructureError, match="budget"):
         st.detect_preference_cycles(three_node, budget=1)
+
+
+def test_max_len_above_node_count_rejected(three_node):
+    with pytest.raises(ValueError, match="max_len 4 exceeds the node count 3"):
+        st.detect_preference_cycles(three_node, max_len=4)
+
+
+def test_path_budget_guard(three_node, solved):
+    with pytest.raises(st.StructureError,
+                       match="path enumeration exceeded the budget of 1"):
+        st.waste_certificates(three_node, solved, budget=1)
+
+
+def _brute_paths(scn, n0, usable):
+    """Every simple path from n0 whose edges are all usable, by permutations."""
+    others = [v for v in scn.node_ids if v != n0]
+    for k in range(len(others) + 1):
+        for rest in itertools.permutations(others, k):
+            path = (n0,) + rest
+            edges = list(zip(path, path[1:]))
+            if all(scn.has_link(a, b) and usable(a, b) for a, b in edges):
+                yield path, sum(scn.c_tilde(a, b) for a, b in edges)
+
+
+def test_search_matches_brute_force_on_random_graphs():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        scn = random_scenario(rng)
+        # Cycles: every simple cycle, smallest node first, nonzero weight.
+        want = []
+        for n0 in scn.node_ids:
+            for path, _ in _brute_paths(scn, n0, lambda a, b: b > n0):
+                if len(path) >= 3 and scn.has_link(path[-1], n0):
+                    w = sum(scn.c_tilde(a, b)
+                            for a, b in zip(path, path[1:] + path[:1]))
+                    if abs(w) > 1e-9:
+                        want.append((w, path))
+        got = st.detect_preference_cycles(scn)
+        assert [(c.weight, c.nodes) for c in got] == sorted(want)
+
+        # Waste: each margin is the best lambda + path value - c over all
+        # simple usable paths, the empty one included.
+        sol = market.solve_centralized(scn)
+
+        def usable(a, b):
+            return (sol.q[a][b] < scn.kappa(a, b) - 1e-6
+                    and sol.xi[b][a] < 1e-8)
+
+        certs = st.waste_certificates(scn, sol)
+        assert len(certs) == 2 * len(scn.links)
+        for c in certs:
+            n0, m0 = c.pair
+            best = max(sol.lam[p[-1]] + v for p, v in _brute_paths(scn, n0, usable))
+            assert c.margin == pytest.approx(best - scn.c(n0, m0), rel=0, abs=1e-12)
 
 
 def test_random_scenarios_unilateral_always_clean():
