@@ -1,24 +1,22 @@
 """Command-line front end: solve, sweep, analyze, privacy, validate.
 
-Every run echoes its full configuration into the written reports, so a
-report is reproducible from its own header.  Exit codes: 0 success,
-1 internal or input/output error (including invalid scenarios),
-2 infeasible market, 3 usage error.  Reports are deterministic for a
-fixed configuration except for the ``generated_at`` timestamp.
+Each subcommand registers only the flags it reads, and every report
+echoes the parsed flags as its ``config``, so a report is reproducible
+from its own header.  Exit codes: 0 success, 1 internal or input/output
+error (including invalid scenarios), 2 infeasible market, 3 usage
+error.  Reports are deterministic for a fixed configuration except for
+the ``generated_at`` timestamp.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 from . import equilibrium, market, privacy, scenario as scenario_mod, structure
 
@@ -26,6 +24,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INFEASIBLE = 2
 EXIT_USAGE = 3
+
+_FORMATS = ("json", "csv", "dot")
 
 
 class UsageError(Exception):
@@ -39,36 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run, echoed into every report."""
-
-    command: str
-    builtin: Optional[str] = None
-    scenario_path: Optional[str] = None
-    tol: float = market.DEFAULT_TOL
-    max_iter: int = 100
-    reg: float = 0.0
-    seed: int = 0
-    out_dir: str = "out"
-    formats: tuple = ("json", "csv", "dot")
-    grid: Optional[str] = None
-    random: Optional[int] = None
-    axis: Optional[str] = None
-    support: str = "n_gt_m"
-    budget: int = 10 ** 6
-    samples: int = 10 ** 5
-    r_box: Optional[str] = None
-    errors_path: Optional[str] = None
-    max_cycle_len: Optional[int] = None
-    max_path_len: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["formats"] = sorted(self.formats)
-        return d
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="peertrade",
@@ -79,25 +49,26 @@ def _build_parser() -> _Parser:
 
     # Solver and RNG flags, each registered only where the command reads it.
     options = {
-        "--tol": dict(type=float, default=RunConfig.tol,
+        "--tol": dict(type=float, default=market.DEFAULT_TOL,
                       help="solver convergence tolerance"),
-        "--max-iter": dict(type=int, default=RunConfig.max_iter,
+        "--max-iter": dict(type=int, default=100,
                            help="solver iteration cap"),
-        "--reg": dict(type=float, default=RunConfig.reg,
+        "--reg": dict(type=float, default=0.0,
                       help="trade regularization weight (picks a reproducible "
                            "representative of degenerate optima; reported)"),
-        "--seed": dict(type=int, default=RunConfig.seed, help="root RNG seed"),
+        "--seed": dict(type=int, default=0, help="root RNG seed"),
     }
 
     def common(p, *flags):
-        src = p.add_argument_group("scenario source (exactly one)")
+        src = p.add_argument_group("scenario source").add_mutually_exclusive_group(
+            required=True)
         src.add_argument("--builtin", metavar="NAME",
                          help="packaged scenario: three_node or ieee14")
         src.add_argument("--scenario", metavar="PATH", dest="scenario_path",
                          help="scenario JSON file")
-        p.add_argument("--out", default=None, metavar="DIR",
+        p.add_argument("--out", dest="out_dir", metavar="DIR",
                        help="output directory (default: $PEERTRADE_OUT or ./out)")
-        p.add_argument("--formats", default=",".join(RunConfig.formats),
+        p.add_argument("--formats", default=",".join(_FORMATS),
                        help="comma list from json,csv,dot (default all)")
         for flag in flags:
             p.add_argument(flag, **options[flag])
@@ -107,16 +78,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gne", help="sample generalized Nash equilibria")
     common(p, "--tol", "--reg", "--seed")
-    p.add_argument("--grid", metavar="START:STOP:STEP",
-                   help="weight grid per sampled direction, e.g. 0:100:5")
-    p.add_argument("--random", type=int, metavar="COUNT",
-                   help="uniform random weight vectors")
-    p.add_argument("--axis", metavar="V1,V2,...",
-                   help="explicit weight values per direction")
-    p.add_argument("--support", default=RunConfig.support,
+    strategy = p.add_argument_group("omega strategy").add_mutually_exclusive_group(
+        required=True)
+    strategy.add_argument("--grid", metavar="START:STOP:STEP",
+                          help="weight grid per sampled direction, e.g. 0:100:5")
+    strategy.add_argument("--random", type=int, metavar="COUNT",
+                          help="uniform random weight vectors")
+    strategy.add_argument("--axis", metavar="V1,V2,...",
+                          help="explicit weight values per direction")
+    p.add_argument("--support", default=equilibrium.SUPPORT_LOW_BUYS_HIGH,
                    help="sampled directions: n_gt_m (default), full, or an "
                         "explicit list like 1:0,2:0,1:2 meaning buyer:seller")
-    p.add_argument("--budget", type=int, default=RunConfig.budget,
+    p.add_argument("--budget", type=int, default=10 ** 6,
                    help="solve budget guard for the sweep")
 
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
@@ -126,7 +99,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
     common(p, "--seed")
-    p.add_argument("--samples", type=int, default=RunConfig.samples,
+    p.add_argument("--samples", type=int, default=10 ** 5,
                    help="Monte-Carlo sample count (>= 1000)")
     p.add_argument("--r-box", metavar="LO:HI", default=None,
                    help="ratio box for the bias bound on non-root nodes "
@@ -140,85 +113,71 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    bad = set(formats) - {"json", "csv", "dot"}
+def _check(args) -> None:
+    """Resolve the output directory and formats; reject bad solver flags."""
+    args.out_dir = args.out_dir or os.environ.get("PEERTRADE_OUT") or "out"
+    args.formats = sorted({f.strip() for f in args.formats.split(",")} - {""})
+    bad = set(args.formats) - set(_FORMATS)
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
-    out_dir = args.out or os.environ.get("PEERTRADE_OUT") or RunConfig.out_dir
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    extra = {k: v for k, v in vars(args).items()
-             if k in fields and k not in ("command", "out_dir", "formats")}
-    config = RunConfig(command=args.command, out_dir=out_dir, formats=formats,
-                       **extra)
-    if config.max_iter < 0:
-        raise UsageError(f"--max-iter must be >= 0, got {config.max_iter}")
-    if not (math.isfinite(config.tol) and config.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {config.tol}")
-    return config
+    if "max_iter" in args and args.max_iter < 0:
+        raise UsageError(f"--max-iter must be >= 0, got {args.max_iter}")
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
 
 
-def _load(config: RunConfig) -> scenario_mod.Scenario:
-    if (config.builtin is None) == (config.scenario_path is None):
-        raise UsageError("exactly one of --builtin or --scenario is required")
-    if config.builtin is not None:
-        return scenario_mod.builtin(config.builtin)
-    return scenario_mod.load_scenario(config.scenario_path)
+def _load(args) -> scenario_mod.Scenario:
+    if args.builtin is not None:
+        return scenario_mod.builtin(args.builtin)
+    return scenario_mod.load_scenario(args.scenario_path)
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _emit(args, scn, outputs: dict) -> None:
+    """Write ``{command}_{slug}{suffix}`` for each output of a requested format.
+
+    A dict is the JSON report and gets the ``config`` and ``generated_at``
+    header; a callable is called only when its format is requested, and
+    None writes nothing.
+    """
+    slug = "".join(ch if ch.isalnum() else "_" for ch in scn.name)
+    for suffix, content in outputs.items():
+        if suffix.rpartition(".")[2] not in args.formats:
+            continue
+        if callable(content):
+            content = content()
+        if content is None:
+            continue
+        if isinstance(content, dict):
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            content = json.dumps({"config": vars(args), "generated_at": stamp,
+                                  **content}, indent=2, sort_keys=True) + "\n"
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        path = out / f"{args.command}_{slug}{suffix}"
+        path.write_text(content, encoding="utf-8")
+        print(f"wrote {path}")
 
 
-def _report_header(config: RunConfig) -> dict:
-    return {"config": config.to_dict(), "generated_at": _timestamp()}
-
-
-def _write(config: RunConfig, name: str, text: str) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
-    return path
-
-
-def _write_json(config: RunConfig, name: str, payload: dict) -> Path:
-    return _write(config, name,
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _slug(scenario) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in scenario.name)
-
-
-def cmd_solve(config: RunConfig) -> int:
-    scn = _load(config)
-    sol = market.solve_centralized(scn, tol=config.tol,
-                                   max_iter=config.max_iter,
-                                   eps_reg=config.reg)
-    root = min(scn.node_ids)
+def cmd_solve(args) -> int:
+    scn = _load(args)
+    sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
+                                   eps_reg=args.reg)
     print(f"scenario: {scn.name} ({scn.n_nodes} nodes, {len(scn.links)} links)")
     print(f"status: {sol.solver_status} ({sol.solver_iterations} iterations)")
     print(f"social welfare: {sol.sw:.6f}")
     for n in scn.node_ids:
-        diff = sol.lam[n] - sol.lam[root]
-        extra = "" if n == root else f"   ({diff:+.6f} vs root)"
+        diff = sol.lam[n] - sol.lam[0]
+        extra = "" if n == 0 else f"   ({diff:+.6f} vs root)"
         print(f"lambda[{n}] = {sol.lam[n]:.6f}{extra}")
-    if config.reg:
-        print(f"regularization: {config.reg:g}")
-
-    report = _report_header(config)
-    report["solution"] = market.solution_to_dict(sol)
-    report["lambda_minus_root"] = {str(n): sol.lam[n] - sol.lam[root]
-                                  for n in scn.node_ids}
-    report["residuals"] = sol.kkt_residuals
-    report["regularization"] = config.reg
-    slug = _slug(scn)
-    if "json" in config.formats:
-        _write_json(config, f"solve_{slug}.json", report)
-    if "csv" in config.formats:
-        _write(config, f"solve_{slug}.csv", market.solution_to_csv(sol))
+    if args.reg:
+        print(f"regularization: {args.reg:g}")
+    _emit(args, scn, {
+        ".json": {"solution": market.solution_to_dict(sol),
+                  "lambda_minus_root": {str(n): sol.lam[n] - sol.lam[0]
+                                        for n in scn.node_ids},
+                  "residuals": sol.kkt_residuals,
+                  "regularization": args.reg},
+        ".csv": market.solution_to_csv(sol)})
     return EXIT_OK
 
 
@@ -236,49 +195,41 @@ def _parse_support(text: str) -> object:
     return tuple(pairs)
 
 
-def _parse_strategy(config: RunConfig) -> object:
-    chosen = [name for name, v in
-              (("grid", config.grid), ("random", config.random),
-               ("axis", config.axis)) if v is not None]
-    if len(chosen) != 1:
-        raise UsageError("pick exactly one of --grid, --random, --axis")
-    support = _parse_support(config.support)
-    if config.grid is not None:
+def _parse_strategy(args) -> object:
+    support = _parse_support(args.support)
+    if args.grid is not None:
         try:
-            start, stop, step = (float(v) for v in config.grid.split(":"))
+            start, stop, step = (float(v) for v in args.grid.split(":"))
             return equilibrium.GridStrategy(start=start, stop=stop, step=step,
                                             support=support)
         except ValueError as exc:
             raise UsageError(
-                f"bad --grid {config.grid!r}; expected START:STOP:STEP ({exc})"
+                f"bad --grid {args.grid!r}; expected START:STOP:STEP ({exc})"
             ) from None
-    if config.random is not None:
-        if config.random < 1:
+    if args.random is not None:
+        if args.random < 1:
             raise UsageError("--random count must be >= 1")
-        return equilibrium.RandomStrategy(config.random, seed=config.seed,
+        return equilibrium.RandomStrategy(args.random, seed=args.seed,
                                           support=support)
     try:
-        values = tuple(float(v) for v in config.axis.split(","))
+        values = tuple(float(v) for v in args.axis.split(","))
     except ValueError:
         raise UsageError(
-            f"bad --axis {config.axis!r}; expected comma-separated numbers"
+            f"bad --axis {args.axis!r}; expected comma-separated numbers"
         ) from None
     return equilibrium.AxisStrategy(values, support=support)
 
 
-def cmd_gne(config: RunConfig) -> int:
-    scn = _load(config)
-    strategy = _parse_strategy(config)
-    samples = equilibrium.sweep_gne(scn, strategy, budget=config.budget,
-                                    tol=config.tol, eps_reg=config.reg)
-    ve = equilibrium.solve_ve(scn, tol=config.tol)
+def cmd_gne(args) -> int:
+    scn = _load(args)
+    strategy = _parse_strategy(args)
+    samples = equilibrium.sweep_gne(scn, strategy, budget=args.budget,
+                                    tol=args.tol, eps_reg=args.reg)
+    ve = equilibrium.solve_ve(scn, tol=args.tol)
     valid = [s for s in samples if s.is_gne]
     print(f"sweep: {len(samples)} distinct solutions kept, "
           f"{len(valid)} valid equilibria")
-    summary = _report_header(config)
-    summary["ve_sw"] = ve.sw
-    summary["distinct"] = len(samples)
-    summary["valid"] = len(valid)
+    summary = {"ve_sw": ve.sw, "distinct": len(samples), "valid": len(valid)}
     if valid:
         sws = [s.sw for s in valid]
         print(f"sw range: {min(sws):.6f} .. {max(sws):.6f} (VE {ve.sw:.6f})")
@@ -293,29 +244,27 @@ def cmd_gne(config: RunConfig) -> int:
         summary["poa_lower_bound"] = bound
         summary["worst_omega"] = {f"{n}:{m}": w for (n, m), w
                                   in poa["worst_sample"].omega.items()}
-    slug = _slug(scn)
-    if "json" in config.formats:
-        _write_json(config, f"gne_{slug}.json", summary)
-    if "csv" in config.formats:
-        _write(config, f"gne_{slug}_samples.csv",
-               equilibrium.samples_to_csv(samples, scn))
+
+    def cloud():
         try:
-            cloud = equilibrium.point_cloud_csv(samples)
+            return equilibrium.point_cloud_csv(samples)
         except ValueError:
-            cloud = None
-        if cloud is not None:
-            _write(config, f"gne_{slug}_cloud.csv", cloud)
+            return None
+
+    _emit(args, scn, {
+        ".json": summary,
+        "_samples.csv": lambda: equilibrium.samples_to_csv(samples, scn),
+        "_cloud.csv": cloud})
     return EXIT_OK
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    scn = _load(config)
-    sol = market.solve_centralized(scn, tol=config.tol,
-                                   max_iter=config.max_iter,
-                                   eps_reg=config.reg)
+def cmd_analyze(args) -> int:
+    scn = _load(args)
+    sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
+                                   eps_reg=args.reg)
     report = structure.analysis_report(scn, sol,
-                                       max_cycle_len=config.max_cycle_len,
-                                       max_path_len=config.max_path_len)
+                                       max_cycle_len=args.max_cycle_len,
+                                       max_path_len=args.max_path_len)
     cycles = report["cycles"]
     print(f"scenario: {scn.name}")
     print(f"preference cycles: {len(cycles)}")
@@ -330,19 +279,14 @@ def cmd_analyze(config: RunConfig) -> int:
     waste = report["waste"]
     print(f"waste: total {waste['total']:.6f}, "
           f"avoidable: {waste['avoidable']['possible']}")
-    payload = _report_header(config)
-    payload["analysis"] = report
-    slug = _slug(scn)
-    if "json" in config.formats:
-        _write_json(config, f"analyze_{slug}.json", payload)
-    if "dot" in config.formats:
-        _write(config, f"analyze_{slug}.dot", structure.to_dot(scn, sol))
+    _emit(args, scn, {".json": {"analysis": report},
+                      ".dot": structure.to_dot(scn, sol)})
     return EXIT_OK
 
 
-def _load_error_model(config: RunConfig, scn) -> privacy.ErrorModel:
-    if config.errors_path is not None:
-        raw = json.loads(Path(config.errors_path).read_text(encoding="utf-8"))
+def _load_error_model(args, scn) -> privacy.ErrorModel:
+    if args.errors_path is not None:
+        raw = json.loads(Path(args.errors_path).read_text(encoding="utf-8"))
         sd, sg, cv = {}, {}, {}
         for row in raw["pairs"]:
             key = (int(row["n"]), int(row["m"]))
@@ -356,21 +300,21 @@ def _load_error_model(config: RunConfig, scn) -> privacy.ErrorModel:
                      "the three_node builtin")
 
 
-def cmd_privacy(config: RunConfig) -> int:
-    scn = _load(config)
-    errors = _load_error_model(config, scn)
+def cmd_privacy(args) -> int:
+    scn = _load(args)
+    errors = _load_error_model(args, scn)
     r_lo = r_hi = None
-    if config.r_box is not None:
+    if args.r_box is not None:
         try:
-            lo, hi = (float(v) for v in config.r_box.split(":"))
+            lo, hi = (float(v) for v in args.r_box.split(":"))
         except ValueError:
             raise UsageError(
-                f"bad --r-box {config.r_box!r}; expected LO:HI") from None
-        root = min(scn.node_ids)
-        r_lo = {n: (1.0 if n == root else lo) for n in scn.node_ids}
-        r_hi = {n: (1.0 if n == root else hi) for n in scn.node_ids}
+                f"bad --r-box {args.r_box!r}; expected LO:HI") from None
+        # The root (node 0) is pinned at ratio 1.
+        r_lo = {n: (1.0 if n == 0 else lo) for n in scn.node_ids}
+        r_hi = {n: (1.0 if n == 0 else hi) for n in scn.node_ids}
     rep = privacy.bias_report(scn, errors, r_lo=r_lo, r_hi=r_hi,
-                              samples=config.samples, seed=config.seed)
+                              samples=args.samples, seed=args.seed)
     print(f"scenario: {scn.name}, {rep.samples} samples")
     all_ok = True
     for n in scn.node_ids:
@@ -383,27 +327,21 @@ def cmd_privacy(config: RunConfig) -> int:
               f"[{'ok' if ok else 'MISMATCH'}], bound {rep.phi[n]:.6g}")
     print("closed form and Monte-Carlo "
           + ("agree within 3 standard errors" if all_ok else "DISAGREE"))
-    payload = _report_header(config)
-    payload["bias"] = rep.to_dict()
-    payload["agreement_3_stderr"] = all_ok
-    if "json" in config.formats:
-        _write_json(config, f"privacy_{_slug(scn)}.json", payload)
+    _emit(args, scn, {".json": {"bias": rep.to_dict(),
+                                "agreement_3_stderr": all_ok}})
     return EXIT_OK
 
 
-def cmd_validate(config: RunConfig) -> int:
-    scn = _load(config)
+def cmd_validate(args) -> int:
+    scn = _load(args)
     violations = scn.validate()
     for v in violations:
         print(str(v))
     errors = [v for v in violations if v.severity == "error"]
     print(f"{scn.name}: {len(errors)} errors, "
           f"{len(violations) - len(errors)} warnings")
-    payload = _report_header(config)
-    payload["violations"] = [str(v) for v in violations]
-    payload["ok"] = not errors
-    if "json" in config.formats:
-        _write_json(config, f"validate_{_slug(scn)}.json", payload)
+    _emit(args, scn, {".json": {"violations": [str(v) for v in violations],
+                                "ok": not errors}})
     return EXIT_OK if not errors else EXIT_INTERNAL
 
 
@@ -418,8 +356,8 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        _check(args)
+        return _COMMANDS[args.command](args)
     except (UsageError, equilibrium.OmegaError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,6 +42,17 @@ class PrivacyError(ValueError):
     """Raised for invalid error models, ratio vectors, or boxes."""
 
 
+def _floats(mp, label: str) -> dict:
+    """``mp`` with float values; NaN or infinity raises PrivacyError."""
+    out = {}
+    for key, v in dict(mp).items():
+        v = float(v)
+        if not math.isfinite(v):
+            raise PrivacyError(f"{label}[{key}] = {v} is not finite")
+        out[key] = v
+    return out
+
+
 @dataclass(frozen=True)
 class ErrorModel:
     """Per-(n, m) Gaussian forecast error model.
@@ -61,9 +72,8 @@ class ErrorModel:
     def __post_init__(self):
         def clean(mp, label, allow_negative):
             out = {}
-            for key, v in dict(mp).items():
+            for key, v in _floats(mp, label).items():
                 n, m = key
-                v = float(v)
                 if not allow_negative and v < 0:
                     raise PrivacyError(f"{label}[{key}] = {v} is negative")
                 out[(int(n), int(m))] = v
@@ -100,12 +110,11 @@ def clamp_error_model(sigma_d, sigma_g, cov) -> ErrorModel:
     sigma_d*sigma_g does not describe any joint Gaussian, so the nearest
     feasible value is the best available reading of such data.
     """
-    sd = {k: float(v) for k, v in dict(sigma_d).items()}
-    sg = {k: float(v) for k, v in dict(sigma_g).items()}
+    sd = _floats(sigma_d, "sigma_d")
+    sg = _floats(sigma_g, "sigma_g")
     cv = {}
-    for k, v in dict(cov).items():
+    for k, v in _floats(cov, "cov").items():
         bound = sd.get(k, 0.0) * sg.get(k, 0.0)
-        v = float(v)
         if abs(v) > bound:
             clamped = math.copysign(bound, v) if bound > 0 else 0.0
             warnings.warn(
@@ -187,8 +196,8 @@ def _ratio(r: Mapping, n: int) -> float:
         v = float(r[n])
     except KeyError:
         raise PrivacyError(f"ratio vector has no entry for node {n}") from None
-    if v < 0:
-        raise PrivacyError(f"ratio r[{n}] = {v} is negative")
+    if not (math.isfinite(v) and v >= 0):
+        raise PrivacyError(f"ratio r[{n}] = {v} is not a finite nonnegative number")
     return v
 
 

@@ -211,6 +211,9 @@ class Scenario:
                 out.append(Violation(
                     "error", "pair_key_mismatch", f"link {pair}",
                     f"stored under {pair} but connects {l.pair}"))
+            if l.n == l.m:
+                out.append(Violation("error", "self_link", f"link {pair}",
+                                     f"links node {l.n} to itself"))
             for end in pair:
                 if end not in self.prosumers:
                     out.append(Violation(

@@ -126,11 +126,12 @@ def _simple_paths(scenario: Scenario, start: int, step: Callable,
     C[p_i][p_i+1] along it.  Neighbours are taken in ascending order and
     a path comes before its extensions.  The edge a -> b is taken only
     when ``step(a, b)`` allows it, and a path is extended only while it
-    has fewer than ``max_nodes`` nodes (the start always is).  This is the
-    one trade-graph search behind the cycle and waste diagnostics.
+    has fewer than ``max_nodes`` nodes, so ``max_nodes <= 1`` yields
+    nothing.  This is the one trade-graph search behind the cycle and
+    waste diagnostics.
     """
     path, sums, on_path = [start], [0.0], {start}
-    stack = [iter(scenario.neighbors(start))]
+    stack = [iter(scenario.neighbors(start) if max_nodes > 1 else ())]
     while stack:
         a = path[-1]
         for b in stack[-1]:
@@ -350,12 +351,15 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     diverting the wasted energy there would raise welfare, so the
     optimum wastes nothing here.  With the empty path this includes the
     single-node case lambda_n0 > c(n0, m0).  Paths have at most
-    ``max(max_path_len, 1)`` edges (default the node count); each node
-    keeps the first of its equally good paths.  More than ``budget`` paths from one node raise
-    StructureError.
+    ``max_path_len`` edges (default the node count; 0 keeps only the
+    empty path, a negative value raises ``ValueError``); each node keeps
+    the first of its equally good paths.  More than ``budget`` paths
+    from one node raise StructureError.
     """
     if max_path_len is None:
         max_path_len = scenario.n_nodes
+    if max_path_len < 0:
+        raise ValueError(f"max_path_len must be >= 0, got {max_path_len}")
 
     def usable(a, b):
         # Pushing along a -> b raises q[a][b]; needs slack on that cap.

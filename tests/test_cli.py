@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from peertrade import scenario as sc
+from peertrade import market, scenario as sc
 from peertrade.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
-                           EXIT_USAGE, RunConfig, main)
+                           EXIT_USAGE, main)
 
 
 def run(capsys, *argv):
@@ -81,8 +81,36 @@ def test_gne_without_optional_flags_echoes_run_config_defaults(capsys, out,
     code, _ = run(capsys, "gne", "--builtin", "three_node", "--axis", "0")
     assert code == EXIT_OK
     report = json.loads(open(f"{out}/gne_three_node.json").read())
-    want = RunConfig(command="gne", builtin="three_node", axis="0", out_dir=out)
-    assert report["config"] == want.to_dict()
+    assert report["config"] == {
+        "command": "gne", "builtin": "three_node", "scenario_path": None,
+        "out_dir": out, "formats": ["csv", "dot", "json"],
+        "tol": market.DEFAULT_TOL, "reg": 0.0, "seed": 0, "grid": None,
+        "random": None, "axis": "0", "support": "n_gt_m", "budget": 10 ** 6}
+
+
+# Each report's config is the parsed flags: the source, the outputs, and
+# the subcommand's own flags, nothing else.
+_SHARED_KEYS = {"command", "builtin", "scenario_path", "out_dir", "formats"}
+
+
+@pytest.mark.parametrize("argv,report,own", [
+    (["solve"], "solve_three_node.json", {"tol", "max_iter", "reg"}),
+    (["gne", "--axis", "0"], "gne_three_node.json",
+     {"tol", "reg", "seed", "grid", "random", "axis", "support", "budget"}),
+    (["analyze"], "analyze_three_node.json",
+     {"tol", "max_iter", "reg", "max_cycle_len", "max_path_len"}),
+    (["privacy", "--samples", "1000"], "privacy_three_node.json",
+     {"seed", "samples", "r_box", "errors_path"}),
+    (["validate"], "validate_three_node.json", set()),
+])
+def test_report_config_is_the_subcommand_flags(capsys, out, argv, report, own):
+    code, _ = run(capsys, *argv, "--builtin", "three_node", "--out", out,
+                  "--formats", "json")
+    assert code == EXIT_OK
+    config = json.loads(open(f"{out}/{report}").read())["config"]
+    assert set(config) == _SHARED_KEYS | own
+    assert config["command"] == argv[0]
+    assert config["formats"] == ["json"]
 
 
 def test_gne_degenerate_grid_gives_poa_one(capsys, out):
@@ -158,6 +186,16 @@ def test_privacy_three_node(capsys, out):
     payload = json.loads(open(f"{out}/privacy_three_node.json").read())
     assert payload["agreement_3_stderr"] is True
     assert payload["bias"]["samples"] == 2000
+
+
+def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
+    out = tmp_path / "reports"
+    code = main(["privacy", "--builtin", "three_node", "--samples", "1000",
+                 "--r-box", "nan:2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert "is not a finite nonnegative number" in captured.err
+    assert not out.exists()
 
 
 def test_privacy_errors_file(capsys, tmp_path, out):

@@ -138,6 +138,27 @@ def test_validation_errors(three_node, errors):
                           {0: 1, 1: 2, 2: 1}, {0: 1, 1: 0.5, 2: 1})
 
 
+@pytest.mark.parametrize("field", ["sigma_d", "sigma_g", "cov"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_error_model_rejected(field, value):
+    model = {"sigma_d": {(0, 1): 0.2}, "sigma_g": {(0, 1): 0.2},
+             "cov": {(0, 1): 0.0}}
+    model[field] = {(0, 1): value}
+    with pytest.raises(PrivacyError, match=rf"{field}\[\(0, 1\)\] = .* is not finite"):
+        ErrorModel(**model)
+    with pytest.raises(PrivacyError, match="is not finite"):
+        clamp_error_model(**model)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_ratio_rejected(three_node, errors, value):
+    r = {0: 1.0, 1: value, 2: 1.0}
+    with pytest.raises(PrivacyError, match=r"r\[1\] = .* is not a finite"):
+        privacy.compute_rho(three_node, r)
+    with pytest.raises(PrivacyError, match="is not a finite"):
+        privacy.phi_bound(three_node, errors, privacy.default_r(three_node), r)
+
+
 def test_bias_monotone_in_own_ratio(three_node, errors):
     prev = None
     for rn in (0.5, 1.0, 1.5, 2.0):

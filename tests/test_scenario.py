@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,85 @@ def test_malformed_json_reports_location():
         bad["links"] = [dict(good["links"][0], kappa=value)] + good["links"][1:]
         with pytest.raises(sc.ScenarioFormatError, match=r"links\[0\]\.kappa"):
             sc.loads_scenario(json.dumps(bad))
+
+
+_GOOD = json.loads(sc.dumps_scenario(sc.builtin("three_node")))
+
+
+def _doc(drop=(), **top) -> str:
+    """three_node's JSON with top-level fields replaced or dropped."""
+    doc = {k: v for k, v in dict(_GOOD, **top).items() if k not in drop}
+    return json.dumps(doc)
+
+
+def _entry(kind, i, drop=(), **fields) -> str:
+    """three_node's JSON with one prosumer or link entry changed."""
+    entries = [dict(e) for e in _GOOD[kind]]
+    entries[i] = {k: v for k, v in dict(entries[i], **fields).items()
+                  if k not in drop}
+    return _doc(**{kind: entries})
+
+
+def _rebuilt(prosumers=None, links=None):
+    """three_node built in Python with some prosumer or link entries replaced."""
+    base = sc.builtin("three_node")
+    return dataclasses.replace(base, prosumers={**base.prosumers, **(prosumers or {})},
+                               links={**base.links, **(links or {})})
+
+
+def _link(n, m, c_mn=1.0):
+    return sc.TradeLink(n=n, m=m, kappa=5.0, c_nm=1.0, c_mn=c_mn)
+
+
+@pytest.mark.parametrize("make,message", [
+    # loads_scenario: structural errors raise ScenarioFormatError.
+    (lambda: "[]", r"top level: expected a JSON object"),
+    (lambda: _doc(extra=1), r"top level: unknown field\(s\) \['extra'\]"),
+    (lambda: _doc(drop=("links",)), r"top level: missing field 'links'"),
+    (lambda: _doc(name=3), r"name: expected a string"),
+    (lambda: _doc(units=None), r"units: expected a string"),
+    (lambda: _doc(prosumers={}), r"prosumers: expected a list"),
+    (lambda: _doc(links="0-1"), r"links: expected a list"),
+    (lambda: _doc(prosumers=[1]), r"prosumers\[0\]: expected an object"),
+    (lambda: _doc(links=[[0, 1]]), r"links\[0\]: expected an object"),
+    (lambda: _doc(prosumers=_GOOD["prosumers"] + _GOOD["prosumers"][:1]),
+     r"prosumers\[3\]\.id: duplicate id 0"),
+    (lambda: _entry("links", 1, m=0), r"links\[1\]: self-link on node 0"),
+    (lambda: _doc(links=_GOOD["links"] + _GOOD["links"][:1]),
+     r"links\[3\]: pair \(0, 1\) already has a link"),
+    (lambda: _entry("prosumers", 2, drop=("a",)),
+     r"prosumers\[2\]: missing field\(s\) \['a'\]"),
+    (lambda: _entry("links", 0, assumed="yes"),
+     r"links\[0\]\.assumed: expected true or false"),
+    # Scenario.validate(): a scenario built in Python reports errors as data.
+    (lambda: _rebuilt(prosumers={1: sc.builtin("three_node").prosumer(2)}),
+     r"id_key_mismatch: \[error\] node 1: stored under id 1 but carries id 2"),
+    (lambda: _rebuilt(links={(0, 1): _link(1, 2)}),
+     r"pair_key_mismatch: \[error\] link \(0, 1\): stored under \(0, 1\) "
+     r"but connects \(1, 2\)"),
+    (lambda: _rebuilt(links={(2, 9): _link(2, 9)}),
+     r"unknown_endpoint: \[error\] link \(2, 9\): endpoint 9 is not a prosumer id"),
+    (lambda: _rebuilt(links={(0, 2): _link(0, 2, c_mn=0.0)}),
+     r"nonpositive_price: \[error\] link \(0, 2\): c_mn=0.0 must be strictly "
+     r"positive"),
+    (lambda: _rebuilt(links={(1, 1): _link(1, 1)}),
+     r"self_link: \[error\] link \(1, 1\): links node 1 to itself"),
+])
+def test_loader_and_validation_error_messages(make, message):
+    made = make()
+    if isinstance(made, str):
+        with pytest.raises(sc.ScenarioFormatError, match=message):
+            sc.loads_scenario(made)
+    else:
+        found = [f"{v.code}: {v}" for v in made.validate()]
+        assert any(re.fullmatch(message, f) for f in found), found
+
+
+def test_self_link_built_in_python_is_rejected():
+    scn = _rebuilt(links={(1, 1): _link(1, 1)})
+    assert [v.code for v in scn.validate() if v.severity == "error"] == ["self_link"]
+    with pytest.raises(ValueError, match="links node 1 to itself"):
+        market.solve_centralized(scn)
 
 
 def _single_node_scenario(**overrides):

@@ -215,6 +215,19 @@ def test_path_budget_guard(three_node, solved):
         st.waste_certificates(three_node, solved, budget=1)
 
 
+def test_zero_path_len_keeps_only_the_own_price(three_node, solved):
+    certs = st.waste_certificates(three_node, solved, max_path_len=0)
+    assert len(certs) == 2 * len(three_node.links)
+    for c in certs:
+        n0, m0 = c.pair
+        assert c.path == (n0,) and c.via == n0
+        assert c.margin == solved.lam[n0] - three_node.c(n0, m0)
+    one_edge = st.waste_certificates(three_node, solved, max_path_len=1)
+    assert any(len(c.path) == 2 for c in one_edge)
+    with pytest.raises(ValueError, match="max_path_len must be >= 0"):
+        st.waste_certificates(three_node, solved, max_path_len=-1)
+
+
 def _brute_paths(scn, n0, usable):
     """Every simple path from n0 whose edges are all usable, by permutations."""
     others = [v for v in scn.node_ids if v != n0]
