@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
     common(p, "--seed")
     p.add_argument("--samples", type=int, default=10 ** 5,
-                   help="Monte-Carlo sample count (>= 1000)")
+                   help=f"Monte-Carlo sample count (>= {privacy.MIN_MC_SAMPLES})")
     p.add_argument("--r-box", metavar="LO:HI", default=None,
                    help="ratio box for the bias bound on non-root nodes "
                         "(root pinned at 1); default: degenerate at 1")
@@ -260,6 +260,11 @@ def cmd_gne(args) -> int:
 
 def cmd_analyze(args) -> int:
     scn = _load(args)
+    if args.max_cycle_len is not None and args.max_cycle_len > scn.n_nodes:
+        raise UsageError(f"--max-cycle-len {args.max_cycle_len} exceeds the "
+                         f"node count {scn.n_nodes}")
+    if args.max_path_len is not None and args.max_path_len < 0:
+        raise UsageError(f"--max-path-len must be >= 0, got {args.max_path_len}")
     sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
                                    eps_reg=args.reg)
     report = structure.analysis_report(scn, sol,
@@ -301,8 +306,10 @@ def _load_error_model(args, scn) -> privacy.ErrorModel:
 
 
 def cmd_privacy(args) -> int:
+    if args.samples < privacy.MIN_MC_SAMPLES:
+        raise UsageError(f"--samples must be >= {privacy.MIN_MC_SAMPLES}, "
+                         f"got {args.samples}")
     scn = _load(args)
-    errors = _load_error_model(args, scn)
     r_lo = r_hi = None
     if args.r_box is not None:
         try:
@@ -310,9 +317,15 @@ def cmd_privacy(args) -> int:
         except ValueError:
             raise UsageError(
                 f"bad --r-box {args.r_box!r}; expected LO:HI") from None
+        for v in (lo, hi):
+            if not (math.isfinite(v) and v >= 0):
+                raise UsageError(f"--r-box {v} is not a finite nonnegative number")
+        if lo > hi:
+            raise UsageError(f"--r-box LO {lo} exceeds HI {hi}")
         # The root (node 0) is pinned at ratio 1.
         r_lo = {n: (1.0 if n == 0 else lo) for n in scn.node_ids}
         r_hi = {n: (1.0 if n == 0 else hi) for n in scn.node_ids}
+    errors = _load_error_model(args, scn)
     rep = privacy.bias_report(scn, errors, r_lo=r_lo, r_hi=r_hi,
                               samples=args.samples, seed=args.seed)
     print(f"scenario: {scn.name}, {rep.samples} samples")

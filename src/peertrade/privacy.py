@@ -36,6 +36,7 @@ from . import market
 from .scenario import Scenario
 
 DEFAULT_MC_CHUNK = 1 << 16   # chunk size is part of the seeding contract
+MIN_MC_SAMPLES = 1000        # the smallest run monte_carlo_bias accepts
 
 
 class PrivacyError(ValueError):
@@ -108,10 +109,13 @@ def clamp_error_model(sigma_d, sigma_g, cov) -> ErrorModel:
 
     Every clamped pair triggers a warning: a covariance beyond
     sigma_d*sigma_g does not describe any joint Gaussian, so the nearest
-    feasible value is the best available reading of such data.
+    feasible value is the best available reading of such data.  The
+    standard deviations are checked first, so invalid ones raise
+    ``PrivacyError`` before any clamp or warning.
     """
     sd = _floats(sigma_d, "sigma_d")
     sg = _floats(sigma_g, "sigma_g")
+    ErrorModel(sigma_d=sd, sigma_g=sg, cov={})
     cv = {}
     for k, v in _floats(cov, "cov").items():
         bound = sd.get(k, 0.0) * sg.get(k, 0.0)
@@ -265,8 +269,8 @@ def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
     seeded by (seed, c), and running means/variances are merged across
     chunks, so results depend only on (seed, samples).
     """
-    if samples < 1000:
-        raise PrivacyError(f"need at least 1000 samples, got {samples}")
+    if samples < MIN_MC_SAMPLES:
+        raise PrivacyError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
     rho = compute_rho(scenario, r)
     nodes = scenario.node_ids
     coef = {}

@@ -36,7 +36,11 @@ function builds the saddle-point matrix.  The IPM's Newton system is
 that matrix with the separable variables eliminated: each contributes
 one diagonal pivot, so its step follows from the equality multipliers'
 step, and the dense solve covers the leading, coupled variables and the
-equality rows only (:func:`_newton`).
+equality rows only (:func:`_newton`).  Its coupled block is assembled by
+scatter, since every inequality row touches at most a few variables, and
+each row's matrix is factored once per iteration, in place, for both the
+predictor and the corrector; matrices below dimension 20 instead take one
+batched solve per step, which is faster there.
 
 One face solve, :func:`_face_solve`, minimizes the objective on a set of
 rows held as equalities by one minimum-norm least-squares solve, singular
@@ -58,6 +62,7 @@ The problem is solved as given: a tie-breaking regularization belongs to
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -425,11 +430,13 @@ def _face_solve(P, R, C, d):
 
 
 def _solve_rows(K, rhs):
-    """Solve K[i] u = rhs[i] for every row i.
+    """Solve K[i] u = rhs[i] for every row i by one batched LAPACK call.
 
-    The batched solve raises if any one row went singular (it happens in
-    the endgame with extreme active-set scaling); then the rows are redone
-    one by one, so that only the bad rows degrade to least squares.
+    The batched path of :func:`_newton`: each call factors every K[i]
+    anew.  The batched solve raises if any one row went singular (it
+    happens in the endgame with extreme active-set scaling); then the rows
+    are redone one by one, so that only the bad rows degrade to least
+    squares.
     """
     try:
         return np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
@@ -441,6 +448,59 @@ def _solve_rows(K, rhs):
             except np.linalg.LinAlgError:
                 sol[i] = np.linalg.lstsq(K[i], rhs[i], rcond=None)[0]
         return sol
+
+
+def _factored_rows(K, rebuild):
+    """Factor each K[i] once, in place; return ``solve(rhs)`` for all rows.
+
+    The factor-once path of :func:`_newton`.  ``dgetrf`` on ``K[i].T``,
+    which is K[i]'s own buffer in Fortran order, overwrites it with the LU
+    factors of K[i]' and ``dgetrs(trans=1)`` solves with K[i] itself, so K
+    need not be symmetric and no row is copied.  A row whose factor is
+    exactly singular gets the least-squares solution of its own matrix,
+    rebuilt by ``rebuild(i)``, in every solve, as in :func:`_solve_rows`.
+    """
+    piv = np.empty(K.shape[:2], dtype=np.int32)
+    singular = {}
+    for i, Ki in enumerate(K):
+        _, piv[i], info = scipy.linalg.lapack.dgetrf(Ki.T, overwrite_a=1)
+        if info > 0:
+            singular[i] = rebuild(i)
+
+    def solve(rhs):
+        sol = np.empty_like(rhs)
+        for i, Ki in enumerate(K):
+            if i in singular:
+                sol[i] = np.linalg.lstsq(singular[i], rhs[i], rcond=None)[0]
+            else:
+                sol[i] = scipy.linalg.lapack.dgetrs(Ki.T, piv[i], rhs[i], trans=1)[0]
+        return sol
+
+    return solve
+
+
+def _scatter_map(Gc):
+    """Where each inequality row's weight lands in ``Gc' diag(d) Gc``.
+
+    Returns ``(j, k, rows, coef)``: the entries (j[e], k[e]) some row
+    touches and, for each term t of those entries (one per row i touching
+    both j and k, in row order, padded with zero terms), ``rows[t, e] = i``
+    and ``coef[t, e] = G_ij G_ik``, so entry e is the sum over t of
+    ``d[rows[t, e]] * coef[t, e]``.
+    """
+    nc = Gc.shape[1]
+    i, col = np.nonzero(Gc)
+    a, b = np.nonzero(i[:, None] == i[None, :])   # pairs of one row's columns
+    at = col[a] * nc + col[b]
+    order = np.lexsort((i[a], at))                 # by entry, then by row
+    at, a, b = at[order], a[order], b[order]
+    entries, first, count = np.unique(at, return_index=True, return_counts=True)
+    term = np.arange(len(at)) - np.repeat(first, count)
+    e = np.repeat(np.arange(len(entries)), count)
+    rows = np.zeros((count.max(initial=0), len(entries)), dtype=np.intp)
+    coef = np.zeros(rows.shape)
+    rows[term, e], coef[term, e] = i[a], Gc[i[a], col[a]] * Gc[i[b], col[b]]
+    return entries // nc, entries % nc, rows, coef
 
 
 def _separable(P, G):
@@ -455,6 +515,15 @@ def _separable(P, G):
     touch = G != 0
     shared = touch[touch.sum(axis=1) > 1].any(axis=0)
     return (P.diagonal() > 0) & (np.count_nonzero(P, axis=1) == 1) & ~shared
+
+
+# The Newton matrix's size rule, from a crossover table of microseconds per
+# row (CHANGES.md; ROADMAP item 3): from dimension 20 up, a loop of one
+# factorization per row serving both solves beats two batched
+# ``np.linalg.solve`` calls at every batch size; below it, the batched solve
+# wins in batches of 4 rows or more.  The rule reads the dimension only, so
+# a row takes the same path, and gets the same answer, alone or in a batch.
+_LOOP_MIN_DIM = 20
 
 
 def _newton(P, G, A, nc):
@@ -475,22 +544,50 @@ def _newton(P, G, A, nc):
     The elimination divides by ``h_s``, so its rounding, relative to the
     step, grows like eps / min(h_s); ``h_s >= P_jj`` bounds that.
 
+    The coupled block ``Pc + Gc' diag(d) Gc`` is assembled by scatter:
+    each inequality row adds ``d_i G_ij G_ik`` to the entries (j, k) of
+    its nonzero coupled columns (:func:`_scatter_map`, once per call), at
+    O(nnz^2) per row instead of the dense product's O(nc^2 m).  Each entry
+    sums its terms in row order, as the dense product does, so an entry of
+    at most two exact products (the market's) is bit-identical to it.
+
     Returns ``system(d, delta)``, which builds the matrix for the slack
     weights ``d`` (B, m) and regularization ``delta`` (B,) and returns
-    ``step(f, g) -> (dx, dy)``: one matrix for the predictor and the
-    corrector.
+    ``step(f, g) -> (dx, dy)``: one factorization for the predictor and
+    the corrector.  From dimension ``_LOOP_MIN_DIM`` up each row is
+    factored once, in place, and both steps reuse it
+    (:func:`_factored_rows`); below it each step is one batched solve
+    (:func:`_solve_rows`), which factors again but is faster there.
     """
     Pc, ps = P[:nc, :nc], P.diagonal()[nc:]
     Gc, Gs2, Ac, As = G[:, :nc], G[:, nc:] ** 2, A[:, :nc], A[:, nc:]
+    j, k, rows, coef = _scatter_map(Gc)
+    at, on_diag, Pc_at = j * (nc + len(A)) + k, j == k, Pc[j, k]
+
+    def build(d, delta):
+        hs = ps + d @ Gs2 + delta[:, None]
+        K = _saddle(np.broadcast_to(Pc, (len(d), nc, nc)), Ac, delta)
+        if len(rows):
+            terms = d[:, rows] * coef
+            total = terms[:, 0]
+            for t in range(1, len(rows)):
+                total = total + terms[:, t]
+            flat = K.reshape(len(d), -1)
+            flat[:, at] = Pc_at + total
+            flat[:, at[on_diag]] += delta[:, None]
+        K[:, nc:, nc:] -= (As / hs[:, None, :]) @ As.T
+        return K, hs
 
     def system(d, delta):
-        hs = ps + d @ Gs2 + delta[:, None]
-        K = _saddle(Pc + (Gc.T * d[:, None, :]) @ Gc, Ac, delta)
-        K[:, nc:, nc:] -= (As / hs[:, None, :]) @ As.T
+        K, hs = build(d, delta)
+        if K.shape[1] < _LOOP_MIN_DIM:
+            solve = functools.partial(_solve_rows, K)
+        else:
+            solve = _factored_rows(K, lambda i: build(d[i:i + 1], delta[i:i + 1])[0][0])
 
         def step(f, g):
             u = f[:, nc:] / hs
-            sol = _solve_rows(K, np.concatenate([f[:, :nc], g - u @ As.T], axis=1))
+            sol = solve(np.concatenate([f[:, :nc], g - u @ As.T], axis=1))
             dy = sol[:, nc:]
             return np.concatenate([sol[:, :nc], u - dy @ As / hs], axis=1), dy
 
@@ -513,9 +610,10 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
     diagonal row of ``P``, positive curvature, only bound rows; the
     market's demands and generations).  Each iteration builds one Newton
     matrix per row and solves it twice, for the predictor and the
-    corrector.  The separable variables are eliminated from it exactly, so
-    the matrix factored covers the coupled variables and the equality rows
-    only (see :func:`_newton`).
+    corrector, from one factorization (below dimension 20: one batched
+    solve each).  The separable variables are
+    eliminated from it exactly, so the matrix factored covers the coupled
+    variables and the equality rows only (see :func:`_newton`).
     """
     B, n = R.shape
     m, p = len(h), len(b)

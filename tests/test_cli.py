@@ -193,8 +193,40 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
     code = main(["privacy", "--builtin", "three_node", "--samples", "1000",
                  "--r-box", "nan:2", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == EXIT_INTERNAL
+    assert code == EXIT_USAGE
     assert "is not a finite nonnegative number" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["privacy", "--samples", "500"], "--samples must be >= 1000"),
+    (["privacy", "--r-box", "2:0.5"], "LO 2.0 exceeds HI 0.5"),
+    (["analyze", "--max-cycle-len", "9"], "exceeds the node count 3"),
+    (["analyze", "--max-path-len", "-1"], "--max-path-len must be >= 0"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
+    out = tmp_path / "reports"
+    code = main([*argv, "--builtin", "three_node", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"pairs": [', "Expecting value"),
+    (json.dumps({"pairs": [{"n": 0, "m": 1, "sigma_d": -0.2}]}),
+     "sigma_d[(0, 1)] = -0.2 is negative"),
+])
+def test_privacy_malformed_errors_file_is_an_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "errors.json"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "reports"
+    code = main(["privacy", "--builtin", "three_node", "--samples", "1000",
+                 "--errors", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert message in captured.err
     assert not out.exists()
 
 

@@ -150,6 +150,20 @@ def test_non_finite_error_model_rejected(field, value):
         clamp_error_model(**model)
 
 
+@pytest.mark.parametrize("field", ["sigma_d", "sigma_g"])
+def test_negative_sigma_rejected_before_clamping(field):
+    # The covariance 0.0 sits above the bound -0.2 * 0.2: checking it first
+    # would warn of a clamp to 0.0 before the negative sigma is seen.
+    model = {"sigma_d": {(0, 1): 0.2}, "sigma_g": {(0, 1): 0.2},
+             "cov": {(0, 1): 0.0}}
+    model[field] = {(0, 1): -0.2}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PrivacyError, match=rf"{field}\[\(0, 1\)\] = -0.2 is negative"):
+            clamp_error_model(**model)
+    assert caught == []
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_ratio_rejected(three_node, errors, value):
     r = {0: 1.0, 1: value, 2: 1.0}

@@ -260,32 +260,123 @@ def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
     return P, G, A, d, delta, rng.normal(size=(B, n)), rng.normal(size=(B, p))
 
 
+def _count_factorizations(monkeypatch):
+    """Count the LAPACK factorizations of the factor-once path."""
+    calls = []
+    getrf = qp.scipy.linalg.lapack.dgetrf
+    monkeypatch.setattr(qp.scipy.linalg.lapack, "dgetrf",
+                        lambda *a, **k: calls.append(1) or getrf(*a, **k))
+    return calls
+
+
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n_sep, n_cpl, p, zero_p", [
-    (4, 3, 2, False),   # some variables separable
-    (6, 0, 3, False),   # all separable
-    (4, 3, 0, False),   # no equality rows
-    (6, 0, 0, False),   # all separable, no equality rows: a 0x0 matrix
-    (3, 4, 2, True),    # P = 0: none separable
+@pytest.mark.parametrize("n_sep, n_cpl, p, zero_p, B", [
+    pytest.param(4, 3, 2, False, 64, id="4-3-2-False"),   # some variables separable
+    pytest.param(6, 0, 3, False, 64, id="6-0-3-False"),   # all separable
+    pytest.param(4, 3, 0, False, 64, id="4-3-0-False"),   # no equality rows
+    pytest.param(6, 0, 0, False, 64, id="6-0-0-False"),   # all separable, p = 0: 0x0
+    pytest.param(3, 4, 2, True, 64, id="3-4-2-True"),     # P = 0: none separable
+    (5, 22, 3, False, 64),   # above the size rule's dimension: factor once
+    (3, 20, 2, True, 64),    # the same with none separable
+    (4, 3, 2, False, 1),     # a batch of one
+    (5, 22, 3, False, 1),    # a batch of one above the size rule's dimension
 ])
-def test_newton_step_matches_full_saddle(seed, n_sep, n_cpl, p, zero_p):
-    P, G, A, d, delta, f, g = _newton_data(seed, n_sep, n_cpl, p, zero_p)
+def test_newton_step_matches_full_saddle(monkeypatch, seed, n_sep, n_cpl, p, zero_p, B):
+    P, G, A, d, delta, f, g = _newton_data(seed, n_sep, n_cpl, p, zero_p, B)
     n = len(P)
     sep = qp._separable(P, G)
     nc = n_cpl + n_sep if zero_p else n_cpl
     np.testing.assert_array_equal(sep, np.arange(n) >= nc)
-    dx, dy = qp._newton(P, G, A, nc)(d, delta)(f, g)
+    N = nc + p
+    batched = N < qp._LOOP_MIN_DIM
+    factorizations = _count_factorizations(monkeypatch)
+    step = qp._newton(P, G, A, nc)(d, delta)
     K = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
-    full = np.linalg.solve(K, np.hstack([f, g])[:, :, None])[:, :, 0]
-    got = np.hstack([dx, dy])
-    if not sep.any():
-        np.testing.assert_array_equal(got, full)   # the same matrix, solved alike
-    # Agreement to 1e-9 of the row's step, loosened where the smallest
-    # eliminated pivot h_j = H_jj + delta >= P_jj falls below 1e-6: the
-    # elimination divides by it, so its rounding grows like eps / h_j.
-    pivot = np.where(sep, K.diagonal(axis1=1, axis2=2)[:, :n], np.inf).min(axis=1)
-    err = np.abs(got - full).max(axis=1) / np.abs(full).max(axis=1)
-    assert (err <= 1e-9 * np.maximum(1.0, 1e-6 / pivot)).all()
+    # The predictor and the corrector: two right-hand sides, one factorization.
+    for f, g in ((f, g), (f[::-1].copy(), g[::-1].copy())):
+        dx, dy = step(f, g)
+        full = np.linalg.solve(K, np.hstack([f, g])[:, :, None])[:, :, 0]
+        got = np.hstack([dx, dy])
+        if batched and not sep.any():
+            np.testing.assert_array_equal(got, full)   # the same matrix, solved alike
+        # Agreement to 1e-9 of the row's step, loosened where the smallest
+        # eliminated pivot h_j = H_jj + delta >= P_jj falls below 1e-6: the
+        # elimination divides by it, so its rounding grows like eps / h_j.
+        pivot = np.where(sep, K.diagonal(axis1=1, axis2=2)[:, :n], np.inf).min(axis=1)
+        err = np.abs(got - full).max(axis=1) / np.abs(full).max(axis=1)
+        assert (err <= 1e-9 * np.maximum(1.0, 1e-6 / pivot)).all()
+    assert len(factorizations) == (0 if batched else B)
+
+
+@pytest.mark.parametrize("path", ["batched", "factor_once"])
+def test_singular_newton_row_gets_least_squares(monkeypatch, path):
+    # P = 0, and variable 0 is in no equality row; with no slack weight
+    # and no regularization, row 3's matrix has a zero row and column.
+    monkeypatch.setattr(qp, "_LOOP_MIN_DIM", 10 ** 9 if path == "batched" else 0)
+    P, G, A, d, delta, f, g = _newton_data(0, 3, 4, 2, zero_p=True, B=6)
+    A[:, 0] = 0.0
+    d[3], delta[3] = 0.0, 0.0
+    factorizations = _count_factorizations(monkeypatch)
+    nc = len(P)
+    step = qp._newton(P, G, A, nc)(d, delta)
+    K = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
+    assert np.linalg.matrix_rank(K[3]) < len(K[3])
+    for f, g in ((f, g), (-2.0 * f, g[::-1].copy())):
+        got = np.hstack(step(f, g))
+        rhs = np.hstack([f, g])
+        np.testing.assert_array_equal(got[3], np.linalg.lstsq(K[3], rhs[3], rcond=None)[0])
+        for i in (0, 1, 2, 4, 5):
+            alone = qp._newton(P, G, A, nc)(d[i:i + 1], delta[i:i + 1])(f[i:i + 1], g[i:i + 1])
+            np.testing.assert_array_equal(got[i], np.hstack(alone)[0])
+    # The batched path factors through np.linalg.solve, the other path once
+    # per row: six for the batch, one for each of the ten rows alone.
+    assert len(factorizations) == (0 if path == "batched" else 16)
+
+
+def test_factored_rows_solve_unsymmetric_matrices():
+    # The factors are those of K[i]' (K's own buffer in Fortran order), so
+    # the solve must transpose them back.
+    rng = np.random.default_rng(3)
+    K = rng.normal(size=(5, 6, 6)) + 6.0 * np.eye(6)
+    rhs = rng.normal(size=(5, 6))
+    want = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+    got = qp._factored_rows(K.copy(), None)(rhs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_scatter_build_matches_dense_product(monkeypatch):
+    # Rows touching 1, 2 and 3 coupled variables, with power-of-two
+    # coefficients so that every product d_i G_ij G_ik is exact: then an
+    # entry summing at most two products is one rounding in any order.
+    rng = np.random.default_rng(7)
+    n, B = 8, 16
+    G = np.zeros((0, n))
+    for width, count in ((1, 2 * n), (2, 6), (3, 4)):
+        block = np.zeros((count, n))
+        for row in block:
+            row[rng.choice(n, width, replace=False)] = rng.choice([1.0, -2.0, 0.5], width)
+        G = np.vstack([G, block])
+    M = rng.normal(size=(n, n))
+    P = M @ M.T                                    # dense: none separable
+    A = rng.normal(size=(2, n))
+    d = 10.0 ** rng.uniform(-8.0, 16.0, (B, len(G)))
+    delta = 1e-12 * rng.uniform(1.0, 30.0, B)
+    built = []
+    solve_rows = qp._solve_rows
+    monkeypatch.setattr(qp, "_solve_rows", lambda K, rhs: built.append(K.copy())
+                        or solve_rows(K, rhs))
+    qp._newton(P, G, A, n)(d, delta)(rng.normal(size=(B, n)), rng.normal(size=(B, 2)))
+    (K,) = built
+    dense = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
+    touch = (G != 0).astype(int)
+    terms = touch.T @ touch                        # products summed per entry
+    assert {1, 2, 3} <= set(np.unique(terms)) and K.shape == dense.shape
+    few = np.zeros(K.shape[1:], dtype=bool)
+    few[:n, :n] = terms <= 2
+    few[n:, :] = few[:, n:] = True                 # the equality blocks: no sum
+    np.testing.assert_array_equal(K[:, few], dense[:, few])
+    size = qp._saddle(np.abs(P) + (np.abs(G.T) * d[:, None, :]) @ np.abs(G), A, delta)
+    assert (np.abs(K - dense) <= 1e-15 * np.abs(size)).all()
 
 
 @settings(max_examples=40, deadline=None)
