@@ -258,13 +258,19 @@ def cmd_gne(args) -> int:
     return EXIT_OK
 
 
+def _check_flag(flag: str, check, *args) -> None:
+    """Run the library's own range check on a flag's value; its
+    ``ValueError`` is a usage error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def cmd_analyze(args) -> int:
     scn = _load(args)
-    if args.max_cycle_len is not None and args.max_cycle_len > scn.n_nodes:
-        raise UsageError(f"--max-cycle-len {args.max_cycle_len} exceeds the "
-                         f"node count {scn.n_nodes}")
-    if args.max_path_len is not None and args.max_path_len < 0:
-        raise UsageError(f"--max-path-len must be >= 0, got {args.max_path_len}")
+    _check_flag("--max-cycle-len", structure.cycle_len_limit, scn, args.max_cycle_len)
+    _check_flag("--max-path-len", structure.path_len_limit, scn, args.max_path_len)
     sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
                                    eps_reg=args.reg)
     report = structure.analysis_report(scn, sol,
@@ -306,9 +312,7 @@ def _load_error_model(args, scn) -> privacy.ErrorModel:
 
 
 def cmd_privacy(args) -> int:
-    if args.samples < privacy.MIN_MC_SAMPLES:
-        raise UsageError(f"--samples must be >= {privacy.MIN_MC_SAMPLES}, "
-                         f"got {args.samples}")
+    _check_flag("--samples", privacy.check_samples, args.samples)
     scn = _load(args)
     r_lo = r_hi = None
     if args.r_box is not None:
@@ -317,14 +321,10 @@ def cmd_privacy(args) -> int:
         except ValueError:
             raise UsageError(
                 f"bad --r-box {args.r_box!r}; expected LO:HI") from None
-        for v in (lo, hi):
-            if not (math.isfinite(v) and v >= 0):
-                raise UsageError(f"--r-box {v} is not a finite nonnegative number")
-        if lo > hi:
-            raise UsageError(f"--r-box LO {lo} exceeds HI {hi}")
         # The root (node 0) is pinned at ratio 1.
         r_lo = {n: (1.0 if n == 0 else lo) for n in scn.node_ids}
         r_hi = {n: (1.0 if n == 0 else hi) for n in scn.node_ids}
+        _check_flag("--r-box", privacy.check_box, scn, r_lo, r_hi)
     errors = _load_error_model(args, scn)
     rep = privacy.bias_report(scn, errors, r_lo=r_lo, r_hi=r_hi,
                               samples=args.samples, seed=args.seed)

@@ -68,6 +68,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -456,24 +457,26 @@ def _factored_rows(K, rebuild):
     The factor-once path of :func:`_newton`.  ``dgetrf`` on ``K[i].T``,
     which is K[i]'s own buffer in Fortran order, overwrites it with the LU
     factors of K[i]' and ``dgetrs(trans=1)`` solves with K[i] itself, so K
-    need not be symmetric and no row is copied.  A row whose factor is
+    need not be symmetric and no row is copied.  The solves read the
+    factors ``dgetrf`` returns, a view of K[i] when it worked in place.  A row whose factor is
     exactly singular gets the least-squares solution of its own matrix,
     rebuilt by ``rebuild(i)``, in every solve, as in :func:`_solve_rows`.
     """
-    piv = np.empty(K.shape[:2], dtype=np.int32)
+    lu, piv = [], np.empty(K.shape[:2], dtype=np.int32)
     singular = {}
     for i, Ki in enumerate(K):
-        _, piv[i], info = scipy.linalg.lapack.dgetrf(Ki.T, overwrite_a=1)
+        factors, piv[i], info = scipy.linalg.lapack.dgetrf(Ki.T, overwrite_a=1)
+        lu.append(factors)
         if info > 0:
             singular[i] = rebuild(i)
 
     def solve(rhs):
         sol = np.empty_like(rhs)
-        for i, Ki in enumerate(K):
+        for i, factors in enumerate(lu):
             if i in singular:
                 sol[i] = np.linalg.lstsq(singular[i], rhs[i], rcond=None)[0]
             else:
-                sol[i] = scipy.linalg.lapack.dgetrs(Ki.T, piv[i], rhs[i], trans=1)[0]
+                sol[i] = scipy.linalg.lapack.dgetrs(factors, piv[i], rhs[i], trans=1)[0]
         return sol
 
     return solve
@@ -482,25 +485,27 @@ def _factored_rows(K, rebuild):
 def _scatter_map(Gc):
     """Where each inequality row's weight lands in ``Gc' diag(d) Gc``.
 
-    Returns ``(j, k, rows, coef)``: the entries (j[e], k[e]) some row
-    touches and, for each term t of those entries (one per row i touching
-    both j and k, in row order, padded with zero terms), ``rows[t, e] = i``
-    and ``coef[t, e] = G_ij G_ik``, so entry e is the sum over t of
-    ``d[rows[t, e]] * coef[t, e]``.
+    Returns ``(j, k, M)``: the entries (j[e], k[e]) some row touches and
+    the sparse (E, m) matrix ``M`` with ``M[e, i] = G_ij G_ik`` for every
+    row i touching both, so ``M @ d`` is the entries' column of weighted
+    sums.  ``M`` is CSR with each row's columns in ascending order, so
+    each entry sums its terms in row order.  It holds one term per pair
+    of a row's nonzero columns, the sum of k_i^2 over the rows.
     """
-    nc = Gc.shape[1]
-    i, col = np.nonzero(Gc)
-    a, b = np.nonzero(i[:, None] == i[None, :])   # pairs of one row's columns
+    m, nc = Gc.shape
+    i, col = np.nonzero(Gc)                        # grouped by row
+    val, k = Gc[i, col], np.bincount(i, minlength=m)
+    row = np.repeat(np.arange(m), k ** 2)          # one term per pair of its nonzeros
+    pair = np.arange(len(row)) - np.repeat(np.cumsum(k ** 2) - k ** 2, k ** 2)
+    a = (np.cumsum(k) - k)[row] + pair // k[row]
+    b = a - pair // k[row] + pair % k[row]
     at = col[a] * nc + col[b]
-    order = np.lexsort((i[a], at))                 # by entry, then by row
-    at, a, b = at[order], a[order], b[order]
-    entries, first, count = np.unique(at, return_index=True, return_counts=True)
-    term = np.arange(len(at)) - np.repeat(first, count)
-    e = np.repeat(np.arange(len(entries)), count)
-    rows = np.zeros((count.max(initial=0), len(entries)), dtype=np.intp)
-    coef = np.zeros(rows.shape)
-    rows[term, e], coef[term, e] = i[a], Gc[i[a], col[a]] * Gc[i[b], col[b]]
-    return entries // nc, entries % nc, rows, coef
+    order = np.argsort(at, kind="stable")         # by entry, then by row
+    at = at[order]
+    start = np.flatnonzero(np.diff(at, prepend=-1))
+    M = scipy.sparse.csr_matrix(((val[a] * val[b])[order], row[order],
+                                 np.append(start, len(at))), shape=(len(start), m))
+    return at[start] // nc, at[start] % nc, M
 
 
 def _separable(P, G):
@@ -546,10 +551,12 @@ def _newton(P, G, A, nc):
 
     The coupled block ``Pc + Gc' diag(d) Gc`` is assembled by scatter:
     each inequality row adds ``d_i G_ij G_ik`` to the entries (j, k) of
-    its nonzero coupled columns (:func:`_scatter_map`, once per call), at
-    O(nnz^2) per row instead of the dense product's O(nc^2 m).  Each entry
-    sums its terms in row order, as the dense product does, so an entry of
-    at most two exact products (the market's) is bit-identical to it.
+    its nonzero coupled columns by one sparse product (:func:`_scatter_map`,
+    once per call), at O(sum of k_i^2) per row, k_i the coupled nonzeros
+    of inequality row i, instead of the dense product's O(nc^2 m).  Each
+    entry sums its terms in row order, as the dense product does, so an
+    entry of at most two exact products (the market's) is bit-identical
+    to it.
 
     Returns ``system(d, delta)``, which builds the matrix for the slack
     weights ``d`` (B, m) and regularization ``delta`` (B,) and returns
@@ -561,20 +568,15 @@ def _newton(P, G, A, nc):
     """
     Pc, ps = P[:nc, :nc], P.diagonal()[nc:]
     Gc, Gs2, Ac, As = G[:, :nc], G[:, nc:] ** 2, A[:, :nc], A[:, nc:]
-    j, k, rows, coef = _scatter_map(Gc)
+    j, k, M = _scatter_map(Gc)
     at, on_diag, Pc_at = j * (nc + len(A)) + k, j == k, Pc[j, k]
 
     def build(d, delta):
         hs = ps + d @ Gs2 + delta[:, None]
         K = _saddle(np.broadcast_to(Pc, (len(d), nc, nc)), Ac, delta)
-        if len(rows):
-            terms = d[:, rows] * coef
-            total = terms[:, 0]
-            for t in range(1, len(rows)):
-                total = total + terms[:, t]
-            flat = K.reshape(len(d), -1)
-            flat[:, at] = Pc_at + total
-            flat[:, at[on_diag]] += delta[:, None]
+        flat = K.reshape(len(d), -1)
+        flat[:, at] = Pc_at + (M @ d.T).T
+        flat[:, at[on_diag]] += delta[:, None]
         K[:, nc:, nc:] -= (As / hs[:, None, :]) @ As.T
         return K, hs
 

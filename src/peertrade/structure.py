@@ -172,6 +172,32 @@ def cycle_weight(scenario: Scenario, nodes) -> float:
                for i in range(len(nodes)))
 
 
+def cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
+    """The cycle length bound of :func:`detect_preference_cycles`.
+
+    ``max_len`` nodes, default the node count; more than the node count
+    raises ``ValueError``.
+    """
+    if max_len is None:
+        return scenario.n_nodes
+    if max_len > scenario.n_nodes:
+        raise ValueError(f"max_len {max_len} exceeds the node count {scenario.n_nodes}")
+    return max_len
+
+
+def path_len_limit(scenario: Scenario, max_path_len: Optional[int] = None) -> int:
+    """The path length bound of :func:`waste_certificates`.
+
+    ``max_path_len`` edges, default the node count; a negative value
+    raises ``ValueError``.
+    """
+    if max_path_len is None:
+        return scenario.n_nodes
+    if max_path_len < 0:
+        raise ValueError(f"max_path_len must be >= 0, got {max_path_len}")
+    return max_path_len
+
+
 def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
                              budget: int = DEFAULT_CYCLE_BUDGET) -> list:
     """All simple cycles with nonzero preference weight, sorted by weight.
@@ -184,11 +210,7 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
     all; more than the node count raises ``ValueError``).  More than
     ``budget`` cycles, zero-weight ones included, raise StructureError.
     """
-    n_nodes = scenario.n_nodes
-    if max_len is None:
-        max_len = n_nodes
-    if max_len > n_nodes:
-        raise ValueError(f"max_len {max_len} exceeds the node count {n_nodes}")
+    max_len = cycle_len_limit(scenario, max_len)
     if not _has_negative_cycle(scenario):
         return []
     out, emitted = [], 0
@@ -356,10 +378,7 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     the first of its equally good paths.  More than ``budget`` paths
     from one node raise StructureError.
     """
-    if max_path_len is None:
-        max_path_len = scenario.n_nodes
-    if max_path_len < 0:
-        raise ValueError(f"max_path_len must be >= 0, got {max_path_len}")
+    max_path_len = path_len_limit(scenario, max_path_len)
 
     def usable(a, b):
         # Pushing along a -> b raises q[a][b]; needs slack on that cap.

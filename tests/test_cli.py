@@ -199,10 +199,10 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["privacy", "--samples", "500"], "--samples must be >= 1000"),
-    (["privacy", "--r-box", "2:0.5"], "LO 2.0 exceeds HI 0.5"),
-    (["analyze", "--max-cycle-len", "9"], "exceeds the node count 3"),
-    (["analyze", "--max-path-len", "-1"], "--max-path-len must be >= 0"),
+    (["privacy", "--samples", "500"], "--samples: need at least 1000 samples"),
+    (["privacy", "--r-box", "2:0.5"], "--r-box: invalid box for node 1: [2.0, 0.5]"),
+    (["analyze", "--max-cycle-len", "9"], "--max-cycle-len: max_len 9 exceeds the node count 3"),
+    (["analyze", "--max-path-len", "-1"], "--max-path-len: max_path_len must be >= 0"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     out = tmp_path / "reports"

@@ -379,6 +379,26 @@ def test_scatter_build_matches_dense_product(monkeypatch):
     assert (np.abs(K - dense) <= 1e-15 * np.abs(size)).all()
 
 
+def test_dense_inequality_rows_solve_to_the_known_optimum():
+    # Every inequality row touches all 40 variables: the scatter map holds
+    # one term per pair of a row's columns, no more, and the solve lands on
+    # an optimum planted through the KKT conditions (rows 0-9 active).
+    rng = np.random.default_rng(11)
+    n, m, active = 40, 80, 10
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + np.eye(n)
+    G = rng.normal(size=(m, n))
+    x_star = rng.normal(size=n)
+    z_star = np.r_[rng.uniform(0.5, 2.0, active), np.zeros(m - active)]
+    h = G @ x_star + np.r_[np.zeros(active), rng.uniform(0.5, 2.0, m - active)]
+    r = -(P @ x_star + G.T @ z_star)
+    assert qp._scatter_map(G)[2].nnz == m * n * n
+    sol = qp.solve(qp.make_problem(P, r, A_ineq=G, b_ineq=h))
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, x_star, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(sol.mult_ineq, z_star, rtol=0, atol=1e-6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.booleans())
 def test_unused_coupling_row_changes_nothing(seed, n, with_eq):

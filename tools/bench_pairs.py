@@ -1,15 +1,16 @@
 """Paired benchmark runs of two source trees, written to one BENCH file.
 
     python3 tools/bench_pairs.py --base DIR --change DIR --pairs 10 \\
-        --out BENCH_13.json [--workloads a,b] [--seconds 30] [--seed 0]
+        --out BENCH_13.json [--seed 0]
 
 ``--base`` and ``--change`` are two checkouts of this repository, for
 example the parent commit (``git clone`` or ``git archive`` into a
 separate directory) and the working tree.  For each workload declared in
 the change's ``BENCHMARK.json`` the script runs ``perfbench/run.py`` in
-both trees, one after the other, ``--pairs`` times; pair k uses seed
-``--seed + k`` on both sides, and the side that runs first alternates,
-so drift of the machine falls on both sides alike.  Runs are sequential.
+both trees, one after the other, ``--pairs`` times, each run as long as
+that file's ``run_seconds``; pair k uses seed ``--seed + k`` on both
+sides, and the side that runs first alternates, so drift of the machine
+falls on both sides alike.  Runs are sequential.
 
 The output records, per workload and end-to-end metric, each side's
 per-pair values, their median and quartiles, and how many pairs the
@@ -66,29 +67,20 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--workloads", default=None,
-                        help="comma list (default: every declared workload)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2, for the quartiles")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    declared = [w["name"] for w in spec["workloads"]]
-    workloads = args.workloads.split(",") if args.workloads else declared
-    unknown = set(workloads) - set(declared)
-    if unknown:
-        parser.error(f"unknown workloads: {', '.join(sorted(unknown))}")
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
 
     record = {"seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
               "environment": {}, "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
         for k in range(args.pairs):
             seed = args.seed + k
