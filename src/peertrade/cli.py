@@ -269,8 +269,8 @@ def _check_flag(flag: str, check, *args) -> None:
 
 def cmd_analyze(args) -> int:
     scn = _load(args)
-    _check_flag("--max-cycle-len", structure.cycle_len_limit, scn, args.max_cycle_len)
-    _check_flag("--max-path-len", structure.path_len_limit, scn, args.max_path_len)
+    _check_flag("--max-cycle-len", structure._cycle_len_limit, scn, args.max_cycle_len)
+    _check_flag("--max-path-len", structure._path_len_limit, scn, args.max_path_len)
     sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
                                    eps_reg=args.reg)
     report = structure.analysis_report(scn, sol,
@@ -312,7 +312,7 @@ def _load_error_model(args, scn) -> privacy.ErrorModel:
 
 
 def cmd_privacy(args) -> int:
-    _check_flag("--samples", privacy.check_samples, args.samples)
+    _check_flag("--samples", privacy._check_samples, args.samples)
     scn = _load(args)
     r_lo = r_hi = None
     if args.r_box is not None:
@@ -324,7 +324,7 @@ def cmd_privacy(args) -> int:
         # The root (node 0) is pinned at ratio 1.
         r_lo = {n: (1.0 if n == 0 else lo) for n in scn.node_ids}
         r_hi = {n: (1.0 if n == 0 else hi) for n in scn.node_ids}
-        _check_flag("--r-box", privacy.check_box, scn, r_lo, r_hi)
+        _check_flag("--r-box", privacy._check_box, scn, r_lo, r_hi)
     errors = _load_error_model(args, scn)
     rep = privacy.bias_report(scn, errors, r_lo=r_lo, r_hi=r_hi,
                               samples=args.samples, seed=args.seed)

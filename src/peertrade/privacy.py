@@ -222,7 +222,7 @@ def expected_bias(scenario: Scenario, errors: ErrorModel, r: Mapping) -> dict:
     return {n: 0.5 * rho[n] ** 2 * b[n] for n in scenario.node_ids}
 
 
-def check_box(scenario: Scenario, r_lo: Mapping, r_hi: Mapping) -> None:
+def _check_box(scenario: Scenario, r_lo: Mapping, r_hi: Mapping) -> None:
     """Raise ``PrivacyError`` unless every node's [r_lo, r_hi] is a box of
     finite nonnegative ratios."""
     for n in scenario.node_ids:
@@ -239,7 +239,7 @@ def phi_bound(scenario: Scenario, errors: ErrorModel,
     the bound evaluates rho at r_n = r_hi[n] with all other components
     at their lows.
     """
-    check_box(scenario, r_lo, r_hi)
+    _check_box(scenario, r_lo, r_hi)
     b = beta(scenario, errors)
     out = {}
     for n in scenario.node_ids:
@@ -266,7 +266,7 @@ def _pair_draw(errors: ErrorModel, pair, rng, count: int) -> np.ndarray:
     return eps_d + eps_g
 
 
-def check_samples(samples: int) -> None:
+def _check_samples(samples: int) -> None:
     """Raise ``PrivacyError`` unless :func:`monte_carlo_bias` accepts ``samples``."""
     if samples < MIN_MC_SAMPLES:
         raise PrivacyError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
@@ -281,7 +281,7 @@ def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
     seeded by (seed, c), and running means/variances are merged across
     chunks, so results depend only on (seed, samples).
     """
-    check_samples(samples)
+    _check_samples(samples)
     rho = compute_rho(scenario, r)
     nodes = scenario.node_ids
     coef = {}

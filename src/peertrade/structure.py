@@ -172,7 +172,7 @@ def cycle_weight(scenario: Scenario, nodes) -> float:
                for i in range(len(nodes)))
 
 
-def cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
+def _cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
     """The cycle length bound of :func:`detect_preference_cycles`.
 
     ``max_len`` nodes, default the node count; more than the node count
@@ -185,7 +185,7 @@ def cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
     return max_len
 
 
-def path_len_limit(scenario: Scenario, max_path_len: Optional[int] = None) -> int:
+def _path_len_limit(scenario: Scenario, max_path_len: Optional[int] = None) -> int:
     """The path length bound of :func:`waste_certificates`.
 
     ``max_path_len`` edges, default the node count; a negative value
@@ -210,7 +210,7 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
     all; more than the node count raises ``ValueError``).  More than
     ``budget`` cycles, zero-weight ones included, raise StructureError.
     """
-    max_len = cycle_len_limit(scenario, max_len)
+    max_len = _cycle_len_limit(scenario, max_len)
     if not _has_negative_cycle(scenario):
         return []
     out, emitted = [], 0
@@ -378,7 +378,7 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     the first of its equally good paths.  More than ``budget`` paths
     from one node raise StructureError.
     """
-    max_path_len = path_len_limit(scenario, max_path_len)
+    max_path_len = _path_len_limit(scenario, max_path_len)
 
     def usable(a, b):
         # Pushing along a -> b raises q[a][b]; needs slack on that cap.
