@@ -44,11 +44,17 @@ batched solve per step, which is faster there.
 
 One face solve, :func:`_face_solve`, minimizes the objective on a set of
 rows held as equalities by one minimum-norm least-squares solve, singular
-faces included, and one active-face test, :func:`_on_face`, wraps it with
-the KKT check.  Polish calls that for the correction from a converged
-iterate, on the active set guessed there, and so moves the iterate to the
-nearest point of that face; a problem with no inequality rows is the face
-solve with an empty active set (no IPM iterations).
+faces included, on the reduced layout: a row touching one variable (an
+active bound) fixes it, and a separable variable leaves by its pivot, as
+in the Newton system, so the matrix solved covers the free coupled
+variables and the other rows only.  It is built once per
+:func:`solve_batch` call and serves every pattern of rows, one LAPACK
+call per pattern.  One active-face test, :func:`_on_face`, wraps it with
+the KKT check, taken once for all rows.  Polish calls that for the
+correction from a converged iterate, on the active set guessed there,
+and so moves the iterate to the nearest point of that face; a problem
+with no inequality rows is the face solve with an empty active set (no
+IPM iterations).
 
 Neighbouring rows of a sweep share their optimal face.  Successive
 :func:`solve_batch` calls given one ``faces`` dict claim rows on the
@@ -273,7 +279,10 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     comes from that row and the shared data, so the rest of the batch can
     change its answer only by rounding (amplified on degenerate faces).
     Each converged iterate's active face is then re-solved exactly, which
-    matters at degenerate vertices (see :func:`_polish_batch`).
+    matters at degenerate vertices (see :func:`_polish_batch`); the face
+    solver (:func:`_face_solve`) is built once per call, for polish, for
+    the claims below, and for a problem without inequality rows, whose
+    answer is one face solve.
 
     ``faces`` is state a caller passes to successive calls on one
     problem: a dict from an engine active-set pattern (bytes of a bool
@@ -322,25 +331,33 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     if faces is not None and any(len(key) != len(h) for key in faces):
         raise QpError(f"faces hold active-set patterns of another problem; "
                       f"this one has {len(h)} inequality rows")
+    face = _face_solve(Pf, np.vstack([A, G]), nc)
     if len(h):
         # Rows on a learned face are solved directly; the rest iterate.
         xf, y, z = (np.zeros((B, k)) for k in (len(free), len(b), len(h)))
         status, iters = np.zeros(B, dtype=np.int8), np.zeros(B, dtype=np.int32)
-        rest = _claim(Pf, Rf, G, h, A, b, scale, faces, xf, y, z) if faces else np.arange(B)
+        rest = (_claim(Pf, Rf, G, h, A, b, face, scale, faces, xf, y, z) if faces
+                else np.arange(B))
         if len(rest):
             Rr, sr = Rf[rest], scale[rest]
             xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest],
                                          max_iter, nc)
-            _polish_batch(Pf, Rr, G, h, A, b, xr, yr, zr, s, st, sr, faces)
+            _polish_batch(Pf, Rr, G, h, A, b, face, xr, yr, zr, s, st, sr, faces)
             xf[rest], y[rest], z[rest], status[rest], iters[rest] = xr, yr, zr, st, it
     else:
         # No inequality rows: the face solve with an empty active set is
-        # the answer, and its status is read off the residuals below.  On
-        # inconsistent equalities x minimizes |Ax - b|, so y = Ax - b is a
-        # Farkas certificate: A'y = 0 and b'y = -|Ax - b|^2 < 0.
-        xf, y, _ = _face_solve(Pf, Rf, A, b)
-        gap = xf @ A.T - b
-        y = np.where((np.abs(gap) > tol_conv[:, None]).any(axis=1, keepdims=True), gap, y)
+        # the answer, and its status is read off the residuals below.  A
+        # row it leaves off inconsistent equalities gets the least-squares
+        # x, whose residual y = Ax - b is a Farkas certificate: A'y = 0
+        # and b'y = -|y|^2 < 0.  (The face solve's own x need not be that
+        # x: a row touching one variable fixes it.)
+        xf, y, _ = face(Rf, b, np.ones((1, len(b)), dtype=bool),
+                        np.zeros(B, dtype=np.intp), np.zeros((B, len(free))),
+                        np.zeros((B, len(b))))
+        bad = (np.abs(xf @ A.T - b) > tol_conv[:, None]).any(axis=1)
+        if bad.any():
+            xf[bad] = np.linalg.lstsq(A, b, rcond=None)[0]
+            y[bad] = xf[bad] @ A.T - b
         z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
 
     # Back to the original variables and multipliers.
@@ -413,21 +430,115 @@ def _saddle(H, C, delta):
     return K
 
 
-def _face_solve(P, R, C, d):
-    """Minimize 0.5 x'Px + R[i]'x subject to Cx = d, for every row i.
+def _single_var(C):
+    """Per row of ``C``, the one variable it touches, or -1 if it touches
+    none or several."""
+    touch = C != 0
+    return np.where(touch.sum(axis=1) == 1, touch @ np.arange(C.shape[1]), -1)
 
-    Returns ``(x, w, full)`` with ``w`` the multipliers of the rows of
-    ``C`` and ``full`` whether the face matrix has full rank; ``d`` is
-    ``(q,)`` or one per row.  One minimum-norm least-squares solve of the
-    unregularized face matrix serves every row, so a rank-deficient face
-    needs no special case, and on inconsistent rows ``x`` minimizes
-    ``|Cx - d|``.
+
+def _face_solve(P, C, nc):
+    """The face solver for ``P`` and the rows ``C`` (q, n).
+
+    Returns ``solve(R, d, on, group, x0, w0) -> (x, w, full)``, which for
+    every row i minimizes 0.5 x'Px + R[i]'x subject to ``C_f x = d_f``,
+    the rows ``f = on[group[i]]`` of ``C`` held as equalities (``d`` is
+    ``(q,)`` or one per row).  ``x0`` (B, n) and ``w0`` (B, q), zero off
+    the row's face, are a start (one row of each serves every row), and
+    the answer is the one nearest it;
+    ``w`` holds the face rows' multipliers (0 off the face) and ``full``
+    (one per pattern of ``on``) whether the face matrix
+    ``[[P, C_f'], [C_f, 0]]`` has full rank.  The variables come in the
+    engine layout of :func:`solve_batch`, the first ``nc`` coupled.
+
+    The face matrix is reduced before it is solved.  The first face row
+    touching only variable j fixes x_j; any further such row stays an
+    ordinary row.  A free separable variable j leaves by its pivot: its
+    stationarity gives ``x_j = -(R_j + C_j'w) / P_jj``, which turns the
+    rows' block into ``-C_s diag(1/P_ss) C_s'`` (block elimination, as in
+    :func:`_newton`).  That division costs accuracy, like eps / P_jj^2
+    on random faces, so a separable variable with
+    ``P_jj < 1e-3 max_i C_ij^2`` stays in the matrix instead (the markets
+    here have none: their pivots are at least 0.002, their rows' entries
+    1).  What is left, the free coupled variables and the
+    ordinary rows, takes one minimum-norm least-squares solve per pattern
+    for all its rows: LAPACK ``dgelsy``, a complete orthogonal
+    factorization, so a rank-deficient face needs no special case.  Its
+    rank is decided at ``rcond`` = the dimension times eps: at eps itself
+    an exactly singular matrix's rounding can pass for a last, tiny
+    singular value, which then amplifies the rounding of the right-hand
+    side.  Then the separable variables follow, and each fixing row's
+    multiplier from its variable's stationarity.  The layout work is done
+    once, when the solver is built, and the rest of the work once per
+    call, vectorized over all rows; only the reduced matrix and its solve
+    are per pattern.
+
+    Every null vector of the face matrix is zero on the fixed and the
+    separable variables, so the reduced matrix has full rank exactly when
+    the face matrix has, and ``x`` is the face point nearest ``x0``, the
+    face matrix's own minimum-norm answer.  Only a dual-degenerate face's
+    multipliers differ from that answer's: the norm minimized leaves the
+    fixing rows' multipliers out.
     """
-    n = len(P)
-    rhs = np.concatenate([-R.T, np.broadcast_to(d, (len(R), len(C))).T])
-    sol, _, rank, _ = scipy.linalg.lstsq(_saddle(P, C, 0.0), rhs,
-                                         lapack_driver="gelsy")
-    return sol[:n].T, sol[n:].T, rank == n + len(C)
+    q, n = C.shape
+    var = _single_var(C)
+    single, hot = var >= 0, var[:, None] == np.arange(n)    # hot: a row's one variable
+    coef = np.where(single, (C * hot).sum(axis=1), 1.0)
+    hot_x = hot.astype(float)
+    earlier = np.triu(single[:, None] & (var[:, None] == var), 1).astype(float)
+    sep = (np.arange(n) >= nc) & (P.diagonal() >= 1e-3 * (C**2).max(axis=0, initial=0.0))
+    inv_p = np.where(sep, 1.0 / np.where(sep, P.diagonal(), 1.0), 0.0)
+    Z = _saddle(P, C, 0.0)
+    eps = np.finfo(float).eps
+
+    def solve(R, d, on, group, x0, w0):
+        B = len(R)
+        cand = on & single
+        pin = cand & (cand @ earlier == 0)   # no earlier row on its variable
+        fixed = pin @ hot_x > 0
+        inv = np.where(fixed, 0.0, inv_p)
+        keep = np.concatenate([~fixed & ~sep, on & ~pin], axis=1)
+
+        # The residuals at the start, the fixed values, and the reduced
+        # right-hand side for the correction, per row (with one pattern,
+        # its arrays broadcast over the rows).
+        at_row = group if len(on) != 1 else np.zeros(1, dtype=np.intp)
+        pin_r, fix_r, inv_r = (pin / coef)[at_row], fixed[at_row], inv[at_row]
+        r_stat = R + x0 @ P + w0 @ C
+        x_fix = (d * pin_r) @ hot_x
+        dx_fix = (x_fix - x0) * fix_r
+        rhs = np.concatenate([-r_stat - dx_fix @ P,
+                              d - (x0 + dx_fix - r_stat * inv_r) @ C.T], axis=1)
+
+        du = np.zeros((B, n + q))
+        full = np.ones(len(on), dtype=bool)
+        order = np.argsort(group, kind="stable")
+        cut = np.searchsorted(group[order], np.arange(len(on) + 1))
+        lwork = int(scipy.linalg.lapack.dgelsy_lwork(n + q, n + q, max(B, 1), eps)[0])
+        for u in range(len(on)):
+            rows, idx = order[cut[u]:cut[u + 1]], np.flatnonzero(keep[u])
+            if not (len(rows) and len(idx)):
+                continue
+            k = np.count_nonzero(keep[u, :n])
+            M = Z[np.ix_(idx, idx)]
+            CE = C[idx[k:] - n]
+            M[k:, k:] -= (CE * inv[u]) @ CE.T
+            at = np.ix_(rows, idx)
+            _, sol, _, r, _ = scipy.linalg.lapack.dgelsy(
+                M, rhs[at].T, np.zeros(len(idx), dtype=np.int32), len(idx) * eps,
+                lwork, overwrite_a=1, overwrite_b=1)
+            du[at], full[u] = sol.T, r == len(idx)
+
+        # Back to every variable and row: the separable variables, each
+        # fixing row's multiplier from its variable's stationarity, and
+        # the fixed values exactly.
+        dw = du[:, n:]
+        stat = r_stat + dw @ C
+        dx = du[:, :n] + dx_fix - stat * inv_r
+        dw -= ((stat + dx @ P) @ hot_x.T) * pin_r
+        return np.where(fix_r, x_fix, x0 + dx), w0 + dw, full
+
+    return solve
 
 
 def _solve_rows(K, rhs):
@@ -569,14 +680,16 @@ def _newton(P, G, A, nc):
     Pc, ps = P[:nc, :nc], P.diagonal()[nc:]
     Gc, Gs2, Ac, As = G[:, :nc], G[:, nc:] ** 2, A[:, :nc], A[:, nc:]
     j, k, M = _scatter_map(Gc)
-    at, on_diag, Pc_at = j * (nc + len(A)) + k, j == k, Pc[j, k]
+    at, Pc_at = j * (nc + len(A)) + k, Pc[j, k]
+    template, sign = _saddle(Pc, Ac, 0.0), np.repeat([1.0, -1.0], [nc, len(A)])
 
     def build(d, delta):
         hs = ps + d @ Gs2 + delta[:, None]
-        K = _saddle(np.broadcast_to(Pc, (len(d), nc, nc)), Ac, delta)
-        flat = K.reshape(len(d), -1)
-        flat[:, at] = Pc_at + (M @ d.T).T
-        flat[:, at[on_diag]] += delta[:, None]
+        K = np.empty((len(d),) + template.shape)
+        K[:] = template
+        K.reshape(len(d), -1)[:, at] = Pc_at + (M @ d.T).T
+        diag = np.einsum("bii->bi", K)   # a writable view
+        diag += delta[:, None] * sign
         K[:, nc:, nc:] -= (As / hs[:, None, :]) @ As.T
         return K, hs
 
@@ -697,29 +810,30 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
     return x, y, z, s, status, iters
 
 
-def _on_face(P, R, G, h, A, b, pat, x, w0, scale):
-    """The point of active face ``pat`` nearest ``(x, w0)``, and its test.
+def _on_face(P, R, G, h, A, b, face, pats, group, x, y, z, scale):
+    """Each row's point on its active face nearest its start, and its test.
 
-    One :func:`_face_solve` of the equalities plus the rows ``G[pat]``
-    for the correction from the point ``x`` and face multipliers ``w0``
-    (from zero, the face point itself).  Returns ``(x, y, z, ok, full)``:
-    ``z`` clipped at zero, ``ok`` whether all four KKT residuals, taken
-    with the face multipliers as solved, are within 1e-8 of the row's
-    ``scale``, and ``full`` whether the face matrix has full rank.
+    ``face`` is :func:`_face_solve` of ``P`` and ``[A; G]``.  Row i's face
+    holds the equalities and the rows ``G[pats[group[i]]]`` as equalities,
+    and its start is ``x[i]`` with the multipliers ``y[i]`` and ``z[i]``,
+    zero off the face (from zero: the face point itself; a start of one
+    row serves every row); one face solve serves every row and the KKT
+    test is taken once for all of them.  Returns
+    ``(x, y, z, ok, full)``: ``z`` clipped at zero, ``ok`` whether all
+    four KKT residuals, taken with the face multipliers as solved, are
+    within 1e-8 of the row's ``scale``, and ``full`` (one per pattern)
+    whether the face matrix has full rank.
     """
     p = len(b)
-    C = np.vstack([A, G[pat]])
-    dx, dw, full = _face_solve(P, R + x @ P + w0 @ C, C,
-                               np.concatenate([b, h[pat]]) - x @ C.T)
-    xp, w = x + dx, w0 + dw
-    zp = np.zeros((len(R), len(h)))
-    zp[:, pat] = w[:, p:]
-    res = _kkt(P, R, G, h, A, b, xp, w[:, :p], zp).values()
+    on = np.hstack([np.ones((len(pats), p), dtype=bool), pats])
+    xp, w, full = face(R, np.concatenate([b, h]), on, group, x, np.hstack([y, z]))
+    yp, zp = w[:, :p], w[:, p:]
+    res = _kkt(P, R, G, h, A, b, xp, yp, zp).values()
     ok = np.max(list(res), axis=0) <= 1e-8 * scale
-    return xp, w[:, :p], np.maximum(zp, 0.0), ok, full
+    return xp, yp, np.maximum(zp, 0.0), ok, full
 
 
-def _claim(P, R, G, h, A, b, scale, faces, x, y, z):
+def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
     """Solve rows on learned faces directly; return the rows left over.
 
     Tries the faces, most recently claimed or learned first, while
@@ -735,11 +849,11 @@ def _claim(P, R, G, h, A, b, scale, faces, x, y, z):
         if not len(rest):
             break
         pat = np.frombuffer(key, dtype=bool)
-        q = len(b) + np.count_nonzero(pat)
-        xp, yp, zp, ok, full = _on_face(P, R[rest], G, h, A, b, pat,
-                                        np.zeros((len(rest), len(P))),
-                                        np.zeros((len(rest), q)), scale[rest])
-        ok &= full & (zp[:, pat] > 1e-8 * scale[rest, None]).all(axis=1)
+        start = (np.zeros((1, k)) for k in (len(P), len(b), len(h)))
+        xp, yp, zp, ok, full = _on_face(P, R[rest], G, h, A, b, face, pat[None],
+                                        np.zeros(len(rest), dtype=np.intp), *start,
+                                        scale[rest])
+        ok &= full[0] & (zp[:, pat] > 1e-8 * scale[rest, None]).all(axis=1)
         if ok.any():
             faces[key] = faces.pop(key) + int(ok.sum())
             got = rest[ok]
@@ -750,30 +864,30 @@ def _claim(P, R, G, h, A, b, scale, faces, x, y, z):
     return rest
 
 
-def _polish_batch(P, R, G, h, A, b, x, y, z, s, status, scale, faces) -> None:
+def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> None:
     """Snap converged iterates onto their active face by one exact solve.
 
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
     constraint is active with zero multiplier, leaving that constraint's
     slack around 1e-5 rather than machine precision.  This solves the face
-    of the guessed active set (one :func:`_on_face` per pattern) for the
-    correction from the iterate: its minimum-norm answer is the face point
-    nearest the iterate.  A row is overwritten, in place, only when that
-    point passes the face's KKT test; so a wrong guess is harmless.  A
-    full-rank face that accepts a row is added to ``faces`` if given.
+    of the guessed active set for the correction from the iterate, by one
+    :func:`_on_face` for all rows (one reduced solve per pattern): its
+    minimum-norm answer is the face point nearest the iterate.  A row is
+    overwritten, in place, only when that point passes the face's KKT
+    test; so a wrong guess is harmless.  A full-rank face that accepts a
+    row is added to ``faces`` if given.
     """
     opt = np.flatnonzero(status == 0)
     act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale[opt, None])
-    patterns, inverse = np.unique(act, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).ravel()
-    for pi, pat in enumerate(patterns):
-        rows = opt[inverse == pi]
-        xp, yp, zp, ok, full = _on_face(P, R[rows], G, h, A, b, pat, x[rows],
-                                        np.hstack([y[rows], z[rows][:, pat]]),
-                                        scale[rows])
-        good = rows[ok]
-        x[good], y[good], z[good] = xp[ok], yp[ok], zp[ok]
-        if faces is not None and full and ok.any():
+    pats, group = np.unique(act, axis=0, return_inverse=True)
+    group = np.asarray(group).ravel()
+    xp, yp, zp, ok, full = _on_face(P, R[opt], G, h, A, b, face, pats, group,
+                                    x[opt], y[opt], z[opt] * act, scale[opt])
+    good = opt[ok]
+    x[good], y[good], z[good] = xp[ok], yp[ok], zp[ok]
+    if faces is not None:
+        landed = full & (np.bincount(group[ok], minlength=len(pats)) > 0)
+        for pat in pats[landed]:
             faces.setdefault(pat.tobytes(), 0)
 
 

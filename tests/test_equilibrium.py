@@ -325,6 +325,22 @@ def test_grid_rows_land_on_their_face(three_node):
     assert landed.mean() >= 0.99, f"{landed.sum()} of {len(R)} rows"
 
 
+def test_ieee14_rows_land_on_their_face():
+    # The random ieee14 batch (250 omega points in [0, 5], seed 0): polish
+    # lands 139 rows on their face; the rest keep the raw iterate, whose
+    # face point crosses a row outside the guessed active set.
+    scn = sc.ieee14_cost_case("b")
+    problem, idx = market.assemble(scn)
+    support = eq.default_support(scn)
+    W = eq.RandomStrategy(250, low=0.0, high=5.0, seed=0).generate(support)
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, eq._omega_columns(idx, support)[:, 0]] += W
+    batch = qp.solve_batch(problem, R)
+    assert (batch.status_code == 0).all()
+    landed = batch.kkt_residuals["complementarity"] <= 1e-12
+    assert landed.sum() >= 139, f"{landed.sum()} of {len(R)} rows"
+
+
 def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
     # The odd points of the 11^3 grid lie between the even ones.  Solved
     # with the faces learned on the even points, most of them are claimed

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,16 @@ def test_equality_only_statuses():
     assert sol.status == "unbounded"
     sol = qp.solve(qp.make_problem(np.eye(2), np.zeros(2),
                                    A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
+    assert sol.status == "infeasible"
+    assert "Farkas" in sol.message
+    # Both variables separable: the reduced least-squares solve.
+    sol = qp.solve(qp.make_problem(np.diag([1.0, 2.0]), np.zeros(2),
+                                   A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
+    assert sol.status == "infeasible"
+    assert "Farkas" in sol.message
+    # The first row fixes x0 and the second contradicts it.
+    sol = qp.solve(qp.make_problem(np.eye(2), np.zeros(2),
+                                   A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[1.0, 2.0]))
     assert sol.status == "infeasible"
     assert "Farkas" in sol.message
 
@@ -397,6 +408,119 @@ def test_dense_inequality_rows_solve_to_the_known_optimum():
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, x_star, rtol=0, atol=1e-7)
     np.testing.assert_allclose(sol.mult_ineq, z_star, rtol=0, atol=1e-6)
+
+
+def _full_face_solve(P, R, C, d):
+    """The face solve on the full face matrix, kept as the oracle.
+
+    Minimizes 0.5 x'Px + R[i]'x subject to Cx = d for every row i by one
+    minimum-norm least-squares solve (``gelsy``) of ``[[P, C'], [C, 0]]``,
+    its rank decided at ``rcond`` = the dimension times eps, as the
+    reduced solve decides its own.  Returns ``(x, w, full)``.
+    """
+    n, N = len(P), len(P) + len(C)
+    rhs = np.concatenate([-R.T, np.broadcast_to(d, (len(R), len(C))).T])
+    sol, _, rank, _ = scipy.linalg.lstsq(qp._saddle(P, C, 0.0), rhs,
+                                         cond=N * np.finfo(float).eps,
+                                         lapack_driver="gelsy")
+    return sol[:n].T, sol[n:].T, rank == N
+
+
+def _face_case(seed, U=6, B=24):
+    """Random face problems in the engine layout, with patterns and starts.
+
+    Coupled variables first, with a curvature block of random rank, so
+    that some faces are flat; then separable ones with P_jj from 1e-6 to
+    10.  The rows: dense ones (like balance rows), pair rows on coupled
+    variables, one-variable rows, two one-variable rows on one variable,
+    and one row that is the sum of two others; shuffled, and consistent
+    (``d = C x`` for some x), so every face is feasible.  ``U`` patterns
+    of rows, the first holding every row, and ``B`` rows of ``R`` with a
+    start ``(x0, w0)`` each, ``w0`` zero off the row's face.  Returns
+    ``(P, nc, C, d, on, group, R, x0, w0)``.
+    """
+    rng = np.random.default_rng(seed)
+    nc, ns = rng.integers(1, 6), rng.integers(1, 5)
+    n = nc + ns
+    P = np.zeros((n, n))
+    M = rng.normal(size=(nc, rng.integers(0, nc + 1)))
+    P[:nc, :nc] = M @ M.T
+    P[range(nc, n), range(nc, n)] = 10.0 ** rng.uniform(-6.0, 1.0, ns)
+    eye = np.eye(n)
+    rows = [rng.normal(size=n) for _ in range(rng.integers(1, 3))]
+    for _ in range(rng.integers(0, nc + 1) if nc > 1 else 0):
+        pair = np.zeros(n)
+        pair[rng.choice(nc, 2, replace=False)] = rng.choice([1.0, -1.0], 2)
+        rows.append(pair)
+    for j in rng.choice(n, rng.integers(1, n + 1), replace=False):
+        rows.append(rng.choice([1.0, -1.0]) * eye[j])
+    j = rng.integers(n)
+    rows += [eye[j], -2.0 * eye[j]]
+    rows.append(rows[0] + rows[-3])
+    C = np.array(rows)[rng.permutation(len(rows))]
+    on = rng.random((U, len(C))) < 0.6
+    on[0] = True
+    group = rng.integers(0, U, B)
+    d, R, x0, w0 = (rng.normal(size=k) for k in (n, (B, n), (B, n), (B, len(C))))
+    return P, nc, C, C @ d, on, group, R, x0, w0 * on[group]
+
+
+FACE_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", FACE_SEEDS)
+def test_reduced_face_solve_matches_full_face_matrix(seed):
+    # Per pattern, the reduced solve from a start (x0, w0) against the
+    # full face matrix's minimum-norm correction from the same start.
+    P, nc, C, d, on, group, R, x0, w0 = _face_case(seed)
+    x, w, full = qp._face_solve(P, C, nc)(R, d, on, group, x0, w0)
+    eps = np.finfo(float).eps
+    for u in np.unique(group):
+        f, rows = on[u], group == u
+        Cf, w0f = C[f], w0[rows][:, f]
+        dx, dw, full_u = _full_face_solve(P, R[rows] + x0[rows] @ P + w0f @ Cf, Cf,
+                                          d[f] - x0[rows] @ Cf.T)
+        xo, wo = x0[rows] + dx, w0f + dw
+        assert full[u] == full_u
+        np.testing.assert_array_equal(w[rows][:, ~f], 0.0)
+        # x to 1e-9 of the size of the row's solution (x, w), or to 1e3 eps
+        # times the face matrix's condition (on its range) where that is
+        # larger: tiny pivots P_jj make the face itself ill conditioned,
+        # for the oracle as for the reduced solve.
+        sv = np.linalg.svd(qp._saddle(P, Cf, 0.0), compute_uv=False)
+        tol = max(1e-9, 1e3 * eps * sv[0] / sv[sv > len(sv) * eps * sv[0]].min())
+        size = np.maximum(np.abs(xo).max(axis=1), np.abs(wo).max(axis=1, initial=0.0))
+        err = np.abs(x[rows] - xo).max(axis=1) / size
+        assert (err <= tol).all(), (u, err.max(), tol)
+        if full_u:
+            np.testing.assert_allclose(w[rows][:, f], wo, rtol=0, atol=tol * size.max())
+            continue
+        # A singular face: the multipliers may differ, the residuals not.
+        def residuals(xr, wr):
+            return (np.abs(R[rows] + xr @ P + wr @ Cf).max(axis=1, initial=0.0),
+                    np.abs(xr @ Cf.T - d[f]).max(axis=1, initial=0.0))
+        for got, oracle in zip(residuals(x[rows], w[rows][:, f]), residuals(xo, wo)):
+            assert (got <= oracle + tol * size).all(), (u, got, oracle)
+
+
+def test_reduced_face_solve_covers_its_cases():
+    # The faces above include full-rank and flat ones, dependent active
+    # rows, two active one-variable rows on one variable, and separable
+    # variables too flat to be eliminated.
+    seen = dict.fromkeys(["full", "flat", "dependent", "twice", "kept"], 0)
+    for seed in FACE_SEEDS:
+        P, nc, C, d, on, group, *_ = _face_case(seed)
+        n = len(P)
+        single = qp._single_var(C)
+        flat_p = P.diagonal() < 1e-3 * (C ** 2).max(axis=0)
+        for f in on[np.unique(group)]:
+            Cf, held = C[f], single[f][single[f] >= 0]
+            seen["full"] += np.linalg.matrix_rank(qp._saddle(P, Cf, 0.0)) == n + len(Cf)
+            seen["flat"] += np.linalg.matrix_rank(P + Cf.T @ Cf) < n
+            seen["dependent"] += np.linalg.matrix_rank(Cf) < len(Cf)
+            seen["twice"] += len(held) > len(set(held))
+            seen["kept"] += (flat_p[nc:] & ~np.isin(np.arange(nc, n), held)).any()
+    assert all(seen.values()), seen
 
 
 @settings(max_examples=40, deadline=None)
