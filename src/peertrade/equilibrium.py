@@ -47,6 +47,9 @@ from .scenario import Scenario
 SUPPORT_LOW_BUYS_HIGH = "n_gt_m"
 SUPPORT_FULL = "full"
 
+_BATCH_SIZE = 1024    # omega points per qp.solve_batch call of sweep_gne
+_ACTIVE_TOL = 1e-5    # check_agent_kkt: a slack this small, relative, is active
+
 
 class OmegaError(ValueError):
     """Bad omega input: a negative or non-finite weight, or a bad support pair."""
@@ -252,8 +255,7 @@ class RandomStrategy:
 
 
 def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
-              tol: float = market.DEFAULT_TOL, eps_reg: float = 0.0,
-              batch_size: int = 1024) -> list:
+              tol: float = market.DEFAULT_TOL, eps_reg: float = 0.0) -> list:
     """Run an omega enumeration and collect the distinct equilibria.
 
     Evaluation order is deterministic (lexicographic for grids, seeded
@@ -263,14 +265,12 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     their first occurrence.  Each batch first tries the optimal faces that
     earlier batches landed on (``qp.solve_batch``'s ``faces``), and only
     the points they do not claim run the interior-point iterations; a
-    claimed point's solver reports 0 iterations.  Points are otherwise
-    solved as if alone: ``batch_size`` and order change rounding, which
-    duplicate is kept first and, on a point whose polish misses its face,
-    whether the exact face point is returned (it is when an earlier batch
-    learned that face).
+    claimed point's solver reports 0 iterations.  Points go in batches of
+    ``_BATCH_SIZE`` and are otherwise solved as if alone: the batch size
+    and order change rounding, which duplicate is kept first and, on a
+    point whose polish misses its face, whether the exact face point is
+    returned (it is when an earlier batch learned that face).
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     support = default_support(scenario, strategy.support)
     k = len(support)
     total = strategy.count(k)
@@ -289,8 +289,8 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     seen = set()
     out = []
     faces = {}   # optimal faces learned so far, see qp.solve_batch
-    for start in range(0, len(omegas), batch_size):
-        W = omegas[start:start + batch_size]
+    for start in range(0, len(omegas), _BATCH_SIZE):
+        W = omegas[start:start + _BATCH_SIZE]
         R = np.tile(problem.r, (len(W), 1))
         R[:, cols[:, 0]] += W
         batch = qp.solve_batch(problem, R, tol=tol, faces=faces)
@@ -359,91 +359,59 @@ class AgentKktReport:
 
 
 def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
-                    node: int, active_tol: float = 1e-5,
-                    ridge: float = 1e-4) -> AgentKktReport:
+                    node: int, ridge: float = 1e-4) -> AgentKktReport:
     """Check whether ``node`` is best-responding in the candidate point.
 
     Fixing everyone else's trades, the agent's problem is a small QP; the
     candidate is a best response iff multipliers exist that zero out its
     KKT system.  Multipliers of constraints that are slack at the
-    candidate are pinned to zero, the rest are fitted by nonnegative
-    least squares.  ``ridge`` lightly penalizes the congestion
-    multipliers so that when a trade is simultaneously at capacity and
-    reciprocity-tight, the explanation defaults to the trade price.
+    candidate (by more than ``_ACTIVE_TOL`` of the agent's scale) are
+    pinned to zero, the rest are fitted by nonnegative least squares.
+    ``ridge`` lightly penalizes the congestion multipliers so that when a
+    trade is simultaneously at capacity and reciprocity-tight, the
+    explanation defaults to the trade price.
     """
     p = scenario.prosumer(node)
     neigh = scenario.neighbors(node)
+    k = len(neigh)
     D, G = candidate.D[node], candidate.G[node]
+    buy = [candidate.q[m][node] for m in neigh]
+    balance = D - G - p.delta_g - sum(buy)
 
-    # Own-constraint slacks (negative = violated).
-    slacks = {
-        "mu_lo": D - p.d_min,
-        "mu_hi": p.d_max - D,
-        "nu_lo": G - p.g_min,
-        "nu_hi": p.g_max - G,
-    }
-    for m in neigh:
-        slacks[("xi", m)] = scenario.kappa(node, m) - candidate.q[m][node]
-        slacks[("zeta", m)] = -(candidate.q[m][node] + candidate.q[node][m])
-    balance = D - G - p.delta_g - sum(candidate.q[m][node] for m in neigh)
-    feasibility = max([abs(balance)] + [max(-s, 0.0) for s in slacks.values()])
+    # Columns: lam+, lam-, mu_lo, mu_hi, nu_lo, nu_hi, then xi_m and zeta_m
+    # for each neighbour m; each with the slack of its constraint (negative
+    # = violated; lam's two columns are always fitted).
+    slack = np.array([0.0, 0.0, D - p.d_min, p.d_max - D, G - p.g_min, p.g_max - G]
+                     + [s for m, q in zip(neigh, buy)
+                        for s in (scenario.kappa(node, m) - q,
+                                  -(q + candidate.q[node][m]))])
+    feasibility = max(abs(balance), float(np.maximum(-slack, 0.0).max()))
+    scale = 1.0 + max([abs(D), abs(G)] + [abs(q) for q in buy])
+    active = slack <= _ACTIVE_TOL * scale
 
-    scale = 1.0 + max([abs(D), abs(G)] + [abs(candidate.q[m][node]) for m in neigh],
-                      default=0.0)
-    act = active_tol * scale
-    active = {k: s <= act for k, s in slacks.items()}
+    # Rows: d/dD: 2a~(D - D*) + lam - mu_lo + mu_hi = 0; d/dG: a G + b - lam
+    # - nu_lo + nu_hi = 0; d/dq[m][node]: c + xi + zeta - lam = 0; then one
+    # ridge row per fitted xi, nudging it toward zero.
+    stat = np.zeros((2 + k, len(slack)))
+    stat[:, :2] = [-1.0, 1.0]
+    stat[0, :4] = [1.0, -1.0, -1.0, 1.0]
+    stat[1, 4:6] = [-1.0, 1.0]
+    stat[2:, 6:] = np.kron(np.eye(k), [1.0, 1.0])
+    rhs = np.array([-2.0 * p.a_tilde * (D - p.d_star), -(p.a * G + p.b)]
+                   + [-scenario.c(node, m) for m in neigh])
+    ridge_rows = np.sqrt(ridge) * np.eye(len(slack))[6::2][active[6::2]]
+    A = np.ascontiguousarray(np.vstack([stat, ridge_rows])[:, active])
+    coef = np.zeros(len(slack))
+    coef[active] = scipy.optimize.nnls(A, np.append(rhs, np.zeros(len(ridge_rows))))[0]
 
-    # Columns: lam+ , lam-, then each active multiplier.
-    cols = ["lam+", "lam-"] + [k for k, on in active.items() if on]
-    col_of = {c: i for i, c in enumerate(cols)}
-    rows = []
-    rhs = []
-
-    def add_row(entries, b):
-        row = np.zeros(len(cols))
-        for cname, v in entries:
-            if cname in col_of:
-                row[col_of[cname]] = v
-        rows.append(row)
-        rhs.append(b)
-
-    # d/dD: 2a~(D - D*) + lam - mu_lo + mu_hi = 0
-    add_row([("lam+", 1.0), ("lam-", -1.0), ("mu_lo", -1.0), ("mu_hi", 1.0)],
-            -2.0 * p.a_tilde * (D - p.d_star))
-    # d/dG: a G + b - lam - nu_lo + nu_hi = 0
-    add_row([("lam+", -1.0), ("lam-", 1.0), ("nu_lo", -1.0), ("nu_hi", 1.0)],
-            -(p.a * G + p.b))
-    # d/dq[m][node]: c + xi + zeta - lam = 0
-    for m in neigh:
-        add_row([("lam+", -1.0), ("lam-", 1.0), (("xi", m), 1.0),
-                 (("zeta", m), 1.0)], -scenario.c(node, m))
-    # Ridge rows nudging congestion multipliers toward zero.
-    for m in neigh:
-        if (("xi", m)) in col_of:
-            add_row([(("xi", m), np.sqrt(ridge))], 0.0)
-
-    A = np.array(rows)
-    b = np.array(rhs)
-    coef, _ = scipy.optimize.nnls(A, b)
-
-    n_stat = 2 + len(neigh)
-    stationarity = float(np.abs(A[:n_stat] @ coef - b[:n_stat]).max())
-
-    def val(cname):
-        return float(coef[col_of[cname]]) if cname in col_of else 0.0
-
-    lam = val("lam+") - val("lam-")
-    xi = {m: val(("xi", m)) for m in neigh}
-    zeta = {m: val(("zeta", m)) for m in neigh}
-    mults = {"mu_lo": val("mu_lo"), "mu_hi": val("mu_hi"),
-             "nu_lo": val("nu_lo"), "nu_hi": val("nu_hi")}
-    comp = 0.0
-    for key, s in slacks.items():
-        m_val = val(key) if key in col_of else 0.0
-        comp = max(comp, abs(m_val * s))
-    return AgentKktReport(node=node, stationarity=stationarity,
-                          feasibility=feasibility, complementarity=comp,
-                          lam=lam, xi=xi, zeta=zeta, **mults)
+    stationarity = float(np.abs(A[:2 + k] @ coef[active] - rhs).max())
+    mu_lo, mu_hi, nu_lo, nu_hi = coef[2:6].tolist()
+    return AgentKktReport(node=node, stationarity=stationarity, feasibility=feasibility,
+                          complementarity=float(np.abs(coef * slack)[active].max()),
+                          lam=float(coef[0] - coef[1]), mu_lo=mu_lo, mu_hi=mu_hi,
+                          nu_lo=nu_lo, nu_hi=nu_hi,
+                          xi=dict(zip(neigh, coef[6::2].tolist())),
+                          zeta=dict(zip(neigh, coef[7::2].tolist())))
 
 
 # -- exports --------------------------------------------------------------

@@ -36,6 +36,7 @@ from . import qp
 from .scenario import Scenario
 
 DEFAULT_TOL = 1e-8
+_WASTE_TOL = 1e-6   # a pair wasting more than this is reported as wasteful
 
 
 class MarketError(RuntimeError):
@@ -304,8 +305,7 @@ def verify_solution(scenario: Scenario, s: MarketSolution, tol: float,
                     f"trade price identity violated on ({n},{m}): {res:.3e}")
 
 
-def nodal_price_closed_form(scenario: Scenario, solution: MarketSolution,
-                            tol: float = 1e-6):
+def nodal_price_closed_form(scenario: Scenario, solution: MarketSolution):
     """Recompute all nodal prices from root-link data and bound multipliers.
 
     Works under two preconditions: the dispatch wastes no energy (the
@@ -314,9 +314,9 @@ def nodal_price_closed_form(scenario: Scenario, solution: MarketSolution,
     through their root link).  Returns ``(lambda_hat, deviation)`` where
     ``deviation`` is the max-norm gap to the solver's prices.
     """
-    if solution.waste_total > tol:
+    if solution.waste_total > _WASTE_TOL:
         raise MarketError(
-            f"waste present ({solution.waste_total:.3g} > {tol:g}); the closed "
+            f"waste present ({solution.waste_total:.3g} > {_WASTE_TOL:g}); the closed "
             "form assumes net imports sum to zero")
     others = [n for n in scenario.node_ids if n != 0]
     not_adjacent = [n for n in others if not scenario.has_link(0, n)]
@@ -357,10 +357,6 @@ def solution_to_dict(solution: MarketSolution) -> dict:
         return {f"{m}->{n}": nested[m][n]
                 for m in sorted(nested) for n in sorted(nested[m])}
 
-    wasteful = [
-        {"pair": list(pair), "waste": w}
-        for pair, w in sorted(solution.waste.items()) if w > 1e-6
-    ]
     return {
         "kind": solution.kind,
         "sw": solution.sw,
@@ -379,12 +375,19 @@ def solution_to_dict(solution: MarketSolution) -> dict:
             "nu_lo": {str(k): v for k, v in sorted(solution.nu_lo.items())},
             "nu_hi": {str(k): v for k, v in sorted(solution.nu_hi.items())},
         },
-        "waste": {"total": solution.waste_total, "pairs": wasteful},
+        "waste": _waste_block(solution),
         "residuals": dict(solution.kkt_residuals),
         "solver": {"status": solution.solver_status,
                    "iterations": solution.solver_iterations,
                    "eps_reg": solution.eps_reg},
     }
+
+
+def _waste_block(solution: MarketSolution) -> dict:
+    """The report's waste: the total and each pair wasting over ``_WASTE_TOL``."""
+    return {"total": solution.waste_total,
+            "pairs": [{"pair": list(pair), "waste": w}
+                      for pair, w in sorted(solution.waste.items()) if w > _WASTE_TOL]}
 
 
 def solution_to_json(solution: MarketSolution) -> str:

@@ -24,7 +24,6 @@ as an input rather than recomputing an equilibrium.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -363,16 +362,14 @@ def bias_vs_utility_params(scenario: Scenario, errors: ErrorModel,
                            a1_values: Sequence, a2_values: Sequence,
                            b_tilde: float = 60.0, nodes: tuple = (1, 2),
                            r_lo: Optional[Mapping] = None,
-                           r_hi: Optional[Mapping] = None,
-                           normalize: bool = True) -> dict:
+                           r_hi: Optional[Mapping] = None) -> dict:
     """Phi sum surface over the two traded nodes' utility curvatures.
 
     Both nodes share the usage-benefit cap ``b_tilde`` and get their
-    target demand recomputed as sqrt(b_tilde / a_tilde).  When
-    ``normalize`` is set, each point also reports the bound as a percent
-    of that point's optimal social welfare (the normalization choice is
-    stated in the output, since percent figures are meaningless without
-    it).
+    target demand recomputed as sqrt(b_tilde / a_tilde).  Each point also
+    reports the bound as a percent of that point's optimal social welfare
+    (the normalization is stated in the output, since percent figures are
+    meaningless without it).
     """
     n1, n2 = nodes
     rows = []
@@ -384,12 +381,10 @@ def bias_vs_utility_params(scenario: Scenario, errors: ErrorModel,
             hi = r_hi if r_hi is not None else default_r(scn)
             phi = phi_bound(scn, errors, lo, hi)
             phi_sum = phi[n1] + phi[n2]
-            row = {"a_tilde_1": float(a1), "a_tilde_2": float(a2),
-                   "phi_sum": phi_sum}
-            if normalize:
-                sw = market.solve_centralized(scn).sw
-                row["percent_of_sw"] = 100.0 * phi_sum / sw if sw > 0 else None
-            rows.append(row)
+            sw = market.solve_centralized(scn).sw
+            rows.append({"a_tilde_1": float(a1), "a_tilde_2": float(a2),
+                         "phi_sum": phi_sum,
+                         "percent_of_sw": 100.0 * phi_sum / sw if sw > 0 else None})
     best = min(rows, key=lambda d: d["phi_sum"])
     worst = max(rows, key=lambda d: d["phi_sum"])
     return {
@@ -397,19 +392,6 @@ def bias_vs_utility_params(scenario: Scenario, errors: ErrorModel,
         "min": best,
         "max": worst,
         "normalization": ("percent_of_sw = 100 * phi_sum / optimal social "
-                          "welfare of the modified scenario" if normalize
-                          else "none"),
+                          "welfare of the modified scenario"),
     }
 
-
-def surface_to_csv(result: dict) -> str:
-    """CSV of the Phi-sum surface: one row per (a~1, a~2) grid point."""
-    rows = result["surface"]
-    cols = ["a_tilde_1", "a_tilde_2", "phi_sum"]
-    if rows and "percent_of_sw" in rows[0]:
-        cols.append("percent_of_sw")
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(row[c]) for c in cols) + "\n")
-    return buf.getvalue()

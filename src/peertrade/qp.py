@@ -21,8 +21,10 @@ report and for polish.
 The engine's layout is decided once, in :func:`solve_batch`.  The free
 variables are ordered coupled first and separable last, each group in
 its original order.  A separable variable has a diagonal, positive row
-of P and no inequality row shared with another variable (the market's
-demands and generations); the rest are coupled (the trades).  The finite
+of P, no inequality row shared with another variable and a pivot that is
+not flat against its equality column (the market's demands and
+generations); the rest are coupled (the trades).  :func:`_separable`
+holds that rule for the Newton system and the face solve alike.  The finite
 bounds of the free variables become inequality rows after the problem's
 own, in that order, by :func:`_bound_rows`, which also builds the
 original problem's rows for the report; their multipliers are reported
@@ -314,7 +316,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     # made rows after the problem's own inequalities.
     fixed = lb == ub
     free = np.flatnonzero(~fixed)
-    sep = _separable(P[np.ix_(free, free)], G0[:, free])
+    sep = _separable(P[np.ix_(free, free)], G0[:, free], A0[:, free])
     free, nc = np.concatenate([free[~sep], free[sep]]), np.count_nonzero(~sep)
     x_fix = lb[fixed]
     up, lo = np.isfinite(ub[free]), np.isfinite(lb[free])
@@ -449,18 +451,15 @@ def _face_solve(P, C, nc):
     ``w`` holds the face rows' multipliers (0 off the face) and ``full``
     (one per pattern of ``on``) whether the face matrix
     ``[[P, C_f'], [C_f, 0]]`` has full rank.  The variables come in the
-    engine layout of :func:`solve_batch`, the first ``nc`` coupled.
+    engine layout of :func:`solve_batch`: the first ``nc`` coupled, the
+    rest separable by :func:`_separable`.
 
     The face matrix is reduced before it is solved.  The first face row
     touching only variable j fixes x_j; any further such row stays an
     ordinary row.  A free separable variable j leaves by its pivot: its
     stationarity gives ``x_j = -(R_j + C_j'w) / P_jj``, which turns the
     rows' block into ``-C_s diag(1/P_ss) C_s'`` (block elimination, as in
-    :func:`_newton`).  That division costs accuracy, like eps / P_jj^2
-    on random faces, so a separable variable with
-    ``P_jj < 1e-3 max_i C_ij^2`` stays in the matrix instead (the markets
-    here have none: their pivots are at least 0.002, their rows' entries
-    1).  What is left, the free coupled variables and the
+    :func:`_newton`).  What is left, the free coupled variables and the
     ordinary rows, takes one minimum-norm least-squares solve per pattern
     for all its rows: LAPACK ``dgelsy``, a complete orthogonal
     factorization, so a rank-deficient face needs no special case.  Its
@@ -486,7 +485,7 @@ def _face_solve(P, C, nc):
     coef = np.where(single, (C * hot).sum(axis=1), 1.0)
     hot_x = hot.astype(float)
     earlier = np.triu(single[:, None] & (var[:, None] == var), 1).astype(float)
-    sep = (np.arange(n) >= nc) & (P.diagonal() >= 1e-3 * (C**2).max(axis=0, initial=0.0))
+    sep = np.arange(n) >= nc
     inv_p = np.where(sep, 1.0 / np.where(sep, P.diagonal(), 1.0), 0.0)
     Z = _saddle(P, C, 0.0)
     eps = np.finfo(float).eps
@@ -619,18 +618,26 @@ def _scatter_map(Gc):
     return at[start] // nc, at[start] % nc, M
 
 
-def _separable(P, G):
-    """Mask of the variables :func:`_newton` eliminates exactly.
+def _separable(P, G, A):
+    """Mask of the variables :func:`_newton` and :func:`_face_solve` eliminate.
 
     Variable j is separable when row j of ``P`` is zero off the diagonal,
-    ``P[j, j] > 0``, and every row of ``G`` touching j touches only j (in
-    practice its bound rows).  Then, whatever the slack weights, its row
-    of the Newton matrix has no entry off the diagonal outside the
-    equality columns.  Adding bound rows to ``G`` never changes the mask.
+    ``P[j, j] > 0``, every row of ``G`` touching j touches only j (in
+    practice its bound rows), and its pivot is not flat against its
+    equality column: ``P[j, j] >= 1e-3 max_i A_ij^2``.  Then, whatever the
+    slack weights, its row of the Newton matrix has no entry off the
+    diagonal outside the equality columns, and it leaves by its pivot.
+    That division costs accuracy like eps / P_jj^2 relative to the
+    coupling, so a flatter pivot stays coupled (the markets here have
+    none: their pivots are at least 0.002, their equality entries 1).  A
+    face eliminates a variable only when none of its one-variable rows is
+    held (a held one fixes it), so the equality columns are the only ones
+    the floor reads.  Adding bound rows to ``G`` never changes the mask.
     """
     touch = G != 0
     shared = touch[touch.sum(axis=1) > 1].any(axis=0)
-    return (P.diagonal() > 0) & (np.count_nonzero(P, axis=1) == 1) & ~shared
+    return ((P.diagonal() > 0) & (np.count_nonzero(P, axis=1) == 1) & ~shared
+            & (P.diagonal() >= 1e-3 * (A ** 2).max(axis=0, initial=0.0)))
 
 
 # The Newton matrix's size rule, from a crossover table of microseconds per
@@ -658,7 +665,8 @@ def _newton(P, G, A, nc):
     elimination of a quasidefinite system; Vanderbei, SIAM J. Optim. 5,
     1995).  With no separable variable this is the full saddle matrix.
     The elimination divides by ``h_s``, so its rounding, relative to the
-    step, grows like eps / min(h_s); ``h_s >= P_jj`` bounds that.
+    step, grows like eps / min(h_s); ``h_s >= P_jj``, and the pivot floor
+    of :func:`_separable` keeps P_jj away from zero.
 
     The coupled block ``Pc + Gc' diag(d) Gc`` is assembled by scatter:
     each inequality row adds ``d_i G_ij G_ik`` to the entries (j, k) of
@@ -897,82 +905,3 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
         ratios = np.where(dv < 0, -v / dv, np.inf)
     return np.minimum(ratios.min(axis=1), 1e10)
 
-
-def brute_force_oracle(problem: QpProblem, box, grid: int = 21,
-                       passes: int = 3, zoom: float = 10.0):
-    """Grid-refinement search for small problems; the test-side referee.
-
-    ``box`` is a pair of per-variable arrays (lo, hi) bounding the search;
-    points outside ``[lb, ub]`` are never accepted.  Equality constraints
-    and fixed variables are eliminated through their null space; the
-    remaining free dimension must be at most 4.  Each pass lays a
-    ``grid``-per-axis lattice over the current search region, keeps the
-    best point satisfying the box and the inequalities, and shrinks the
-    region by ``zoom`` around it.  Returns ``(x, value)``.
-    """
-    lo = np.asarray(box[0], dtype=float).ravel()
-    hi = np.asarray(box[1], dtype=float).ravel()
-    n = problem.n_var
-    if lo.shape != (n,) or hi.shape != (n,):
-        raise QpError(f"box must give bounds for all {n} variables")
-    lo, hi = np.maximum(lo, problem.lb), np.minimum(hi, problem.ub)
-
-    fixed = np.flatnonzero(problem.lb == problem.ub)
-    A = np.vstack([problem.A_eq, np.eye(n)[fixed]])
-    b = np.concatenate([problem.b_eq, problem.lb[fixed]])
-    if len(b):
-        x_p, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if np.abs(A @ x_p - b).max() > 1e-8 * (1.0 + np.abs(b).max()):
-            raise QpError("equality system is inconsistent; no feasible grid")
-        # Orthonormal null-space basis via SVD.
-        _, sv, Vt = np.linalg.svd(A)
-        rank = int((sv > 1e-12 * max(sv[0], 1.0)).sum()) if sv.size else 0
-        N = Vt[rank:].T
-    else:
-        x_p = np.zeros(n)
-        N = np.eye(n)
-    k = N.shape[1]
-    if k > 4:
-        raise QpError(f"{k} free dimensions after equality elimination; "
-                      "the oracle handles at most 4")
-    if k == 0:
-        x = x_p
-        if _feasible(problem, lo, hi, x[None, :])[0]:
-            return x, problem.objective(x)
-        raise QpError("empty feasible grid: equalities pin an infeasible point")
-
-    center_x = 0.5 * (lo + hi)
-    u0 = N.T @ (center_x - x_p)
-    radius = 0.5 * float(np.linalg.norm(hi - lo)) + 1e-9
-
-    best_u, best_f = None, np.inf
-    for _ in range(passes):
-        axes = [np.linspace(u0[j] - radius, u0[j] + radius, grid)
-                for j in range(k)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-        X = x_p + mesh @ N.T
-        ok = _feasible(problem, lo, hi, X)
-        if not ok.any():
-            if best_u is None:
-                raise QpError("empty feasible grid within the given box")
-            radius /= zoom
-            u0 = best_u
-            continue
-        Xok = X[ok]
-        vals = 0.5 * np.einsum("bi,ij,bj->b", Xok, problem.P, Xok) + Xok @ problem.r
-        i = int(vals.argmin())
-        if vals[i] < best_f:
-            best_f = float(vals[i])
-            best_u = mesh[ok][i]
-        u0 = best_u
-        radius /= zoom
-    x = x_p + N @ best_u
-    return x, best_f
-
-
-def _feasible(problem: QpProblem, lo, hi, X: np.ndarray) -> np.ndarray:
-    slack = 1e-9
-    ok = np.all(X >= lo - slack, axis=1) & np.all(X <= hi + slack, axis=1)
-    if problem.n_ineq:
-        ok &= np.all(X @ problem.A_ineq.T <= problem.b_ineq + slack, axis=1)
-    return ok

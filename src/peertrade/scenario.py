@@ -464,8 +464,12 @@ def with_costs(scenario: Scenario, costs: Mapping[tuple[int, int], float],
 
     ``costs`` maps directed pairs ``(n, m)`` to the new price node ``n``
     attaches to purchases from ``m``.  Pairs not mentioned keep their
-    prices.  Useful for cost sensitivity studies on a fixed network.
+    prices; a pair with no link raises ``ValueError``.  Useful for cost
+    sensitivity studies on a fixed network.
     """
+    unknown = [pair for pair in costs if not scenario.has_link(*pair)]
+    if unknown:
+        raise ValueError(f"cost pair {unknown[0]} names no link of {scenario.name!r}")
     new_links = {}
     for pair, l in scenario.links.items():
         c_nm = costs.get((l.n, l.m), l.c_nm)

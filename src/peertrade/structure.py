@@ -23,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
-from .market import MarketSolution
+from .market import MarketSolution, _waste_block
 from .scenario import Scenario
 
 DEFAULT_CYCLE_BUDGET = 10 ** 5
 DEFAULT_PATH_BUDGET = 10 ** 5
+_CAPACITY_TOL = 1e-6   # a trade this close to its line capacity is at it
 
 
 class StructureError(RuntimeError):
@@ -149,6 +150,11 @@ def _simple_paths(scenario: Scenario, start: int, step: Callable,
             sums.pop()
 
 
+def _at_capacity(scenario: Scenario, solution: MarketSolution, m: int, n: int) -> bool:
+    """Whether node n's purchase from m, q[m][n], is at the line capacity."""
+    return solution.q[m][n] >= scenario.kappa(m, n) - _CAPACITY_TOL
+
+
 def _has_negative_cycle(scenario: Scenario, tol: float = 1e-12) -> bool:
     """Bellman-Ford existence pre-check on the C-weighted trade graph."""
     nodes = scenario.node_ids
@@ -259,8 +265,7 @@ def _game_cycles(scenario: Scenario, cycles: list) -> list:
 
 
 def verify_cycle_congestion(scenario: Scenario, cycle: PreferenceCycle,
-                            solution: MarketSolution,
-                            tol: float = 1e-6) -> CycleCongestionVerdict:
+                            solution: MarketSolution) -> CycleCongestionVerdict:
     """Check the cycle's congestion prediction against a solution.
 
     A negative cycle predicts some trade opposed to it at capacity; a
@@ -271,8 +276,7 @@ def verify_cycle_congestion(scenario: Scenario, cycle: PreferenceCycle,
     found = None
     for (a, b) in cycle.edges():
         m, n = (b, a) if cycle.sign == "negative" else (a, b)
-        # Trade at capacity in direction m -> n means q[m][n] = kappa.
-        if solution.q[m][n] >= scenario.kappa(n, m) - tol:
+        if _at_capacity(scenario, solution, m, n):
             found = (m, n)
             break
     applicable = solution.kind != "gne"
@@ -343,8 +347,7 @@ def no_waste_necessary(scenario: Scenario):
     return False, None
 
 
-def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution,
-                                tol: float = 1e-6) -> list:
+def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution) -> list:
     """Pairs where both directions sit at capacity; always empty in theory.
 
     Two opposite trades both at a positive capacity would waste 2*kappa
@@ -355,16 +358,15 @@ def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution,
     for (lo, hi), link in sorted(scenario.links.items()):
         if link.kappa <= 0:
             continue
-        if (solution.q[lo][hi] >= link.kappa - tol
-                and solution.q[hi][lo] >= link.kappa - tol):
+        if (_at_capacity(scenario, solution, lo, hi)
+                and _at_capacity(scenario, solution, hi, lo)):
             bad.append((lo, hi))
     return bad
 
 
 def waste_certificates(scenario: Scenario, solution: MarketSolution,
                        max_path_len: Optional[int] = None,
-                       budget: int = DEFAULT_PATH_BUDGET,
-                       tol: float = 1e-6) -> list:
+                       budget: int = DEFAULT_PATH_BUDGET) -> list:
     """Per-trade no-waste certificates from marginal prices.
 
     The trade of n0 with m0 is certified waste-free when some node m,
@@ -382,8 +384,7 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
 
     def usable(a, b):
         # Pushing along a -> b raises q[a][b]; needs slack on that cap.
-        return (solution.q[a][b] < scenario.kappa(a, b) - tol
-                and solution.xi[b][a] < 1e-8)
+        return not _at_capacity(scenario, solution, a, b) and solution.xi[b][a] < 1e-8
 
     out = []
     for n0 in scenario.node_ids:
@@ -409,8 +410,7 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     return out
 
 
-def to_dot(scenario: Scenario, solution: MarketSolution,
-           tol: float = 1e-6) -> str:
+def to_dot(scenario: Scenario, solution: MarketSolution) -> str:
     """Graphviz digraph of net flows; congested lines red, the rest green."""
     lines = ["digraph market {", "  rankdir=LR;"]
     for n in scenario.node_ids:
@@ -420,8 +420,8 @@ def to_dot(scenario: Scenario, solution: MarketSolution,
         flow = solution.q[lo][hi]   # positive: lo -> hi
         a, b = (lo, hi) if flow >= 0 else (hi, lo)
         mag = abs(flow)
-        congested = (solution.q[lo][hi] >= link.kappa - tol
-                     or solution.q[hi][lo] >= link.kappa - tol)
+        congested = (_at_capacity(scenario, solution, lo, hi)
+                     or _at_capacity(scenario, solution, hi, lo))
         color = "red" if congested else "green"
         lines.append(f'  {a} -> {b} [label="{mag:.2f}/{link.kappa:g}", '
                      f"color={color}];")
@@ -449,8 +449,6 @@ def analysis_report(scenario: Scenario, solution: MarketSolution,
                                "note": verdict.note}
         return d
 
-    wasteful = [{"pair": list(p), "waste": w}
-                for p, w in sorted(solution.waste.items()) if w > 1e-6]
     return {
         "cycles": [cyc(c, verify_cycle_congestion(scenario, c, solution))
                    for c in cycles]
@@ -460,7 +458,7 @@ def analysis_report(scenario: Scenario, solution: MarketSolution,
              "premises": list(p.premises), "premise_failed": p.premise_failed}
             for p in predictions
         ],
-        "waste": {"total": solution.waste_total, "pairs": wasteful,
+        "waste": {**_waste_block(solution),
                   "avoidable": {"possible": necessary, "witness": witness}},
         "certificates": [
             {"pair": list(c.pair), "certified": c.certified,

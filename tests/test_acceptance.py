@@ -20,6 +20,7 @@ import pytest
 
 from conftest import record_acceptance
 from generators import planted_negative_cycle, random_scenario
+from oracle import brute_force_oracle
 from peertrade import equilibrium as eq
 from peertrade import market, privacy, qp
 from peertrade import scenario as sc
@@ -343,7 +344,7 @@ def test_criterion_9_qp_oracle():
         prob = qp.make_problem(P, r, A_ineq=A, b_ineq=b)
         sol = qp.solve(prob)
         assert sol.status == "optimal"
-        _, ref = qp.brute_force_oracle(prob, (lo, hi), passes=5)
+        _, ref = brute_force_oracle(prob, (lo, hi), passes=5)
         worst_gap = max(worst_gap, abs(sol.objective - ref))
 
         x = rng.uniform(lo, hi)

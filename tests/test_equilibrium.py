@@ -245,17 +245,6 @@ def test_budget_guard(three_node):
                      budget=100)
 
 
-def test_batch_size_checked_before_any_solve(three_node, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before checking batch_size")
-
-    monkeypatch.setattr(qp, "solve_batch", no_solve)
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 50.0),
-                         batch_size=size)
-
-
 def test_negative_omega_rejected():
     with pytest.raises(ValueError, match="negative"):
         eq.OmegaVector({(1, 0): -1.0})
@@ -369,11 +358,13 @@ def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
     np.testing.assert_array_equal(reuse.iterations[~claimed], plain.iterations[~claimed])
 
 
-def test_sweep_independent_of_batch_size(three_node):
+def test_sweep_independent_of_batch_size(three_node, monkeypatch):
     # 6^3 points; batches of one solve each point alone.
     strategy = eq.GridStrategy(0.0, 100.0, 20.0)
-    sws = [sorted(s.sw for s in eq.sweep_gne(three_node, strategy, batch_size=size))
-           for size in (1, 7, 1024)]
+    sws = []
+    for size in (1, 7, 1024):
+        monkeypatch.setattr(eq, "_BATCH_SIZE", size)
+        sws.append(sorted(s.sw for s in eq.sweep_gne(three_node, strategy)))
     assert len(sws[0]) == len(sws[1]) == len(sws[2]) > 0
     np.testing.assert_allclose(sws[0], sws[2], rtol=0, atol=1e-9)
     np.testing.assert_allclose(sws[1], sws[2], rtol=0, atol=1e-9)

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import brute_force_oracle
 from peertrade import qp
 
 
@@ -237,16 +238,19 @@ def test_faces_of_another_problem_rejected():
 def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
     """Random data of one batch of Newton systems, as ``_ipm`` poses them.
 
-    In the engine layout, coupled variables first: ``n_cpl`` coupled ones
-    (``P = MM' + I``) with bound rows and pair rows ``x_j + x_k``; then
-    ``n_sep`` diagonal variables with P_jj from 1e-9 to 10 and two bound
-    rows each; then, for each of ``p`` random equality rows, its own
-    unbounded unit-curvature variable (separable too), so that dy stays
+    ``n_cpl`` coupled variables (``P = MM' + I``) with bound rows and pair
+    rows ``x_j + x_k``; ``n_sep`` diagonal variables with P_jj from 1e-9
+    to 10 and two bound rows each; then, for each of ``p`` random equality
+    rows, its own unbounded unit-curvature variable, so that dy stays
     well posed when d = 1e16 pins every bounded variable.  Bound rows'
     slack weights span 1e-8 to 1e16.  Pair rows' span 1e-2 to 1e2: a pair
     row weighted 1e16 makes the coupled block ill conditioned for both
     solves alike.
-    ``zero_p`` sets P = 0 and drops the unbounded variables.
+    ``zero_p`` sets P = 0 and drops the unbounded variables.  The
+    variables are then put in the engine layout by ``qp._separable``, as
+    ``solve_batch`` does: coupled first (with the diagonal ones whose
+    pivot its floor rejects), separable last.  Returns
+    ``(P, G, A, nc, d, delta, f, g)``.
     """
     rng = np.random.default_rng(seed)
     n_box = n_sep + n_cpl
@@ -268,7 +272,11 @@ def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
     d = np.hstack([10.0 ** rng.uniform(-8.0, 16.0, (B, 2 * n_box)),
                    10.0 ** rng.uniform(-2.0, 2.0, (B, len(pairs)))])
     delta = 1e-12 * rng.uniform(1.0, 30.0, B)
-    return P, G, A, d, delta, rng.normal(size=(B, n)), rng.normal(size=(B, p))
+    f, g = rng.normal(size=(B, n)), rng.normal(size=(B, p))
+    sep = qp._separable(P, G, A)
+    at = np.concatenate([np.flatnonzero(~sep), np.flatnonzero(sep)])
+    return (P[np.ix_(at, at)], G[:, at], A[:, at], np.count_nonzero(~sep), d, delta,
+            f[:, at], g)
 
 
 def _count_factorizations(monkeypatch):
@@ -293,11 +301,9 @@ def _count_factorizations(monkeypatch):
     (5, 22, 3, False, 1),    # a batch of one above the size rule's dimension
 ])
 def test_newton_step_matches_full_saddle(monkeypatch, seed, n_sep, n_cpl, p, zero_p, B):
-    P, G, A, d, delta, f, g = _newton_data(seed, n_sep, n_cpl, p, zero_p, B)
+    P, G, A, nc, d, delta, f, g = _newton_data(seed, n_sep, n_cpl, p, zero_p, B)
     n = len(P)
-    sep = qp._separable(P, G)
-    nc = n_cpl + n_sep if zero_p else n_cpl
-    np.testing.assert_array_equal(sep, np.arange(n) >= nc)
+    sep = np.arange(n) >= nc
     N = nc + p
     batched = N < qp._LOOP_MIN_DIM
     factorizations = _count_factorizations(monkeypatch)
@@ -310,13 +316,42 @@ def test_newton_step_matches_full_saddle(monkeypatch, seed, n_sep, n_cpl, p, zer
         got = np.hstack([dx, dy])
         if batched and not sep.any():
             np.testing.assert_array_equal(got, full)   # the same matrix, solved alike
-        # Agreement to 1e-9 of the row's step, loosened where the smallest
-        # eliminated pivot h_j = H_jj + delta >= P_jj falls below 1e-6: the
-        # elimination divides by it, so its rounding grows like eps / h_j.
-        pivot = np.where(sep, K.diagonal(axis1=1, axis2=2)[:, :n], np.inf).min(axis=1)
+        # The pivot floor of _separable keeps every eliminated pivot away
+        # from zero, so the elimination adds no error beyond the LU's.
         err = np.abs(got - full).max(axis=1) / np.abs(full).max(axis=1)
-        assert (err <= 1e-9 * np.maximum(1.0, 1e-6 / pivot)).all()
+        assert (err <= 1e-10).all()
     assert len(factorizations) == (0 if batched else B)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_flat_pivot_stays_coupled(seed):
+    # Diagonal variables 0 and 1 (P_jj = 1e-7 and 1e-6, tiny slack weights)
+    # sit in equality rows with O(1) entries: eliminated, they would divide
+    # the step's rounding by their pivots.  The pivot floor of _separable
+    # keeps them coupled, and the step matches the full saddle's LU.
+    rng = np.random.default_rng(seed)
+    n, p, B = 7, 2, 32
+    P = np.zeros((n, n))
+    P[range(4), range(4)] = [1e-7, 1e-6, 1.0, 1.0]
+    M = rng.normal(size=(3, 3))
+    P[4:, 4:] = M @ M.T + np.eye(3)
+    pairs = np.zeros((2, n))
+    pairs[0, [4, 5]] = pairs[1, [5, 6]] = 1.0
+    G = np.vstack([np.eye(n), -np.eye(n), pairs])
+    A = rng.normal(size=(p, n))
+    sep = qp._separable(P, G, A)
+    np.testing.assert_array_equal(sep, [False, False, True, True, False, False, False])
+    at = np.r_[0, 1, 4, 5, 6, 2, 3]                # the engine layout
+    P, G, A = P[np.ix_(at, at)], G[:, at], A[:, at]
+    d = 10.0 ** rng.uniform(-2.0, 2.0, (B, len(G)))
+    d[:, [0, 1, n, n + 1]] = 1e-12                 # h_j is about P_jj
+    delta = 1e-12 * rng.uniform(1.0, 30.0, B)
+    f, g = rng.normal(size=(B, n)), rng.normal(size=(B, p))
+    got = np.hstack(qp._newton(P, G, A, 5)(d, delta)(f, g))
+    K = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
+    full = np.linalg.solve(K, np.hstack([f, g])[:, :, None])[:, :, 0]
+    err = np.abs(got - full).max(axis=1) / np.abs(full).max(axis=1)
+    assert (err <= 1e-12).all(), err.max()
 
 
 @pytest.mark.parametrize("path", ["batched", "factor_once"])
@@ -324,11 +359,10 @@ def test_singular_newton_row_gets_least_squares(monkeypatch, path):
     # P = 0, and variable 0 is in no equality row; with no slack weight
     # and no regularization, row 3's matrix has a zero row and column.
     monkeypatch.setattr(qp, "_LOOP_MIN_DIM", 10 ** 9 if path == "batched" else 0)
-    P, G, A, d, delta, f, g = _newton_data(0, 3, 4, 2, zero_p=True, B=6)
+    P, G, A, nc, d, delta, f, g = _newton_data(0, 3, 4, 2, zero_p=True, B=6)
     A[:, 0] = 0.0
     d[3], delta[3] = 0.0, 0.0
     factorizations = _count_factorizations(monkeypatch)
-    nc = len(P)
     step = qp._newton(P, G, A, nc)(d, delta)
     K = qp._saddle(P + (G.T * d[:, None, :]) @ G, A, delta)
     assert np.linalg.matrix_rank(K[3]) < len(K[3])
@@ -429,15 +463,18 @@ def _full_face_solve(P, R, C, d):
 def _face_case(seed, U=6, B=24):
     """Random face problems in the engine layout, with patterns and starts.
 
-    Coupled variables first, with a curvature block of random rank, so
-    that some faces are flat; then separable ones with P_jj from 1e-6 to
-    10.  The rows: dense ones (like balance rows), pair rows on coupled
-    variables, one-variable rows, two one-variable rows on one variable,
-    and one row that is the sum of two others; shuffled, and consistent
-    (``d = C x`` for some x), so every face is feasible.  ``U`` patterns
-    of rows, the first holding every row, and ``B`` rows of ``R`` with a
-    start ``(x0, w0)`` each, ``w0`` zero off the row's face.  Returns
-    ``(P, nc, C, d, on, group, R, x0, w0)``.
+    Variables with a curvature block of random rank, so that some faces
+    are flat, and diagonal ones with P_jj from 1e-6 to 10.  The rows:
+    dense ones (like balance rows), pair rows on the first block,
+    one-variable rows, two one-variable rows on one variable, and one
+    dense row that is the sum of two others; shuffled, and consistent
+    (``d = C x`` for some x), so every face is feasible.  The variables
+    are put in the engine layout by ``qp._separable``, the dense rows
+    taken as its equality rows: coupled first, separable last.  ``U``
+    patterns of rows, the first holding every row, and ``B`` rows of ``R``
+    with a start ``(x0, w0)`` each, ``w0`` zero off the row's face.
+    Returns ``(P, nc, C, d, on, group, R, x0, w0, floored)``, ``floored``
+    marking the variables only the pivot floor keeps coupled.
     """
     rng = np.random.default_rng(seed)
     nc, ns = rng.integers(1, 6), rng.integers(1, 5)
@@ -447,7 +484,8 @@ def _face_case(seed, U=6, B=24):
     P[:nc, :nc] = M @ M.T
     P[range(nc, n), range(nc, n)] = 10.0 ** rng.uniform(-6.0, 1.0, ns)
     eye = np.eye(n)
-    rows = [rng.normal(size=n) for _ in range(rng.integers(1, 3))]
+    dense = [rng.normal(size=n) for _ in range(rng.integers(1, 3))]
+    rows = []
     for _ in range(rng.integers(0, nc + 1) if nc > 1 else 0):
         pair = np.zeros(n)
         pair[rng.choice(nc, 2, replace=False)] = rng.choice([1.0, -1.0], 2)
@@ -456,13 +494,19 @@ def _face_case(seed, U=6, B=24):
         rows.append(rng.choice([1.0, -1.0]) * eye[j])
     j = rng.integers(n)
     rows += [eye[j], -2.0 * eye[j]]
-    rows.append(rows[0] + rows[-3])
-    C = np.array(rows)[rng.permutation(len(rows))]
+    dense.append(dense[0] + rows[-3])
+    A, G = np.array(dense), np.array(rows)
+    sep = qp._separable(P, G, A)
+    floored = qp._separable(P, G, np.zeros((0, n))) & ~sep
+    at = np.concatenate([np.flatnonzero(~sep), np.flatnonzero(sep)])
+    P, C, floored = P[np.ix_(at, at)], np.vstack([A, G])[:, at], floored[at]
+    C = C[rng.permutation(len(C))]
     on = rng.random((U, len(C))) < 0.6
     on[0] = True
     group = rng.integers(0, U, B)
     d, R, x0, w0 = (rng.normal(size=k) for k in (n, (B, n), (B, n), (B, len(C))))
-    return P, nc, C, C @ d, on, group, R, x0, w0 * on[group]
+    return (P, np.count_nonzero(~sep), C, C @ d, on, group, R, x0, w0 * on[group],
+            floored)
 
 
 FACE_SEEDS = range(200)
@@ -472,7 +516,7 @@ FACE_SEEDS = range(200)
 def test_reduced_face_solve_matches_full_face_matrix(seed):
     # Per pattern, the reduced solve from a start (x0, w0) against the
     # full face matrix's minimum-norm correction from the same start.
-    P, nc, C, d, on, group, R, x0, w0 = _face_case(seed)
+    P, nc, C, d, on, group, R, x0, w0, _ = _face_case(seed)
     x, w, full = qp._face_solve(P, C, nc)(R, d, on, group, x0, w0)
     eps = np.finfo(float).eps
     for u in np.unique(group):
@@ -505,21 +549,20 @@ def test_reduced_face_solve_matches_full_face_matrix(seed):
 
 def test_reduced_face_solve_covers_its_cases():
     # The faces above include full-rank and flat ones, dependent active
-    # rows, two active one-variable rows on one variable, and separable
-    # variables too flat to be eliminated.
+    # rows, two active one-variable rows on one variable, and diagonal
+    # variables too flat to be eliminated, left free on the face.
     seen = dict.fromkeys(["full", "flat", "dependent", "twice", "kept"], 0)
     for seed in FACE_SEEDS:
-        P, nc, C, d, on, group, *_ = _face_case(seed)
+        P, nc, C, d, on, group, *_, floored = _face_case(seed)
         n = len(P)
         single = qp._single_var(C)
-        flat_p = P.diagonal() < 1e-3 * (C ** 2).max(axis=0)
         for f in on[np.unique(group)]:
             Cf, held = C[f], single[f][single[f] >= 0]
             seen["full"] += np.linalg.matrix_rank(qp._saddle(P, Cf, 0.0)) == n + len(Cf)
             seen["flat"] += np.linalg.matrix_rank(P + Cf.T @ Cf) < n
             seen["dependent"] += np.linalg.matrix_rank(Cf) < len(Cf)
             seen["twice"] += len(held) > len(set(held))
-            seen["kept"] += (flat_p[nc:] & ~np.isin(np.arange(nc, n), held)).any()
+            seen["kept"] += (floored & ~np.isin(np.arange(n), held)).any()
     assert all(seen.values()), seen
 
 
@@ -542,9 +585,9 @@ def test_unused_coupling_row_changes_nothing(seed, n, with_eq):
     box = qp.make_problem(P, np.zeros(n), lb=lb, ub=ub, **eq)
     coupled = qp.make_problem(P, np.zeros(n), A_ineq=row, b_ineq=[ub[j] + ub[k] + 1.0],
                               lb=lb, ub=ub, **eq)
-    bounds = np.vstack([np.eye(n), -np.eye(n)])
-    assert qp._separable(P, bounds).all()
-    assert not qp._separable(P, np.vstack([row, bounds]))[[j, k]].any()
+    bounds, A = np.vstack([np.eye(n), -np.eye(n)]), box.A_eq
+    assert qp._separable(P, bounds, A).all()
+    assert not qp._separable(P, np.vstack([row, bounds]), A)[[j, k]].any()
     R = rng.normal(scale=10.0, size=(8, n))
     plain, wide = qp.solve_batch(box, R), qp.solve_batch(coupled, R)
     # Two known defects, present before the elimination too, are left
@@ -687,7 +730,7 @@ def test_oracle_agrees_on_analytic_problem():
     bounds = qp.make_problem(P, r, lb=-np.ones(2), ub=np.ones(2))
     for prob, box in ((rows, (-np.ones(2), np.ones(2))),
                       (bounds, (-3 * np.ones(2), 3 * np.ones(2)))):
-        x, val = qp.brute_force_oracle(prob, box, passes=5)
+        x, val = brute_force_oracle(prob, box, passes=5)
         np.testing.assert_allclose(x, [1.0, -1.0], atol=1e-3)
         assert abs(val - prob.objective([1.0, -1.0])) < 1e-4
         np.testing.assert_allclose(qp.solve(prob).x, [1.0, -1.0], atol=1e-7)
@@ -696,7 +739,7 @@ def test_oracle_agrees_on_analytic_problem():
 def test_oracle_eliminates_equalities():
     prob = qp.make_problem(2.0 * np.eye(2), np.zeros(2),
                            A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
-    x, val = qp.brute_force_oracle(prob, (-3 * np.ones(2), 3 * np.ones(2)),
+    x, val = brute_force_oracle(prob, (-3 * np.ones(2), 3 * np.ones(2)),
                                    passes=5)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-3)
 
@@ -704,14 +747,14 @@ def test_oracle_eliminates_equalities():
 def test_oracle_guardrails():
     prob = qp.make_problem(np.eye(5), np.zeros(5))
     with pytest.raises(qp.QpError, match="free dimensions"):
-        qp.brute_force_oracle(prob, (-np.ones(5), np.ones(5)))
+        brute_force_oracle(prob, (-np.ones(5), np.ones(5)))
     small = qp.make_problem(np.eye(1), np.zeros(1))
     with pytest.raises(qp.QpError, match="box"):
-        qp.brute_force_oracle(small, (np.zeros(2), np.ones(2)))
+        brute_force_oracle(small, (np.zeros(2), np.ones(2)))
     pinned = qp.make_problem(np.eye(1), np.zeros(1),
                              A_eq=np.array([[1.0]]), b_eq=np.array([9.0]))
     with pytest.raises(qp.QpError, match="infeasible point"):
-        qp.brute_force_oracle(pinned, (-np.ones(1), np.ones(1)))
+        brute_force_oracle(pinned, (-np.ones(1), np.ones(1)))
 
 
 def test_objective_helper_matches_quadratic_form():

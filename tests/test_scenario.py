@@ -302,6 +302,15 @@ def test_with_costs_replaces_only_named_pairs(three_node):
     assert three_node.c(1, 0) == 3.0, "original untouched"
 
 
+@pytest.mark.parametrize("costs, pair", [
+    ({(5, 0): 3.0, (1, 1): 2.0}, r"\(5, 0\)"),   # a node the scenario lacks
+    ({(1, 0): 7.5, (1, 1): 2.0}, r"\(1, 1\)"),   # a self pair
+])
+def test_with_costs_rejects_pairs_without_a_link(three_node, costs, pair):
+    with pytest.raises(ValueError, match=f"cost pair {pair} names no link"):
+        sc.with_costs(three_node, costs)
+
+
 def test_ieee14_cost_cases():
     a = sc.ieee14_cost_case("a")
     assert all(a.c(lo, hi) == a.c(hi, lo) == 1.0 for lo, hi in a.links)
