@@ -247,7 +247,7 @@ def cmd_gne(args) -> int:
 
     def cloud():
         try:
-            return equilibrium.point_cloud_csv(samples)
+            return equilibrium.point_cloud_csv(samples, scn)
         except ValueError:
             return None
 

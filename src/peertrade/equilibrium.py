@@ -435,16 +435,18 @@ def samples_to_csv(samples: Sequence, scenario: Scenario,
     return buf.getvalue()
 
 
-def point_cloud_csv(samples: Sequence) -> str:
-    """(q[0][1], q[1][2], q[2][0]) triples for 3-node equilibrium clouds."""
+def point_cloud_csv(samples: Sequence, scenario: Scenario) -> str:
+    """(q[0][1], q[1][2], q[2][0]) triples for 3-node equilibrium clouds.
+
+    Raises ``ValueError`` when ``scenario`` lacks one of the ring's links
+    0-1, 1-2 and 0-2, whether or not there are samples.
+    """
+    if not all(scenario.has_link(n, m) for n, m in ((0, 1), (1, 2), (0, 2))):
+        raise ValueError("point cloud needs the 3-node ring topology "
+                         "(links 0-1, 1-2, 0-2)")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["q01", "q12", "q20"])
     for s in samples:
-        try:
-            w.writerow([s.solution.q[0][1], s.solution.q[1][2],
-                        s.solution.q[2][0]])
-        except KeyError:
-            raise ValueError("point cloud needs the 3-node ring topology "
-                             "(links 0-1, 1-2, 0-2)") from None
+        w.writerow([s.solution.q[0][1], s.solution.q[1][2], s.solution.q[2][0]])
     return buf.getvalue()

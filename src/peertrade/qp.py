@@ -60,8 +60,13 @@ IPM iterations).
 
 Neighbouring rows of a sweep share their optimal face.  Successive
 :func:`solve_batch` calls given one ``faces`` dict claim rows on the
-full-rank faces polish has landed on, by one face solve each, and run
-the IPM only on the rest (see :func:`_claim`).
+full-rank faces polish has landed on and run the IPM only on the rest
+(see :func:`_claim`).  On a fixed full-rank face the solution is affine
+in the linear term, the critical-region structure of multiparametric QP
+(Bemporad, Morari, Dua & Pistikopoulos, Automatica 38, 2002), so each
+learned face's map is built once, by one face solve of n + 1 rows
+(:func:`_face_maps`), and a claim is a sign test by that map followed by
+the KKT test.
 
 The problem is solved as given: a tie-breaking regularization belongs to
 ``P`` (see ``market.assemble``), so the objective and residuals include it.
@@ -283,15 +288,17 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     Each converged iterate's active face is then re-solved exactly, which
     matters at degenerate vertices (see :func:`_polish_batch`); the face
     solver (:func:`_face_solve`) is built once per call, for polish, for
-    the claims below, and for a problem without inequality rows, whose
-    answer is one face solve.
+    the maps of the claims below, and for a problem without inequality
+    rows, whose answer is one face solve.
 
     ``faces`` is state a caller passes to successive calls on one
     problem: a dict from an engine active-set pattern (bytes of a bool
-    array) to the number of rows that face has claimed.  Polish adds the
-    full-rank faces it lands rows on, and later calls try them first; a
-    row claimed on a learned face is its unique optimum, solved directly,
-    and reports 0 iterations (see :func:`_claim`).
+    array) to ``(claims, map)``, the number of rows that face has claimed
+    and its affine map from the linear term to its point, ``None`` until
+    a claim builds it.  Polish adds the full-rank faces it lands rows on,
+    as ``(0, None)``, and later calls try them first; a row claimed on a
+    learned face is its unique optimum, read off the face's map and
+    checked by the KKT test, and reports 0 iterations (see :func:`_claim`).
     """
     P = np.asarray(problem.P, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -841,33 +848,85 @@ def _on_face(P, R, G, h, A, b, face, pats, group, x, y, z, scale):
     return xp, yp, np.maximum(zp, 0.0), ok, full
 
 
-def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
-    """Solve rows on learned faces directly; return the rows left over.
+def _face_maps(face, G, h, b, pats):
+    """The affine map from the linear term to the point of each face in ``pats``.
 
-    Tries the faces, most recently claimed or learned first, while
-    unclaimed rows remain: one :func:`_on_face` from zero for all of them.
-    A row is claimed, and ``x``, ``y`` and ``z`` written in place, when the
-    face has full rank, the point passes polish's KKT test and every
-    active multiplier exceeds 1e-8 times the row's ``scale``.  Then the
-    point is the unique optimum: what the iterations and polish return, to
-    rounding.  A face that claims no row on its first try is dropped.
+    ``face`` is :func:`_face_solve` of ``P`` and ``[A; G]``; a face holds
+    the equalities and the rows ``G[pat]`` as equalities.  On it the face
+    solve from zero is linear in the pair (R, right-hand side), so one
+    call on n + 1 rows per face, the right-hand side with R = 0 and each
+    unit vector with a zero right-hand side, gives ``x(R) = x0 + R Kx``
+    and ``w(R) = w0 + R Kw`` (``w`` the multipliers of ``[A; G]``, zero
+    off the face) exactly, up to rounding.  Returns, per pattern, ``(full,
+    (x0, Kx, w0, Kw), (t0, Kt))``: ``full`` whether the face matrix has
+    full rank, and ``t0 + R Kt`` the face's active multipliers followed by
+    its slacks off the face, the signs that decide its region.
     """
-    rest = np.arange(len(R))
+    F, n, p = len(pats), G.shape[1], len(b)
+    d = np.zeros((n + 1, p + len(h)))
+    d[0] = np.concatenate([b, h])
+    on = np.hstack([np.ones((F, p), dtype=bool), pats])
+    xs, ws, full = face(np.tile(np.eye(n + 1, n, -1), (F, 1)), np.tile(d, (F, 1)), on,
+                        np.repeat(np.arange(F, dtype=np.intp), n + 1),
+                        np.zeros((1, n)), np.zeros((1, p + len(h))))
+    maps = []
+    for pat, full_f, xf, wf in zip(pats, full, xs.reshape(F, n + 1, n),
+                                   ws.reshape(F, n + 1, -1)):
+        x0, Kx, w0, Kw = xf[0], xf[1:], wf[0], wf[1:]
+        t0 = np.concatenate([w0[p:][pat], (h - x0 @ G.T)[~pat]])
+        Kt = np.hstack([Kw[:, p:][:, pat], -(Kx @ G[~pat].T)])
+        maps.append((full_f, (x0, Kx, w0, Kw), (t0, Kt)))
+    return maps
+
+
+def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
+    """Solve rows on learned faces by their stored maps; return the rows left over.
+
+    ``faces`` maps a pattern to ``(claims, map)``; a map still ``None`` is
+    built first, by one :func:`_face_maps` for all such faces.  Tries the
+    faces, most recently claimed or learned first, while unclaimed rows
+    remain.  A try is a sign test by the face's map, which passes the rows
+    whose active multipliers exceed 1e-8 times the row's ``scale`` and
+    whose slacks off the face are at least -1e-8 times it; then the KKT
+    test of :func:`_kkt`, once for the rows that passed.  A row is
+    claimed, and ``x``, ``y`` and ``z`` written in place, when the face
+    has full rank, all four KKT residuals of the mapped point are within
+    1e-8 of the row's ``scale`` and every active multiplier exceeds 1e-8
+    times it.  Then the point is the unique optimum: what the iterations
+    and polish return, to rounding; a wrong or stale map claims no row.
+    A face that claims no row on its first try is dropped.
+    """
+    new = [key for key, (_, fmap) in faces.items() if fmap is None]
+    if new:
+        pats = np.array([np.frombuffer(key, dtype=bool) for key in new])
+        for key, fmap in zip(new, _face_maps(face, G, h, b, pats)):
+            faces[key] = (faces[key][0], fmap)
+    p, rest = len(b), np.arange(len(R))
     for key in list(reversed(faces)):
         if not len(rest):
             break
+        claims, fmap = faces[key]
+        full, (x0, Kx, w0, Kw), (t0, Kt) = fmap
         pat = np.frombuffer(key, dtype=bool)
-        start = (np.zeros((1, k)) for k in (len(P), len(b), len(h)))
-        xp, yp, zp, ok, full = _on_face(P, R[rest], G, h, A, b, face, pat[None],
-                                        np.zeros(len(rest), dtype=np.intp), *start,
-                                        scale[rest])
-        ok &= full[0] & (zp[:, pat] > 1e-8 * scale[rest, None]).all(axis=1)
+        Rr, tol = R[rest], 1e-8 * scale[rest, None]
+        t = t0 + Rr @ Kt
+        na = np.count_nonzero(pat)
+        sel = np.flatnonzero(full & (t[:, :na] > tol).all(axis=1)
+                             & (t[:, na:] >= -tol).all(axis=1))
+        Rs = Rr[sel]
+        xs, ws = x0 + Rs @ Kx, w0 + Rs @ Kw
+        res = _kkt(P, Rs, G, h, A, b, xs, ws[:, :p], ws[:, p:]).values()
+        ok = ((np.max(list(res), axis=0) <= tol[sel, 0])
+              & (ws[:, p:][:, pat] > tol[sel]).all(axis=1))
         if ok.any():
-            faces[key] = faces.pop(key) + int(ok.sum())
-            got = rest[ok]
-            x[got], y[got], z[got] = xp[ok], yp[ok], zp[ok]
-            rest = rest[~ok]
-        elif not faces[key]:
+            del faces[key]
+            faces[key] = (claims + int(ok.sum()), fmap)   # last: tried first next
+            hit = np.zeros(len(rest), dtype=bool)
+            hit[sel[ok]] = True
+            got = rest[hit]
+            x[got], y[got], z[got] = xs[ok], ws[ok, :p], ws[ok, p:]
+            rest = rest[~hit]
+        elif not claims:
             del faces[key]
     return rest
 
@@ -896,7 +955,7 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     if faces is not None:
         landed = full & (np.bincount(group[ok], minlength=len(pats)) > 0)
         for pat in pats[landed]:
-            faces.setdefault(pat.tobytes(), 0)
+            faces.setdefault(pat.tobytes(), (0, None))
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:

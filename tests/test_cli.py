@@ -75,6 +75,20 @@ def test_gne_axis_sweep(capsys, out):
     assert cloud.splitlines()[0] == "q01,q12,q20"
 
 
+def test_gne_writes_a_point_cloud_only_for_the_three_node_ring(capsys, tmp_path):
+    # ieee14 has no 0-1 link: no cloud file, even when nothing is kept.
+    code, text = run(capsys, "gne", "--builtin", "ieee14", "--random", "40",
+                     "--seed", "3", "--out", str(tmp_path / "ieee14"))
+    assert code == EXIT_OK
+    assert "0 distinct solutions kept" in text
+    names = sorted(p.name for p in (tmp_path / "ieee14").iterdir())
+    assert names == ["gne_ieee14.json", "gne_ieee14_samples.csv"]
+    code, _ = run(capsys, "gne", "--builtin", "three_node", "--axis", "0",
+                  "--out", str(tmp_path / "ring"))
+    assert code == EXIT_OK
+    assert (tmp_path / "ring" / "gne_three_node_cloud.csv").exists()
+
+
 def test_gne_without_optional_flags_echoes_run_config_defaults(capsys, out,
                                                                monkeypatch):
     monkeypatch.setenv("PEERTRADE_OUT", out)

@@ -1,5 +1,7 @@
 """Variational equilibrium and the omega-parameterized equilibrium family."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,7 +155,6 @@ def test_buyer_side_point_on_default_support(three_node, ve):
 
 
 def test_agent_kkt_rejects_perturbed_point(three_node):
-    import dataclasses
     base = market.solve_centralized(three_node)
     bad_D = dict(base.D)
     bad_D[1] += 0.5
@@ -219,9 +220,11 @@ def test_csv_exports(three_node):
     header = txt.splitlines()[0]
     assert header.startswith("omega[1][0],omega[2][0],omega[1][2],sw")
     assert len(txt.splitlines()) == len(samples) + 1
-    cloud = eq.point_cloud_csv(samples)
+    cloud = eq.point_cloud_csv(samples, three_node)
     assert cloud.splitlines()[0] == "q01,q12,q20"
     assert len(cloud.splitlines()) == len(samples) + 1
+    with pytest.raises(ValueError, match="3-node ring"):   # ieee14 has no 0-1 link
+        eq.point_cloud_csv([], sc.builtin("ieee14"))
 
 
 @pytest.mark.parametrize("strategy", [eq.GridStrategy(0.0, 10.0, 5.0),
@@ -356,6 +359,85 @@ def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
                                    err_msg=name)
     np.testing.assert_array_equal(reuse.status_code, plain.status_code)
     np.testing.assert_array_equal(reuse.iterations[~claimed], plain.iterations[~claimed])
+
+
+SOLUTION_FIELDS = ("x", "mult_ineq", "mult_eq", "mult_lb", "mult_ub")
+
+
+def _omega_rows(scn, W):
+    """The market QP of ``scn`` and one linear term per omega point of ``W``."""
+    problem, idx = market.assemble(scn)
+    cols = eq._omega_columns(idx, eq.default_support(scn))
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, cols[:, 0]] += W
+    return problem, R
+
+
+def test_grid_claims_take_at_most_one_face_row_solve_per_claimed_row(three_node,
+                                                                     monkeypatch):
+    # The 21^3 grid sweep claims rows by each learned face's stored map,
+    # built once by a face solve of n + 1 rows, so the face solver inside
+    # the claims solves fewer rows than are claimed; and every claimed row
+    # gets the answer of the faces-free solve.
+    solved, batches = [0], []
+    claim, solve_batch = qp._claim, qp.solve_batch
+
+    def counting_claim(P, R, G, h, A, b, face, *rest):
+        def counting_face(Rf, *args):
+            solved[0] += len(Rf)
+            return face(Rf, *args)
+        return claim(P, R, G, h, A, b, counting_face, *rest)
+
+    def recording_solve_batch(problem, R, *args, **kwargs):
+        batch = solve_batch(problem, R, *args, **kwargs)
+        batches.append((problem, R, batch))
+        return batch
+
+    monkeypatch.setattr(qp, "_claim", counting_claim)
+    monkeypatch.setattr(qp, "solve_batch", recording_solve_batch)
+    eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 5.0))
+    monkeypatch.undo()
+    problem = batches[0][0]
+    R = np.vstack([rows[batch.iterations == 0] for _, rows, batch in batches])
+    assert len(R) == 4594
+    assert 0 < solved[0] <= len(R), f"{solved[0]} face rows for {len(R)} claims"
+    plain = qp.solve_batch(problem, R)
+    assert (plain.status_code == 0).all()
+    for name in SOLUTION_FIELDS:
+        claimed = np.vstack([getattr(batch, name)[batch.iterations == 0]
+                             for _, _, batch in batches])
+        np.testing.assert_allclose(claimed, getattr(plain, name), rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("pair,kappa", [((0, 2), 9.0), ((1, 2), 4.0)])
+def test_faces_reused_on_another_capacity_claim_only_true_optima(three_node,
+                                                                 pair, kappa):
+    # Faces and their maps learned on three_node, reused on a copy with
+    # one link capacity changed: the same inequality rows with another
+    # right-hand side, so the maps are stale.  A row is still claimed only
+    # with the faces-free answer; every other row goes to the IPM.
+    W = eq.GridStrategy(0.0, 100.0, 10.0).generate(eq.default_support(three_node))
+    problem, R = _omega_rows(three_node, W)
+    faces = {}
+    qp.solve_batch(problem, R[::4], faces=faces)
+    qp.solve_batch(problem, R[2::4], faces=faces)   # claims, so builds the maps
+    assert faces and all(fmap is not None for _, fmap in faces.values())
+    links = dict(three_node.links)
+    links[pair] = dataclasses.replace(links[pair], kappa=kappa)
+    other, R = _omega_rows(dataclasses.replace(three_node, links=links), W[1::2])
+    reuse = qp.solve_batch(other, R, faces=faces)
+    plain = qp.solve_batch(other, R)
+    claimed = reuse.iterations == 0
+    assert claimed.any() == (pair == (0, 2)), f"{claimed.sum()} of {len(R)} rows"
+    np.testing.assert_array_equal(reuse.status_code, plain.status_code)
+    np.testing.assert_array_equal(reuse.iterations[~claimed], plain.iterations[~claimed])
+    for name in SOLUTION_FIELDS:
+        a, b = getattr(reuse, name), getattr(plain, name)
+        np.testing.assert_allclose(a[claimed], b[claimed], rtol=0, atol=1e-10,
+                                   err_msg=name)
+        np.testing.assert_allclose(a[~claimed], b[~claimed], rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_sweep_independent_of_batch_size(three_node, monkeypatch):
