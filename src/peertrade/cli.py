@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import equilibrium, market, privacy, scenario as scenario_mod, structure
+from . import equilibrium, market, privacy, qp, scenario as scenario_mod, structure
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -120,10 +119,12 @@ def _check(args) -> None:
     bad = set(args.formats) - set(_FORMATS)
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
-    if "max_iter" in args and args.max_iter < 0:
-        raise UsageError(f"--max-iter must be >= 0, got {args.max_iter}")
-    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
-        raise UsageError(f"--tol must be finite and positive, got {args.tol}")
+    if "tol" in args:
+        _check_flag("--tol", qp._check_tol, args.tol)
+    if "max_iter" in args:
+        _check_flag("--max-iter", qp._check_max_iter, args.max_iter)
+    if "reg" in args:
+        _check_flag("--reg", market._check_eps_reg, args.reg)
 
 
 def _load(args) -> scenario_mod.Scenario:

@@ -147,8 +147,7 @@ def solve_parameterized(scenario: Scenario, omega: OmegaVector,
     items = omega.items()
     cols = _omega_columns(idx, [pair for pair, _ in items])
     W = np.array([[w for _, w in items]])   # (1, k)
-    r = problem.r.copy()
-    r[cols[:, 0]] += W[0]
+    r = _linear_terms(problem, W, cols)[0]
     sol = qp.solve(dataclasses.replace(problem, r=r), tol=tol)
     if sol.status != qp.STATUS_OPTIMAL:
         raise market.MarketError(
@@ -173,6 +172,17 @@ def _omega_columns(idx: market._MarketIndex, pairs) -> np.ndarray:
             raise OmegaError(f"omega pair ({n}, {m}) is listed twice")
         cols.append((idx.qpos[(m, n)], idx.qpos[(n, m)]))
     return np.array(cols, dtype=int).reshape(-1, 2)
+
+
+def _linear_terms(problem: qp.QpProblem, W: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(B, n) linear terms of ``problem`` at the omega rows ``W`` (B, k).
+
+    Each weight is added to the trade it shifts, ``cols[:, 0]`` (see
+    :func:`_omega_columns`).
+    """
+    R = np.tile(problem.r, (len(W), 1))
+    R[:, cols[:, 0]] += W
+    return R
 
 
 def _violation(x: np.ndarray, W: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -291,9 +301,8 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     faces = {}   # optimal faces learned so far, see qp.solve_batch
     for start in range(0, len(omegas), _BATCH_SIZE):
         W = omegas[start:start + _BATCH_SIZE]
-        R = np.tile(problem.r, (len(W), 1))
-        R[:, cols[:, 0]] += W
-        batch = qp.solve_batch(problem, R, tol=tol, faces=faces)
+        batch = qp.solve_batch(problem, _linear_terms(problem, W, cols), tol=tol,
+                               faces=faces)
         x = batch.x
         viol = _violation(x, W, cols)
         good = (batch.status_code == 0) & (viol <= eps)

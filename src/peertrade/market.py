@@ -99,6 +99,12 @@ def _require_valid(scenario: Scenario) -> None:
         raise ValueError(f"scenario {scenario.name!r} is invalid: {listing}")
 
 
+def _check_eps_reg(eps_reg: float) -> None:
+    """Raise ``ValueError`` unless :func:`assemble` accepts ``eps_reg``."""
+    if not (np.isfinite(eps_reg) and eps_reg >= 0):
+        raise ValueError(f"eps_reg must be finite and nonnegative, got {eps_reg}")
+
+
 def assemble(scenario: Scenario,
              eps_reg: float = 0.0) -> tuple[qp.QpProblem, _MarketIndex]:
     """Build the minimization QP and the index mapping back to the market.
@@ -110,8 +116,7 @@ def assemble(scenario: Scenario,
     ``eps_reg`` adds eps_reg*||q||^2 (``2*eps_reg`` on the trade diagonal
     of ``P``), which picks the minimum-norm trades of a degenerate optimum.
     """
-    if not (np.isfinite(eps_reg) and eps_reg >= 0):
-        raise ValueError(f"eps_reg must be finite and nonnegative, got {eps_reg}")
+    _check_eps_reg(eps_reg)
     _require_valid(scenario)
     nodes = scenario.node_ids
     dpairs = list(scenario.directed_pairs())

@@ -36,6 +36,8 @@ from .scenario import Scenario
 
 DEFAULT_MC_CHUNK = 1 << 16   # chunk size is part of the seeding contract
 MIN_MC_SAMPLES = 1000        # the smallest run monte_carlo_bias accepts
+_SURFACE_NODES = (1, 2)      # bias_vs_utility_params: the two traded nodes
+_SURFACE_B_TILDE = 60.0      # bias_vs_utility_params: their usage-benefit cap
 
 
 class PrivacyError(ValueError):
@@ -318,17 +320,16 @@ def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
 
 
 def bias_report(scenario: Scenario, errors: ErrorModel,
-                r: Optional[Mapping] = None,
                 r_lo: Optional[Mapping] = None,
                 r_hi: Optional[Mapping] = None,
                 samples: int = 10 ** 5, seed: int = 0) -> BiasReport:
     """Closed form, bound, and Monte-Carlo check in one bundle.
 
-    Defaults: r is the VE vector (all ones) and the box degenerates to
-    it, making phi equal |expected_bias| exactly.
+    The point estimates are taken at the VE vector r (all ones); by
+    default the box degenerates to it, making phi equal |expected_bias|
+    exactly.
     """
-    if r is None:
-        r = default_r(scenario)
+    r = default_r(scenario)
     if r_lo is None:
         r_lo = dict(r)
     if r_hi is None:
@@ -360,26 +361,23 @@ def _with_utility(scenario: Scenario, node: int, a_tilde: float,
 
 def bias_vs_utility_params(scenario: Scenario, errors: ErrorModel,
                            a1_values: Sequence, a2_values: Sequence,
-                           b_tilde: float = 60.0, nodes: tuple = (1, 2),
-                           r_lo: Optional[Mapping] = None,
-                           r_hi: Optional[Mapping] = None) -> dict:
+                           r_lo: Mapping, r_hi: Mapping) -> dict:
     """Phi sum surface over the two traded nodes' utility curvatures.
 
-    Both nodes share the usage-benefit cap ``b_tilde`` and get their
-    target demand recomputed as sqrt(b_tilde / a_tilde).  Each point also
-    reports the bound as a percent of that point's optimal social welfare
-    (the normalization is stated in the output, since percent figures are
-    meaningless without it).
+    The two nodes of ``_SURFACE_NODES`` share the usage-benefit cap
+    ``_SURFACE_B_TILDE`` and get their target demand recomputed as
+    sqrt(b_tilde / a_tilde); the bound is taken over the box [r_lo, r_hi].
+    Each point also reports the bound as a percent of that point's optimal
+    social welfare (the normalization is stated in the output, since
+    percent figures are meaningless without it).
     """
-    n1, n2 = nodes
+    n1, n2 = _SURFACE_NODES
     rows = []
     for a1 in a1_values:
         for a2 in a2_values:
-            scn = _with_utility(_with_utility(scenario, n1, float(a1), b_tilde),
-                                n2, float(a2), b_tilde)
-            lo = r_lo if r_lo is not None else default_r(scn)
-            hi = r_hi if r_hi is not None else default_r(scn)
-            phi = phi_bound(scn, errors, lo, hi)
+            scn = _with_utility(_with_utility(scenario, n1, float(a1), _SURFACE_B_TILDE),
+                                n2, float(a2), _SURFACE_B_TILDE)
+            phi = phi_bound(scn, errors, r_lo, r_hi)
             phi_sum = phi[n1] + phi[n2]
             sw = market.solve_centralized(scn).sw
             rows.append({"a_tilde_1": float(a1), "a_tilde_2": float(a2),

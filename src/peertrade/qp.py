@@ -52,11 +52,11 @@ in the Newton system, so the matrix solved covers the free coupled
 variables and the other rows only.  It is built once per
 :func:`solve_batch` call and serves every pattern of rows, one LAPACK
 call per pattern.  One active-face test, :func:`_on_face`, wraps it with
-the KKT check, taken once for all rows.  Polish calls that for the
-correction from a converged iterate, on the active set guessed there,
-and so moves the iterate to the nearest point of that face; a problem
-with no inequality rows is the face solve with an empty active set (no
-IPM iterations).
+the accept test :func:`_accepted`, taken once for all rows.  Polish
+calls that for the correction from a converged iterate, on the active
+set guessed there, and so moves the iterate to the nearest point of that
+face; a problem with no inequality rows is the face solve with an empty
+active set (no IPM iterations).
 
 Neighbouring rows of a sweep share their optimal face.  Successive
 :func:`solve_batch` calls given one ``faces`` dict claim rows on the
@@ -64,9 +64,9 @@ full-rank faces polish has landed on and run the IPM only on the rest
 (see :func:`_claim`).  On a fixed full-rank face the solution is affine
 in the linear term, the critical-region structure of multiparametric QP
 (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38, 2002), so each
-learned face's map is built once, by one face solve of n + 1 rows
-(:func:`_face_maps`), and a claim is a sign test by that map followed by
-the KKT test.
+learned face is stored as that map, built once by one face solve of
+n + 1 rows (:func:`_face_maps`), and a claim is a sign test by the map
+followed by the accept test polish uses.
 
 The problem is solved as given: a tie-breaking regularization belongs to
 ``P`` (see ``market.assemble``), so the objective and residuals include it.
@@ -249,6 +249,18 @@ def _check_psd(P: np.ndarray) -> None:
                       f"(floor {-1e-10 * scale:.3e})")
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``QpError`` unless :func:`solve_batch` accepts ``tol``."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise QpError(f"tol must be finite and positive, got {tol}")
+
+
+def _check_max_iter(max_iter: int) -> None:
+    """Raise ``QpError`` unless :func:`solve_batch` accepts ``max_iter``."""
+    if max_iter < 0:
+        raise QpError(f"max_iter must be >= 0, got {max_iter}")
+
+
 def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolution:
     """Solve one QP to ``tol`` on all KKT residual norms."""
     sol = solve_batch(problem, problem.r[None, :], tol=tol,
@@ -293,12 +305,12 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
 
     ``faces`` is state a caller passes to successive calls on one
     problem: a dict from an engine active-set pattern (bytes of a bool
-    array) to ``(claims, map)``, the number of rows that face has claimed
-    and its affine map from the linear term to its point, ``None`` until
-    a claim builds it.  Polish adds the full-rank faces it lands rows on,
-    as ``(0, None)``, and later calls try them first; a row claimed on a
-    learned face is its unique optimum, read off the face's map and
-    checked by the KKT test, and reports 0 iterations (see :func:`_claim`).
+    array) to that face's affine map from the linear term to its point,
+    ``None`` until a claim builds it.  Polish adds the full-rank faces it
+    lands rows on, as ``None``, and later calls try them first; a row
+    claimed on a learned face is its unique optimum, read off the face's
+    map and checked by the accept test, and reports 0 iterations (see
+    :func:`_claim`).
     """
     P = np.asarray(problem.P, dtype=float)
     R = np.atleast_2d(np.asarray(R, dtype=float))
@@ -307,10 +319,8 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         raise QpError(f"linear terms have {R.shape[1]} columns, expected {n}")
     if not np.isfinite(R).all():
         raise QpError("linear terms contain NaN or infinity")
-    if max_iter < 0:
-        raise QpError(f"max_iter must be >= 0, got {max_iter}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise QpError(f"tol must be finite and positive, got {tol}")
+    _check_max_iter(max_iter)
+    _check_tol(tol)
     _check_psd(P)
     B = R.shape[0]
     G0, h0 = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
@@ -410,6 +420,19 @@ def _bound_rows(G, h, lb, ub):
     up, lo = np.isfinite(ub), np.isfinite(lb)
     eye = np.eye(len(ub))
     return np.vstack([G, eye[up], -eye[lo]]), np.concatenate([h, ub[up], -lb[lo]])
+
+
+# The face tolerance, as a share of a row's data scale: polish guesses a
+# slack this small active, and a point is accepted on its face (by polish
+# and by the claims) when every KKT residual is this small.
+_FACE_TOL = 1e-8
+
+
+def _accepted(P, R, G, h, A, b, x, y, z, scale):
+    """(B,) whether each row's point passes the accept test: all four
+    residuals of :func:`_kkt` within ``_FACE_TOL`` times the row's ``scale``."""
+    res = _kkt(P, R, G, h, A, b, x, y, z).values()
+    return np.max(list(res), axis=0) <= _FACE_TOL * scale
 
 
 def _kkt(P, R, G, h, A, b, x, y, z):
@@ -834,17 +857,15 @@ def _on_face(P, R, G, h, A, b, face, pats, group, x, y, z, scale):
     zero off the face (from zero: the face point itself; a start of one
     row serves every row); one face solve serves every row and the KKT
     test is taken once for all of them.  Returns
-    ``(x, y, z, ok, full)``: ``z`` clipped at zero, ``ok`` whether all
-    four KKT residuals, taken with the face multipliers as solved, are
-    within 1e-8 of the row's ``scale``, and ``full`` (one per pattern)
-    whether the face matrix has full rank.
+    ``(x, y, z, ok, full)``: ``z`` clipped at zero, ``ok`` whether the
+    point, with the face multipliers as solved, passes :func:`_accepted`,
+    and ``full`` (one per pattern) whether the face matrix has full rank.
     """
     p = len(b)
     on = np.hstack([np.ones((len(pats), p), dtype=bool), pats])
     xp, w, full = face(R, np.concatenate([b, h]), on, group, x, np.hstack([y, z]))
     yp, zp = w[:, :p], w[:, p:]
-    res = _kkt(P, R, G, h, A, b, xp, yp, zp).values()
-    ok = np.max(list(res), axis=0) <= 1e-8 * scale
+    ok = _accepted(P, R, G, h, A, b, xp, yp, zp, scale)
     return xp, yp, np.maximum(zp, 0.0), ok, full
 
 
@@ -857,7 +878,7 @@ def _face_maps(face, G, h, b, pats):
     call on n + 1 rows per face, the right-hand side with R = 0 and each
     unit vector with a zero right-hand side, gives ``x(R) = x0 + R Kx``
     and ``w(R) = w0 + R Kw`` (``w`` the multipliers of ``[A; G]``, zero
-    off the face) exactly, up to rounding.  Returns, per pattern, ``(full,
+    off the face) exactly, up to rounding.  Yields, per pattern, ``(full,
     (x0, Kx, w0, Kw), (t0, Kt))``: ``full`` whether the face matrix has
     full rank, and ``t0 + R Kt`` the face's active multipliers followed by
     its slacks off the face, the signs that decide its region.
@@ -869,64 +890,55 @@ def _face_maps(face, G, h, b, pats):
     xs, ws, full = face(np.tile(np.eye(n + 1, n, -1), (F, 1)), np.tile(d, (F, 1)), on,
                         np.repeat(np.arange(F, dtype=np.intp), n + 1),
                         np.zeros((1, n)), np.zeros((1, p + len(h))))
-    maps = []
     for pat, full_f, xf, wf in zip(pats, full, xs.reshape(F, n + 1, n),
                                    ws.reshape(F, n + 1, -1)):
         x0, Kx, w0, Kw = xf[0], xf[1:], wf[0], wf[1:]
         t0 = np.concatenate([w0[p:][pat], (h - x0 @ G.T)[~pat]])
         Kt = np.hstack([Kw[:, p:][:, pat], -(Kx @ G[~pat].T)])
-        maps.append((full_f, (x0, Kx, w0, Kw), (t0, Kt)))
-    return maps
+        yield full_f, (x0, Kx, w0, Kw), (t0, Kt)
 
 
 def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
     """Solve rows on learned faces by their stored maps; return the rows left over.
 
-    ``faces`` maps a pattern to ``(claims, map)``; a map still ``None`` is
-    built first, by one :func:`_face_maps` for all such faces.  Tries the
-    faces, most recently claimed or learned first, while unclaimed rows
-    remain.  A try is a sign test by the face's map, which passes the rows
-    whose active multipliers exceed 1e-8 times the row's ``scale`` and
-    whose slacks off the face are at least -1e-8 times it; then the KKT
-    test of :func:`_kkt`, once for the rows that passed.  A row is
-    claimed, and ``x``, ``y`` and ``z`` written in place, when the face
-    has full rank, all four KKT residuals of the mapped point are within
-    1e-8 of the row's ``scale`` and every active multiplier exceeds 1e-8
-    times it.  Then the point is the unique optimum: what the iterations
-    and polish return, to rounding; a wrong or stale map claims no row.
-    A face that claims no row on its first try is dropped.
+    ``faces`` maps a pattern to its face's map, or to ``None`` until this
+    builds it, by one :func:`_face_maps` for all such faces.  Tries every
+    face, most recently claimed or learned first.  A try is a sign test
+    by the face's map, which passes the rows whose active multipliers
+    exceed ``_FACE_TOL`` times the row's ``scale`` and whose slacks off
+    the face are at least minus that; then :func:`_accepted`, once for
+    the rows that passed.  A row is claimed, and ``x``, ``y`` and ``z``
+    written in place, when the face has full rank, the mapped point
+    passes the accept test and every active multiplier exceeds
+    ``_FACE_TOL`` times the row's ``scale``.  Then the point is the unique
+    optimum: what the iterations and polish return, to rounding; a wrong
+    or stale map claims no row.  A face whose map this call built is
+    dropped unless it claims a row, so a face that claims nothing on its
+    first try is never tried again.
     """
-    new = [key for key, (_, fmap) in faces.items() if fmap is None]
+    new = [key for key, fmap in faces.items() if fmap is None]
     if new:
         pats = np.array([np.frombuffer(key, dtype=bool) for key in new])
-        for key, fmap in zip(new, _face_maps(face, G, h, b, pats)):
-            faces[key] = (faces[key][0], fmap)
+        faces.update(zip(new, _face_maps(face, G, h, b, pats)))
     p, rest = len(b), np.arange(len(R))
     for key in list(reversed(faces)):
-        if not len(rest):
-            break
-        claims, fmap = faces[key]
-        full, (x0, Kx, w0, Kw), (t0, Kt) = fmap
+        full, (x0, Kx, w0, Kw), (t0, Kt) = faces[key]
         pat = np.frombuffer(key, dtype=bool)
-        Rr, tol = R[rest], 1e-8 * scale[rest, None]
+        Rr, tol = R[rest], _FACE_TOL * scale[rest, None]
         t = t0 + Rr @ Kt
         na = np.count_nonzero(pat)
         sel = np.flatnonzero(full & (t[:, :na] > tol).all(axis=1)
                              & (t[:, na:] >= -tol).all(axis=1))
         Rs = Rr[sel]
         xs, ws = x0 + Rs @ Kx, w0 + Rs @ Kw
-        res = _kkt(P, Rs, G, h, A, b, xs, ws[:, :p], ws[:, p:]).values()
-        ok = ((np.max(list(res), axis=0) <= tol[sel, 0])
+        ok = (_accepted(P, Rs, G, h, A, b, xs, ws[:, :p], ws[:, p:], scale[rest[sel]])
               & (ws[:, p:][:, pat] > tol[sel]).all(axis=1))
         if ok.any():
-            del faces[key]
-            faces[key] = (claims + int(ok.sum()), fmap)   # last: tried first next
-            hit = np.zeros(len(rest), dtype=bool)
-            hit[sel[ok]] = True
-            got = rest[hit]
+            faces[key] = faces.pop(key)   # last: tried first next
+            got = rest[sel[ok]]
             x[got], y[got], z[got] = xs[ok], ws[ok, :p], ws[ok, p:]
-            rest = rest[~hit]
-        elif not claims:
+            rest = np.delete(rest, sel[ok])
+        elif key in new:
             del faces[key]
     return rest
 
@@ -945,7 +957,7 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     row is added to ``faces`` if given.
     """
     opt = np.flatnonzero(status == 0)
-    act = (z[opt] >= s[opt]) | (s[opt] <= 1e-8 * scale[opt, None])
+    act = (z[opt] >= s[opt]) | (s[opt] <= _FACE_TOL * scale[opt, None])
     pats, group = np.unique(act, axis=0, return_inverse=True)
     group = np.asarray(group).ravel()
     xp, yp, zp, ok, full = _on_face(P, R[opt], G, h, A, b, face, pats, group,
@@ -955,7 +967,7 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     if faces is not None:
         landed = full & (np.bincount(group[ok], minlength=len(pats)) > 0)
         for pat in pats[landed]:
-            faces.setdefault(pat.tobytes(), (0, None))
+            faces.setdefault(pat.tobytes(), None)
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:

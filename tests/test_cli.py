@@ -217,6 +217,11 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
     (["privacy", "--r-box", "2:0.5"], "--r-box: invalid box for node 1: [2.0, 0.5]"),
     (["analyze", "--max-cycle-len", "9"], "--max-cycle-len: max_len 9 exceeds the node count 3"),
     (["analyze", "--max-path-len", "-1"], "--max-path-len: max_path_len must be >= 0"),
+    (["solve", "--reg", "-1"], "--reg: eps_reg must be finite and nonnegative, got -1.0"),
+    (["gne", "--axis", "0", "--reg", "nan"],
+     "--reg: eps_reg must be finite and nonnegative, got nan"),
+    (["analyze", "--tol", "0"], "--tol: tol must be finite and positive, got 0.0"),
+    (["solve", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0, got -1"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     out = tmp_path / "reports"

@@ -289,8 +289,7 @@ def test_batch_rows_solve_as_if_alone(W, seed, size):
     scn = sc.builtin("three_node")
     problem, idx = market.assemble(scn)
     cols = eq._omega_columns(idx, eq.default_support(scn))
-    R = np.tile(problem.r, (len(W), 1))
-    R[:, cols[:, 0]] += np.array(W)
+    R = eq._linear_terms(problem, np.array(W), cols)
     full = qp.solve_batch(problem, R)
     for i in range(len(R)):
         _assert_rows_match(qp.solve_batch(problem, R[i:i + 1]), full, [i])
@@ -309,8 +308,7 @@ def test_grid_rows_land_on_their_face(three_node):
     support = eq.default_support(three_node)
     cols = eq._omega_columns(idx, support)
     W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)   # 11^3 points
-    R = np.tile(problem.r, (len(W), 1))
-    R[:, cols[:, 0]] += W
+    R = eq._linear_terms(problem, W, cols)
     batch = qp.solve_batch(problem, R)
     assert (batch.status_code == 0).all()
     landed = batch.kkt_residuals["complementarity"] <= 1e-12
@@ -325,8 +323,7 @@ def test_ieee14_rows_land_on_their_face():
     problem, idx = market.assemble(scn)
     support = eq.default_support(scn)
     W = eq.RandomStrategy(250, low=0.0, high=5.0, seed=0).generate(support)
-    R = np.tile(problem.r, (len(W), 1))
-    R[:, eq._omega_columns(idx, support)[:, 0]] += W
+    R = eq._linear_terms(problem, W, eq._omega_columns(idx, support))
     batch = qp.solve_batch(problem, R)
     assert (batch.status_code == 0).all()
     landed = batch.kkt_residuals["complementarity"] <= 1e-12
@@ -342,8 +339,7 @@ def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
     support = eq.default_support(three_node)
     cols = eq._omega_columns(idx, support)
     W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)
-    R = np.tile(problem.r, (len(W), 1))
-    R[:, cols[:, 0]] += W
+    R = eq._linear_terms(problem, W, cols)
     faces = {}
     qp.solve_batch(problem, R[::2], faces=faces)
     reuse = qp.solve_batch(problem, R[1::2], faces=faces)
@@ -368,9 +364,7 @@ def _omega_rows(scn, W):
     """The market QP of ``scn`` and one linear term per omega point of ``W``."""
     problem, idx = market.assemble(scn)
     cols = eq._omega_columns(idx, eq.default_support(scn))
-    R = np.tile(problem.r, (len(W), 1))
-    R[:, cols[:, 0]] += W
-    return problem, R
+    return problem, eq._linear_terms(problem, W, cols)
 
 
 def test_grid_claims_take_at_most_one_face_row_solve_per_claimed_row(three_node,
@@ -422,7 +416,7 @@ def test_faces_reused_on_another_capacity_claim_only_true_optima(three_node,
     faces = {}
     qp.solve_batch(problem, R[::4], faces=faces)
     qp.solve_batch(problem, R[2::4], faces=faces)   # claims, so builds the maps
-    assert faces and all(fmap is not None for _, fmap in faces.values())
+    assert faces and all(fmap is not None for fmap in faces.values())
     links = dict(three_node.links)
     links[pair] = dataclasses.replace(links[pair], kappa=kappa)
     other, R = _omega_rows(dataclasses.replace(three_node, links=links), W[1::2])
@@ -438,6 +432,24 @@ def test_faces_reused_on_another_capacity_claim_only_true_optima(three_node,
                                    err_msg=name)
         np.testing.assert_allclose(a[~claimed], b[~claimed], rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+def test_random_ieee14_sweep_keeps_no_face_that_claims_nothing(monkeypatch):
+    # Random ieee14 points rarely share an optimal face: every face polish
+    # learns here claims no row on its first try and is dropped, so the
+    # store is empty after each claim (without the drop rule it holds 2, 2
+    # and 4 faces after the three claims).
+    sizes, claim = [], qp._claim
+
+    def recording_claim(P, R, G, h, A, b, face, scale, faces, *rest):
+        left = claim(P, R, G, h, A, b, face, scale, faces, *rest)
+        sizes.append(len(faces))
+        return left
+
+    monkeypatch.setattr(qp, "_claim", recording_claim)
+    monkeypatch.setattr(eq, "_BATCH_SIZE", 128)
+    eq.sweep_gne(sc.ieee14_cost_case("b"), eq.RandomStrategy(512, high=5.0, seed=0))
+    assert sizes and not any(sizes), sizes
 
 
 def test_sweep_independent_of_batch_size(three_node, monkeypatch):

@@ -187,7 +187,7 @@ def test_surface_over_utility_curvatures(three_node, errors):
     res = privacy.bias_vs_utility_params(
         three_node, errors,
         a1_values=np.linspace(5, 25, 3), a2_values=np.linspace(5, 25, 3),
-        b_tilde=60.0, r_lo=R_LO, r_hi=R_HI)
+        r_lo=R_LO, r_hi=R_HI)
     assert len(res["surface"]) == 9
     assert all(row["percent_of_sw"] > 0 for row in res["surface"])
     assert res["max"]["phi_sum"] >= res["min"]["phi_sum"]

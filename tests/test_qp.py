@@ -210,23 +210,28 @@ ACTIVE, INACTIVE = np.array([True]).tobytes(), np.array([False]).tobytes()
 def test_learned_face_claims_rows():
     faces = {}
     first = qp.solve_batch(VERTEX, [[0.0]], faces=faces)
-    assert first.iterations[0] > 0 and faces == {ACTIVE: (0, None)}
+    assert first.iterations[0] > 0 and faces == {ACTIVE: None}
     again = qp.solve_batch(VERTEX, [[0.0], [1.0], [-10.0]], faces=faces)
     np.testing.assert_array_equal(again.iterations == 0, [True, True, False])
     np.testing.assert_array_equal(again.status_code, 0)
     np.testing.assert_allclose(again.x[:, 0], [3.0, 3.0, 5.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(again.mult_ineq[:, 0], [6.0, 7.0, 0.0], rtol=0, atol=1e-12)
     # The claiming face got its map; the face polish just learned has none yet.
-    assert {key: claims for key, (claims, _) in faces.items()} == {ACTIVE: 2, INACTIVE: 0}
-    assert faces[ACTIVE][1] is not None and faces[INACTIVE][1] is None
+    assert list(faces) == [ACTIVE, INACTIVE]
+    assert faces[ACTIVE] is not None and faces[INACTIVE] is None
 
 
 @pytest.mark.parametrize("claimed,kept", [(0, False), (1, True)])
 def test_face_claiming_no_row_is_dropped_unless_it_claimed_before(claimed, kept):
-    faces = {ACTIVE: (claimed, None)}
+    # Polish learns ACTIVE; after ``claimed`` batches it claims a row in,
+    # a batch it cannot claim drops it only if it never claimed one.
+    faces = {}
+    qp.solve_batch(VERTEX, [[0.0]], faces=faces)
+    for _ in range(claimed):
+        assert qp.solve_batch(VERTEX, [[1.0]], faces=faces).iterations[0] == 0
     sol = qp.solve_batch(VERTEX, [[-10.0]], faces=faces)
     assert sol.iterations[0] > 0
-    assert (ACTIVE in faces) == kept and faces[INACTIVE] == (0, None)
+    assert (ACTIVE in faces) == kept and faces[INACTIVE] is None
 
 
 def test_faces_of_another_problem_rejected():
