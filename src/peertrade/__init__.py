@@ -18,7 +18,7 @@ from .scenario import (BUILTIN_NAMES, ProsumerParams, Scenario,
                        ScenarioFormatError, TradeLink, Violation, builtin,
                        dumps_scenario, ieee14_cost_case, load_scenario,
                        loads_scenario, save_scenario, with_costs)
-from .qp import QpError, QpProblem, QpSolution, make_problem
+from .qp import QpError, QpProblem, QpSolution
 from .market import (DEFAULT_TOL, InfeasibleMarketError, MarketError,
                      MarketSolution, nodal_price_closed_form, social_welfare,
                      solve_centralized, solution_to_csv, solution_to_dict,
@@ -44,7 +44,7 @@ __all__ = [
     "BUILTIN_NAMES", "ProsumerParams", "Scenario", "ScenarioFormatError",
     "TradeLink", "Violation", "builtin", "dumps_scenario", "ieee14_cost_case",
     "load_scenario", "loads_scenario", "save_scenario", "with_costs",
-    "QpError", "QpProblem", "QpSolution", "make_problem",
+    "QpError", "QpProblem", "QpSolution",
     "DEFAULT_TOL", "InfeasibleMarketError", "MarketError", "MarketSolution",
     "nodal_price_closed_form", "social_welfare", "solve_centralized",
     "solution_to_csv", "solution_to_dict", "solution_to_json",

@@ -17,6 +17,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import equilibrium, market, privacy, qp, scenario as scenario_mod, structure
 
 EXIT_OK = 0
@@ -125,6 +127,8 @@ def _check(args) -> None:
         _check_flag("--max-iter", qp._check_max_iter, args.max_iter)
     if "reg" in args:
         _check_flag("--reg", market._check_eps_reg, args.reg)
+    if "seed" in args:
+        _check_flag("--seed", np.random.default_rng, args.seed)
 
 
 def _load(args) -> scenario_mod.Scenario:
@@ -197,28 +201,21 @@ def _parse_support(text: str) -> object:
 
 
 def _parse_strategy(args) -> object:
+    """The strategy of ``gne``'s strategy flag; the strategy checks its own
+    values, and any ``ValueError`` on the way is a usage error."""
     support = _parse_support(args.support)
-    if args.grid is not None:
-        try:
-            start, stop, step = (float(v) for v in args.grid.split(":"))
-            return equilibrium.GridStrategy(start=start, stop=stop, step=step,
-                                            support=support)
-        except ValueError as exc:
-            raise UsageError(
-                f"bad --grid {args.grid!r}; expected START:STOP:STEP ({exc})"
-            ) from None
-    if args.random is not None:
-        if args.random < 1:
-            raise UsageError("--random count must be >= 1")
-        return equilibrium.RandomStrategy(args.random, seed=args.seed,
-                                          support=support)
+    kind = next(k for k in ("grid", "random", "axis") if getattr(args, k) is not None)
+    value = getattr(args, kind)
     try:
-        values = tuple(float(v) for v in args.axis.split(","))
-    except ValueError:
-        raise UsageError(
-            f"bad --axis {args.axis!r}; expected comma-separated numbers"
-        ) from None
-    return equilibrium.AxisStrategy(values, support=support)
+        if kind == "grid":
+            start, stop, step = (float(v) for v in value.split(":"))
+            return equilibrium.GridStrategy(start, stop, step, support=support)
+        if kind == "random":
+            return equilibrium.RandomStrategy(value, seed=args.seed, support=support)
+        values = tuple(float(v) for v in value.split(","))
+        return equilibrium.AxisStrategy(values, support=support)
+    except ValueError as exc:
+        raise UsageError(f"bad --{kind} {value!r}: {exc}") from None
 
 
 def cmd_gne(args) -> int:

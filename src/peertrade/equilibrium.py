@@ -52,7 +52,8 @@ _ACTIVE_TOL = 1e-5    # check_agent_kkt: a slack this small, relative, is active
 
 
 class OmegaError(ValueError):
-    """Bad omega input: a negative or non-finite weight, or a bad support pair."""
+    """Bad omega input: a negative or non-finite weight, a bad support pair,
+    a strategy out of range, or a sweep over its budget."""
 
 
 @dataclass(frozen=True)
@@ -230,18 +231,38 @@ class AxisStrategy:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-class GridStrategy(AxisStrategy):
-    """Cartesian grid: each support direction takes start + i*step <= stop."""
+@dataclass(frozen=True)
+class GridStrategy:
+    """Cartesian grid: each support direction takes start + i*step <= stop.
 
-    def __init__(self, start: float = 0.0, stop: float = 100.0,
-                 step: float = 1.0, support: object = SUPPORT_LOW_BUYS_HIGH):
-        if not step > 0:
-            raise ValueError("grid step must be positive")
-        if not (stop >= start and math.isfinite(stop - start)):
-            raise ValueError(f"grid range {start}..{stop} is empty or not finite")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1   # 1e-9: rounding
-        super().__init__(values=tuple(start + step * np.arange(count)),
-                         support=support)
+    The axis is built only when read; :meth:`count` needs its length
+    alone, so :func:`sweep_gne` checks its budget before the axis exists.
+    """
+
+    start: float = 0.0
+    stop: float = 100.0
+    step: float = 1.0
+    support: object = SUPPORT_LOW_BUYS_HIGH
+
+    def __post_init__(self):
+        if not self.step > 0:
+            raise OmegaError("grid step must be positive")
+        if not (self.stop >= self.start and math.isfinite(self.stop - self.start)):
+            raise OmegaError(
+                f"grid range {self.start}..{self.stop} is empty or not finite")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise OmegaError(f"grid step {self.step} gives an axis too long to count")
+
+    def count(self, k: int) -> int:
+        # 1e-9: a stop that rounding puts just short of the last step
+        return (int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1) ** k
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self.start + self.step * np.arange(self.count(1)))
+
+    def generate(self, support: tuple) -> np.ndarray:
+        return AxisStrategy(self.values).generate(support)
 
 
 @dataclass(frozen=True)
@@ -254,12 +275,15 @@ class RandomStrategy:
     seed: int = 0
     support: object = SUPPORT_LOW_BUYS_HIGH
 
+    def __post_init__(self):
+        if self.count_ < 1:
+            raise OmegaError(f"random strategy needs a positive sample count, "
+                             f"got {self.count_}")
+
     def count(self, k: int) -> int:
         return self.count_
 
     def generate(self, support: tuple) -> np.ndarray:
-        if self.count_ <= 0:
-            raise ValueError("random strategy needs a positive sample count")
         rng = np.random.default_rng(self.seed)
         return rng.uniform(self.low, self.high, size=(self.count_, len(support)))
 
@@ -279,13 +303,15 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     ``_BATCH_SIZE`` and are otherwise solved as if alone: the batch size
     and order change rounding, which duplicate is kept first and, on a
     point whose polish misses its face, whether the exact face point is
-    returned (it is when an earlier batch learned that face).
+    returned (it is when an earlier batch learned that face).  A
+    strategy of more than ``budget`` points raises ``OmegaError`` before
+    any point is generated.
     """
     support = default_support(scenario, strategy.support)
     k = len(support)
     total = strategy.count(k)
     if total > budget:
-        raise ValueError(
+        raise OmegaError(
             f"sweep would evaluate {total} points, over the budget of {budget}; "
             "raise the budget explicitly if this is intended")
 

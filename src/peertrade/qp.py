@@ -11,6 +11,13 @@ most, and the Lagrange multipliers are the point of the exercise (they
 are the market prices), so the method keeps the equality rows explicit
 and reports every multiplier.
 
+A problem is one :class:`QpProblem`, ``QpProblem(P, r, A_ineq=None,
+b_ineq=None, A_eq=None, b_eq=None, lb=None, ub=None)``: every field is
+stored as a float array, an omitted constraint block is empty (a (0, n)
+matrix and a (0,) right-hand side), and the bounds default to -inf and
++inf.  Its data rules are checked once, when it is built; the solver
+reads the fields as stored.
+
 Simple bounds are problem data, not constraint rows.  A variable with
 ``lb == ub`` is eliminated before the iterations start: its value is
 known, and its bound multipliers are read off the stationarity residual
@@ -100,27 +107,38 @@ class QpError(ValueError):
 class QpProblem:
     """Data of one convex QP in minimization form.
 
-    ``P`` must be symmetric PSD; zero rows/columns (linear variables) are
-    fine.  Empty constraint blocks are represented by (0, n) matrices.
-    ``lb`` and ``ub`` default to -inf and +inf; ``lb == ub`` fixes a
-    variable.
+    Every field is stored as a float array, whatever sequence it was given
+    as.  ``P`` must be symmetric PSD; zero rows/columns (linear variables)
+    are fine.  An omitted constraint block is empty: a (0, n) matrix and
+    a (0,) right-hand side.  ``lb`` and ``ub`` default to -inf and +inf;
+    ``lb == ub`` fixes a variable.
     """
 
     P: np.ndarray
     r: np.ndarray
-    A_ineq: np.ndarray
-    b_ineq: np.ndarray
-    A_eq: np.ndarray
-    b_eq: np.ndarray
+    A_ineq: Optional[np.ndarray] = None
+    b_ineq: Optional[np.ndarray] = None
+    A_eq: Optional[np.ndarray] = None
+    b_eq: Optional[np.ndarray] = None
     lb: Optional[np.ndarray] = None
     ub: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = len(self.r)
+        omitted = {"A_ineq": np.zeros((0, n)), "b_ineq": np.zeros(0),
+                   "A_eq": np.zeros((0, n)), "b_eq": np.zeros(0),
+                   "lb": np.full(n, -np.inf), "ub": np.full(n, np.inf)}
+        for name in ("P", "r", *omitted):
+            v = getattr(self, name)
+            if v is None and name in omitted:
+                v = omitted[name]
+            object.__setattr__(self, name, np.asarray(v, dtype=float))
         for name in ("P", "r", "A_ineq", "b_ineq", "A_eq", "b_eq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise QpError(f"{name} contains NaN or infinity")
-        P = np.asarray(self.P, dtype=float)
+        if self.r.shape != (n,):
+            raise QpError(f"r has shape {self.r.shape}, expected ({n},)")
+        P = self.P
         if P.shape != (n, n):
             raise QpError(f"P has shape {P.shape}, expected ({n}, {n})")
         scale = np.abs(P).max() if P.size else 0.0
@@ -128,19 +146,17 @@ class QpProblem:
             raise QpError("P is not symmetric within 1e-12 relative")
         for name, A, b in (("A_ineq", self.A_ineq, self.b_ineq),
                            ("A_eq", self.A_eq, self.b_eq)):
-            A = np.asarray(A)
             if A.ndim != 2 or A.shape[1] != n:
                 raise QpError(f"{name} has shape {A.shape}, expected (*, {n})")
-            if A.shape[0] != len(b):
+            if b.shape != (A.shape[0],):
                 raise QpError(f"{name} has {A.shape[0]} rows but its rhs has "
-                              f"{len(b)} entries")
-        for name, v, default in (("lb", self.lb, -np.inf), ("ub", self.ub, np.inf)):
-            v = np.full(n, default) if v is None else np.asarray(v, dtype=float)
+                              f"shape {b.shape}")
+        for name in ("lb", "ub"):
+            v = getattr(self, name)
             if v.shape != (n,):
                 raise QpError(f"{name} has shape {v.shape}, expected ({n},)")
             if np.isnan(v).any():
                 raise QpError(f"{name} contains NaN")
-            object.__setattr__(self, name, v)
         bad = np.flatnonzero((self.lb > self.ub) | (self.lb == np.inf)
                              | (self.ub == -np.inf))
         if bad.size:
@@ -163,24 +179,6 @@ class QpProblem:
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.P @ x + self.r @ x)
-
-
-def make_problem(P, r, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
-                 lb=None, ub=None) -> QpProblem:
-    """Convenience constructor that fills in empty constraint blocks."""
-    r = np.asarray(r, dtype=float).ravel()
-    n = len(r)
-    if A_ineq is None:
-        A_ineq, b_ineq = np.zeros((0, n)), np.zeros(0)
-    if A_eq is None:
-        A_eq, b_eq = np.zeros((0, n)), np.zeros(0)
-    return QpProblem(P=np.asarray(P, dtype=float),
-                     r=r,
-                     A_ineq=np.asarray(A_ineq, dtype=float).reshape(-1, n),
-                     b_ineq=np.asarray(b_ineq, dtype=float).ravel(),
-                     A_eq=np.asarray(A_eq, dtype=float).reshape(-1, n),
-                     b_eq=np.asarray(b_eq, dtype=float).ravel(),
-                     lb=lb, ub=ub)
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     map and checked by the accept test, and reports 0 iterations (see
     :func:`_claim`).
     """
-    P = np.asarray(problem.P, dtype=float)
+    P = problem.P
     R = np.atleast_2d(np.asarray(R, dtype=float))
     n = problem.n_var
     if R.shape[1] != n:
@@ -323,8 +321,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     _check_tol(tol)
     _check_psd(P)
     B = R.shape[0]
-    G0, h0 = np.asarray(problem.A_ineq, float), np.asarray(problem.b_ineq, float)
-    A0, b0 = np.asarray(problem.A_eq, float), np.asarray(problem.b_eq, float)
+    G0, h0, A0, b0 = problem.A_ineq, problem.b_ineq, problem.A_eq, problem.b_eq
     lb, ub = problem.lb, problem.ub
 
     # The engine layout: the fixed variables eliminated, the free ones

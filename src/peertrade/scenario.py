@@ -103,16 +103,19 @@ class Violation:
         return f"[{self.severity}] {self.subject}: {self.message}"
 
 
-def _normalize_prosumers(prosumers) -> dict[int, ProsumerParams]:
-    if isinstance(prosumers, Mapping):
-        return dict(prosumers)
-    return {p.id: p for p in prosumers}
-
-
-def _normalize_links(links) -> dict[tuple[int, int], TradeLink]:
-    if isinstance(links, Mapping):
-        return dict(links)
-    return {l.pair: l for l in links}
+def _keyed(items, key, clash: str) -> dict:
+    """``items`` as a dict by ``key(item)``.  A mapping is taken as it is;
+    a key repeated in a sequence raises ``ScenarioFormatError`` with
+    ``clash`` formatted by the item's index ``i`` and its key ``k``."""
+    if isinstance(items, Mapping):
+        return dict(items)
+    out = {}
+    for i, item in enumerate(items):
+        k = key(item)
+        if k in out:
+            raise ScenarioFormatError(clash.format(i=i, k=k))
+        out[k] = item
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,8 @@ class Scenario:
 
     ``prosumers`` maps node id to :class:`ProsumerParams`; ``links`` maps
     the unordered pair ``(min_id, max_id)`` to :class:`TradeLink`.  Both
-    accept plain iterables at construction time and are converted.
+    accept plain iterables at construction time and are converted; an
+    iterable that repeats an id or a pair raises ``ScenarioFormatError``.
     """
 
     name: str
@@ -130,8 +134,11 @@ class Scenario:
     units: str = "arbitrary"
 
     def __post_init__(self):
-        object.__setattr__(self, "prosumers", _normalize_prosumers(self.prosumers))
-        object.__setattr__(self, "links", _normalize_links(self.links))
+        object.__setattr__(self, "prosumers", _keyed(
+            self.prosumers, lambda p: p.id, "prosumers[{i}].id: duplicate id {k}"))
+        object.__setattr__(self, "links", _keyed(
+            self.links, lambda l: l.pair, "links[{i}]: pair {k} already has a link; "
+            "capacities are per unordered pair, not per direction"))
 
     # -- lookups ---------------------------------------------------------
 
@@ -322,6 +329,8 @@ _LINK_FIELDS = ("n", "m", "kappa", "c_nm", "c_mn")
 
 
 def _coerce(raw: dict, fields: tuple[str, ...], path: str, cls):
+    if not isinstance(raw, dict):
+        raise ScenarioFormatError(f"{path}: expected an object")
     extra = set(raw) - set(fields) - {"assumed"}
     if extra:
         raise ScenarioFormatError(f"{path}: unknown field(s) {sorted(extra)}")
@@ -377,27 +386,14 @@ def loads_scenario(text: str) -> Scenario:
     if not isinstance(doc["links"], list):
         raise ScenarioFormatError("links: expected a list")
 
-    prosumers: dict[int, ProsumerParams] = {}
-    for i, raw in enumerate(doc["prosumers"]):
-        if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"prosumers[{i}]: expected an object")
-        p = _coerce(raw, _PROSUMER_FIELDS, f"prosumers[{i}]", ProsumerParams)
-        if p.id in prosumers:
-            raise ScenarioFormatError(f"prosumers[{i}].id: duplicate id {p.id}")
-        prosumers[p.id] = p
-
-    links: dict[tuple[int, int], TradeLink] = {}
+    prosumers = [_coerce(raw, _PROSUMER_FIELDS, f"prosumers[{i}]", ProsumerParams)
+                 for i, raw in enumerate(doc["prosumers"])]
+    links = []
     for i, raw in enumerate(doc["links"]):
-        if not isinstance(raw, dict):
-            raise ScenarioFormatError(f"links[{i}]: expected an object")
         l = _coerce(raw, _LINK_FIELDS, f"links[{i}]", TradeLink)
         if l.n == l.m:
             raise ScenarioFormatError(f"links[{i}]: self-link on node {l.n}")
-        if l.pair in links:
-            raise ScenarioFormatError(
-                f"links[{i}]: pair {l.pair} already has a link; capacities "
-                "are per unordered pair, not per direction")
-        links[l.pair] = l
+        links.append(l)
 
     return Scenario(name=doc["name"], prosumers=prosumers, links=links,
                     units=units)

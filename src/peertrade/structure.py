@@ -26,8 +26,8 @@ from typing import Callable, Iterator, Optional
 from .market import MarketSolution, _waste_block
 from .scenario import Scenario
 
-DEFAULT_CYCLE_BUDGET = 10 ** 5
-DEFAULT_PATH_BUDGET = 10 ** 5
+_CYCLE_BUDGET = 10 ** 5   # detect_preference_cycles: most cycles enumerated
+_PATH_BUDGET = 10 ** 5    # waste_certificates: most paths from one node
 _CAPACITY_TOL = 1e-6   # a trade this close to its line capacity is at it
 
 
@@ -204,8 +204,7 @@ def _path_len_limit(scenario: Scenario, max_path_len: Optional[int] = None) -> i
     return max_path_len
 
 
-def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
-                             budget: int = DEFAULT_CYCLE_BUDGET) -> list:
+def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None) -> list:
     """All simple cycles with nonzero preference weight, sorted by weight.
 
     Both orientations of each cycle appear (their weights are exact
@@ -214,7 +213,8 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
     Otherwise each cycle is a simple path from its smallest node through
     larger ones that closes back, of at most ``max_len`` nodes (default
     all; more than the node count raises ``ValueError``).  More than
-    ``budget`` cycles, zero-weight ones included, raise StructureError.
+    ``_CYCLE_BUDGET`` cycles, zero-weight ones included, raise
+    StructureError.
     """
     max_len = _cycle_len_limit(scenario, max_len)
     if not _has_negative_cycle(scenario):
@@ -226,10 +226,10 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
             if len(nodes) < 3 or not scenario.has_link(nodes[-1], start):
                 continue
             emitted += 1
-            if emitted > budget:
+            if emitted > _CYCLE_BUDGET:
                 raise StructureError(
-                    f"cycle enumeration exceeded the budget of {budget}; "
-                    "raise it explicitly for dense preference graphs")
+                    f"cycle enumeration exceeded the budget of {_CYCLE_BUDGET}; "
+                    "bound the cycle length for dense preference graphs")
             w = value + scenario.c_tilde(nodes[-1], start)
             if abs(w) > 1e-9:
                 out.append(PreferenceCycle(nodes=nodes, weight=w,
@@ -238,8 +238,7 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None,
     return out
 
 
-def detect_game_cycles(scenario: Scenario, max_len: Optional[int] = None,
-                       budget: int = DEFAULT_CYCLE_BUDGET) -> list:
+def detect_game_cycles(scenario: Scenario, max_len: Optional[int] = None) -> list:
     """Cycles satisfying the per-node condition C[i][i+1] - C[i][i-1] < 0.
 
     This local condition at every node of the cycle is strictly stronger
@@ -247,7 +246,7 @@ def detect_game_cycles(scenario: Scenario, max_len: Optional[int] = None,
     the cycle gives twice the total weight), so every hit is also a
     negative preference cycle, but not conversely.
     """
-    return _game_cycles(scenario, detect_preference_cycles(scenario, max_len, budget))
+    return _game_cycles(scenario, detect_preference_cycles(scenario, max_len))
 
 
 def _game_cycles(scenario: Scenario, cycles: list) -> list:
@@ -365,8 +364,7 @@ def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution) ->
 
 
 def waste_certificates(scenario: Scenario, solution: MarketSolution,
-                       max_path_len: Optional[int] = None,
-                       budget: int = DEFAULT_PATH_BUDGET) -> list:
+                       max_path_len: Optional[int] = None) -> list:
     """Per-trade no-waste certificates from marginal prices.
 
     The trade of n0 with m0 is certified waste-free when some node m,
@@ -377,8 +375,8 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
     single-node case lambda_n0 > c(n0, m0).  Paths have at most
     ``max_path_len`` edges (default the node count; 0 keeps only the
     empty path, a negative value raises ``ValueError``); each node keeps
-    the first of its equally good paths.  More than ``budget`` paths
-    from one node raise StructureError.
+    the first of its equally good paths.  More than ``_PATH_BUDGET``
+    paths from one node raise StructureError.
     """
     max_path_len = _path_len_limit(scenario, max_path_len)
 
@@ -393,9 +391,9 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
         best = {n0: (0.0, (n0,))}
         paths = _simple_paths(scenario, n0, usable, max_path_len + 1)
         for visited, (path, value) in enumerate(paths, 1):
-            if visited > budget:
+            if visited > _PATH_BUDGET:
                 raise StructureError(
-                    f"path enumeration exceeded the budget of {budget}")
+                    f"path enumeration exceeded the budget of {_PATH_BUDGET}")
             if path[-1] not in best or value > best[path[-1]][0]:
                 best[path[-1]] = (value, path)
         top_val, top_m, top_path = max((solution.lam[m] + v, m, pth)

@@ -341,7 +341,7 @@ def test_criterion_9_qp_oracle():
         hi = np.abs(rng.uniform(0.5, 2.0, size=n))
         A = np.vstack([np.eye(n), -np.eye(n)])
         b = np.concatenate([hi, -lo])
-        prob = qp.make_problem(P, r, A_ineq=A, b_ineq=b)
+        prob = qp.QpProblem(P, r, A_ineq=A, b_ineq=b)
         sol = qp.solve(prob)
         assert sol.status == "optimal"
         _, ref = brute_force_oracle(prob, (lo, hi), passes=5)

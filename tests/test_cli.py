@@ -222,6 +222,19 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
      "--reg: eps_reg must be finite and nonnegative, got nan"),
     (["analyze", "--tol", "0"], "--tol: tol must be finite and positive, got 0.0"),
     (["solve", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0, got -1"),
+    (["gne", "--grid", "0:100:50", "--budget", "5"],
+     "sweep would evaluate 27 points, over the budget of 5"),
+    (["gne", "--grid", "0:100:50", "--budget", "-1"],
+     "sweep would evaluate 27 points, over the budget of -1"),
+    (["gne", "--random", "5", "--seed", "-1"], "--seed: expected non-negative integer"),
+    (["privacy", "--samples", "1000", "--seed", "-1"],
+     "--seed: expected non-negative integer"),
+    (["gne", "--random", "0"],
+     "bad --random 0: random strategy needs a positive sample count, got 0"),
+    (["gne", "--grid", "0:100:1e-5"],
+     "sweep would evaluate 1000000300000030000001 points, over the budget of 1000000"),
+    (["gne", "--grid", "0:100:1e-320"],
+     "bad --grid '0:100:1e-320': grid step 1e-320 gives an axis too long to count"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     out = tmp_path / "reports"

@@ -243,9 +243,14 @@ def test_sweep_without_links(strategy):
 
 
 def test_budget_guard(three_node):
-    with pytest.raises(ValueError, match="raise the budget explicitly"):
+    with pytest.raises(eq.OmegaError, match="raise the budget explicitly"):
         eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 1.0),
                      budget=100)
+    # The grid's length is counted, not built: 1e14 + 1 values per axis.
+    huge = eq.GridStrategy(0.0, 100.0, 1e-12)
+    assert huge.count(3) == (10 ** 14 + 1) ** 3
+    with pytest.raises(eq.OmegaError, match="over the budget of 1000000"):
+        eq.sweep_gne(three_node, huge)
 
 
 def test_negative_omega_rejected():
@@ -472,8 +477,16 @@ def test_grid_strategy_stops_at_stop():
     for start, stop in ((10.0, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
         with pytest.raises(ValueError, match="empty or not finite"):
             eq.GridStrategy(start, stop, 1.0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(eq.OmegaError, match="positive"):
         eq.GridStrategy(0.0, 10.0, 0.0)
+    with pytest.raises(eq.OmegaError, match="too long to count"):
+        eq.GridStrategy(0.0, 100.0, 1e-320)
+
+
+def test_random_strategy_needs_a_positive_count():
+    for count in (0, -3):
+        with pytest.raises(eq.OmegaError, match=f"positive sample count, got {count}"):
+            eq.RandomStrategy(count)
 
 
 def test_epsilon_comp_scale(three_node):

@@ -1,5 +1,6 @@
 """Centralized welfare optimum: prices, identities, reporting."""
 
+import dataclasses
 import json
 import math
 
@@ -80,6 +81,25 @@ def test_social_welfare_recomputes_objective(solved, three_node):
     assert sw == pytest.approx(solved.sw, abs=1e-8)
     with pytest.raises(ValueError, match="missing entry"):
         market.social_welfare(three_node, {}, solved.G, solved.q)
+
+
+def _bumped(table: dict, keys: tuple) -> dict:
+    """A copy of the (nested) dict ``table`` with entry ``keys`` raised by 1."""
+    k, *rest = keys
+    return {**table, k: _bumped(table[k], rest) if rest else table[k] + 1.0}
+
+
+@pytest.mark.parametrize("name, keys, message", [
+    ("mu_lo", (1,), r"stationarity identity violated at node 1: D-residual -1\.0"),
+    ("Q", (2,), r"balance identity violated at node 2: -1\.0"),
+    ("xi", (1, 0), r"trade price identity violated on \(1,0\): 1\.0"),
+])
+def test_verify_solution_names_the_broken_identity(solved, three_node, name, keys,
+                                                   message):
+    market.verify_solution(three_node, solved, market.DEFAULT_TOL)
+    broken = dataclasses.replace(solved, **{name: _bumped(getattr(solved, name), keys)})
+    with pytest.raises(market.MarketError, match=message):
+        market.verify_solution(three_node, broken, market.DEFAULT_TOL)
 
 
 def test_closed_form_prices_match_solver(solved, three_node):

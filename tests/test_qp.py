@@ -13,7 +13,7 @@ from peertrade import qp
 def test_unconstrained_quadratic():
     P = np.diag([2.0, 8.0])
     r = np.array([-2.0, -8.0])
-    sol = qp.solve(qp.make_problem(P, r))
+    sol = qp.solve(qp.QpProblem(P, r))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-7)
     assert abs(sol.objective - (-5.0)) < 1e-7
@@ -25,7 +25,7 @@ def test_box_constrained_matches_projection():
     r = np.array([-6.0, 4.0])
     G = np.vstack([np.eye(2), -np.eye(2)])
     h = np.ones(4)
-    sol = qp.solve(qp.make_problem(P, r, A_ineq=G, b_ineq=h))
+    sol = qp.solve(qp.QpProblem(P, r, A_ineq=G, b_ineq=h))
     np.testing.assert_allclose(sol.x, [1.0, -1.0], atol=1e-7)
     assert sol.mult_ineq[0] > 1.0  # active upper bound on x0
     assert sol.kkt_residuals["stationarity"] <= 1e-6
@@ -33,8 +33,8 @@ def test_box_constrained_matches_projection():
 
 def test_equality_constrained():
     # minimize x^2 + y^2 subject to x + y = 2
-    prob = qp.make_problem(2.0 * np.eye(2), np.zeros(2),
-                           A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
+    prob = qp.QpProblem(2.0 * np.eye(2), np.zeros(2),
+                        A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
     sol = qp.solve(prob)
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
     np.testing.assert_allclose(sol.mult_eq, [-2.0], atol=1e-6)
@@ -42,17 +42,17 @@ def test_equality_constrained():
 
 def test_infeasible_detected_with_certificate():
     # x >= 1 and x <= 0 cannot both hold
-    prob = qp.make_problem(np.eye(1), np.zeros(1),
-                           A_ineq=np.array([[-1.0], [1.0]]),
-                           b_ineq=np.array([-1.0, 0.0]))
+    prob = qp.QpProblem(np.eye(1), np.zeros(1),
+                        A_ineq=np.array([[-1.0], [1.0]]),
+                        b_ineq=np.array([-1.0, 0.0]))
     sol = qp.solve(prob)
     assert sol.status == "infeasible"
     assert "Farkas" in sol.message
 
 
 def test_unbounded_detected():
-    prob = qp.make_problem(np.zeros((1, 1)), np.array([1.0]),
-                           A_ineq=np.array([[1.0]]), b_ineq=np.array([0.0]))
+    prob = qp.QpProblem(np.zeros((1, 1)), np.array([1.0]),
+                        A_ineq=np.array([[1.0]]), b_ineq=np.array([0.0]))
     sol = qp.solve(prob)
     assert sol.status == "unbounded"
 
@@ -60,28 +60,28 @@ def test_unbounded_detected():
 def test_equality_only_statuses():
     # With no inequality rows the solve is one face solve; its status is
     # read off the residuals.
-    sol = qp.solve(qp.make_problem(np.zeros((1, 1)), [1.0]))
+    sol = qp.solve(qp.QpProblem(np.zeros((1, 1)), [1.0]))
     assert sol.status == "unbounded"
-    sol = qp.solve(qp.make_problem(np.eye(2), np.zeros(2),
-                                   A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
+    sol = qp.solve(qp.QpProblem(np.eye(2), np.zeros(2),
+                                A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
     assert sol.status == "infeasible"
     assert "Farkas" in sol.message
     # Both variables separable: the reduced least-squares solve.
-    sol = qp.solve(qp.make_problem(np.diag([1.0, 2.0]), np.zeros(2),
-                                   A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
+    sol = qp.solve(qp.QpProblem(np.diag([1.0, 2.0]), np.zeros(2),
+                                A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 2.0]))
     assert sol.status == "infeasible"
     assert "Farkas" in sol.message
     # The first row fixes x0 and the second contradicts it.
-    sol = qp.solve(qp.make_problem(np.eye(2), np.zeros(2),
-                                   A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[1.0, 2.0]))
+    sol = qp.solve(qp.QpProblem(np.eye(2), np.zeros(2),
+                                A_eq=[[1.0, 0.0], [1.0, 0.0]], b_eq=[1.0, 2.0]))
     assert sol.status == "infeasible"
     assert "Farkas" in sol.message
 
 
 @pytest.mark.parametrize("b_eq, status", [(5.0, "infeasible"), (3.0, "optimal")])
 def test_all_variables_fixed(b_eq, status):
-    prob = qp.make_problem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]],
-                           b_eq=[b_eq], lb=[1.0, 2.0], ub=[1.0, 2.0])
+    prob = qp.QpProblem(np.eye(2), np.zeros(2), A_eq=[[1.0, 1.0]],
+                        b_eq=[b_eq], lb=[1.0, 2.0], ub=[1.0, 2.0])
     sol = qp.solve(prob)
     assert sol.status == status
     if status == "optimal":
@@ -95,7 +95,7 @@ def test_all_variables_fixed(b_eq, status):
 def test_mixed_statuses_in_one_batch():
     # minimize r*x subject to x >= 0: optimal at 0 for r = 1, unbounded
     # for r = -1; each row leaves the iterations with its own status.
-    prob = qp.make_problem(np.zeros((1, 1)), [1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
+    prob = qp.QpProblem(np.zeros((1, 1)), [1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
     batch = qp.solve_batch(prob, [[1.0], [-1.0]])
     assert [batch.status(0), batch.status(1)] == ["optimal", "unbounded"]
     assert batch.iterations[1] < 100   # left on the divergence test, not at max_iter
@@ -106,9 +106,28 @@ def test_mixed_statuses_in_one_batch():
     assert batch.iterations[0] == single.iterations
 
 
+@pytest.mark.parametrize("data", [
+    dict(P=[[0.0]], r=[1.0], A_ineq=[[1.0], [-1.0]], b_ineq=[-1.0, -1.0]),
+    dict(P=[[2.0, 0.0], [0.0, 8.0]], r=[-6.0, 4.0], A_ineq=[[1.0, 1.0]],
+         b_ineq=[1.0], A_eq=[[1.0, -1.0]], b_eq=[0.5], lb=[-1.0, -1.0]),
+])
+def test_list_built_problem_solves_like_array_built(data):
+    listed = qp.QpProblem(**data)
+    arrays = qp.QpProblem(**{k: np.array(v, dtype=float) for k, v in data.items()})
+    for name in ("P", "r", "A_ineq", "b_ineq", "A_eq", "b_eq", "lb", "ub"):
+        value = getattr(listed, name)
+        assert isinstance(value, np.ndarray) and value.dtype == float, name
+        np.testing.assert_array_equal(value, getattr(arrays, name))
+    if "A_eq" not in data:
+        assert listed.A_eq.shape == (0, listed.n_var)   # an omitted block is empty
+    got, want = qp.solve(listed), qp.solve(arrays)
+    assert got.status == want.status
+    np.testing.assert_array_equal(got.x, want.x)
+
+
 def test_non_psd_rejected():
     with pytest.raises(qp.QpError, match="positive semidefinite"):
-        qp.solve(qp.make_problem(np.array([[-1.0]]), np.zeros(1)))
+        qp.solve(qp.QpProblem(np.array([[-1.0]]), np.zeros(1)))
 
 
 def test_asymmetric_p_rejected():
@@ -123,14 +142,21 @@ def test_shape_mismatches_rejected():
         qp.QpProblem(P=np.eye(2), r=np.zeros(2),
                      A_ineq=np.eye(2), b_ineq=np.zeros(3),
                      A_eq=np.zeros((0, 2)), b_eq=np.zeros(0))
+    # Six entries are not read as a (3, 2) block of a 2-variable problem.
+    with pytest.raises(qp.QpError, match=r"A_ineq has shape \(2, 3\), expected \(\*, 2\)"):
+        qp.QpProblem(np.eye(2), np.zeros(2), A_ineq=np.ones((2, 3)), b_ineq=np.zeros(3))
+    with pytest.raises(qp.QpError, match=r"A_eq has 1 rows but its rhs has shape \(0,\)"):
+        qp.QpProblem(np.eye(2), np.zeros(2), A_eq=np.ones((1, 2)))
+    with pytest.raises(qp.QpError, match=r"r has shape \(2, 1\)"):
+        qp.QpProblem(np.eye(2), np.zeros((2, 1)))
     with pytest.raises(qp.QpError, match="lb has shape"):
-        qp.make_problem(np.eye(2), np.zeros(2), lb=np.zeros(3))
+        qp.QpProblem(np.eye(2), np.zeros(2), lb=np.zeros(3))
     with pytest.raises(qp.QpError, match="ub has shape"):
-        qp.make_problem(np.eye(2), np.zeros(2), ub=np.zeros(1))
+        qp.QpProblem(np.eye(2), np.zeros(2), ub=np.zeros(1))
     with pytest.raises(qp.QpError, match="NaN"):
-        qp.make_problem(np.eye(2), np.zeros(2), ub=[1.0, np.nan])
+        qp.QpProblem(np.eye(2), np.zeros(2), ub=[1.0, np.nan])
     with pytest.raises(qp.QpError, match="empty bound range"):
-        qp.make_problem(np.eye(2), np.zeros(2), lb=[0.0, 2.0], ub=[1.0, 1.0])
+        qp.QpProblem(np.eye(2), np.zeros(2), lb=[0.0, 2.0], ub=[1.0, 1.0])
     good = dict(P=np.eye(2), r=np.zeros(2), A_ineq=np.ones((1, 2)),
                 b_ineq=np.ones(1), A_eq=np.ones((1, 2)), b_eq=np.ones(1))
     for name, value in good.items():
@@ -151,12 +177,12 @@ def test_batch_matches_single_solves():
     P = np.diag([2.0, 4.0])
     G = np.vstack([np.eye(2), -np.eye(2)])
     h = 2.0 * np.ones(4)
-    prob = qp.make_problem(P, np.zeros(2), A_ineq=G, b_ineq=h)
+    prob = qp.QpProblem(P, np.zeros(2), A_ineq=G, b_ineq=h)
     rng = np.random.default_rng(5)
     R = rng.normal(scale=3.0, size=(40, 2))
     batch = qp.solve_batch(prob, R)
     for i in range(len(R)):
-        single = qp.solve(qp.make_problem(P, R[i], A_ineq=G, b_ineq=h))
+        single = qp.solve(qp.QpProblem(P, R[i], A_ineq=G, b_ineq=h))
         assert batch.status(i) == "optimal"
         np.testing.assert_allclose(batch.x[i], single.x, atol=1e-6)
         assert batch.iterations[i] == single.iterations
@@ -166,8 +192,8 @@ def test_polish_lands_exactly_on_degenerate_vertex(monkeypatch):
     # minimize (x - 1)^2 with x <= 1: the constraint is active with a
     # zero multiplier, which pure interior-point iterations approach
     # only to O(sqrt(tolerance)).
-    prob = qp.make_problem(np.array([[2.0]]), np.array([-2.0]),
-                           A_ineq=np.array([[1.0]]), b_ineq=np.array([1.0]))
+    prob = qp.QpProblem(np.array([[2.0]]), np.array([-2.0]),
+                        A_ineq=np.array([[1.0]]), b_ineq=np.array([1.0]))
     polished = qp.solve(prob)
     monkeypatch.setattr(qp, "_polish_batch", lambda *args: None)
     rough = qp.solve(prob)
@@ -180,8 +206,8 @@ def test_polish_picks_the_face_point_nearest_the_iterate(monkeypatch):
     # minimize x1 + x2 s.t. x1 + x2 >= 1 in the unit box: the optimal face
     # is a segment, and the iterate approaches its center (0.5, 0.5) up to
     # the rounding of the last, nearly singular Newton step (about 4e-11).
-    prob = qp.make_problem(np.zeros((2, 2)), [1.0, 1.0], A_ineq=[[-1.0, -1.0]],
-                           b_ineq=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    prob = qp.QpProblem(np.zeros((2, 2)), [1.0, 1.0], A_ineq=[[-1.0, -1.0]],
+                        b_ineq=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
     polished = qp.solve(prob)
     monkeypatch.setattr(qp, "_polish_batch", lambda *args: None)
     rough = qp.solve(prob)
@@ -193,8 +219,8 @@ def test_polish_picks_the_face_point_nearest_the_iterate(monkeypatch):
 
 
 def test_polish_does_not_break_strictly_active_solutions():
-    prob = qp.make_problem(np.array([[2.0]]), np.array([0.0]),
-                           A_ineq=np.array([[-1.0]]), b_ineq=np.array([-3.0]))
+    prob = qp.QpProblem(np.array([[2.0]]), np.array([0.0]),
+                        A_ineq=np.array([[-1.0]]), b_ineq=np.array([-3.0]))
     sol = qp.solve(prob)
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.mult_ineq[0] == pytest.approx(6.0, abs=1e-6)
@@ -203,7 +229,7 @@ def test_polish_does_not_break_strictly_active_solutions():
 # minimize x^2 + r x s.t. x >= 3: for r > -6 the optimum is the vertex x = 3
 # with multiplier 6 + r, a full-rank face with a positive price; for r < -6
 # it is x = -r/2 with the constraint inactive.
-VERTEX = qp.make_problem(np.array([[2.0]]), [0.0], A_ineq=[[-1.0]], b_ineq=[-3.0])
+VERTEX = qp.QpProblem(np.array([[2.0]]), [0.0], A_ineq=[[-1.0]], b_ineq=[-3.0])
 ACTIVE, INACTIVE = np.array([True]).tobytes(), np.array([False]).tobytes()
 
 
@@ -237,7 +263,7 @@ def test_face_claiming_no_row_is_dropped_unless_it_claimed_before(claimed, kept)
 def test_faces_of_another_problem_rejected():
     faces = {}
     qp.solve_batch(VERTEX, [[0.0]], faces=faces)
-    two = qp.make_problem(np.eye(2), [1.0, 1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    two = qp.QpProblem(np.eye(2), [1.0, 1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
     with pytest.raises(qp.QpError, match="another problem"):
         qp.solve_batch(two, [[1.0, 1.0]], faces=faces)
 
@@ -445,7 +471,7 @@ def test_dense_inequality_rows_solve_to_the_known_optimum():
     h = G @ x_star + np.r_[np.zeros(active), rng.uniform(0.5, 2.0, m - active)]
     r = -(P @ x_star + G.T @ z_star)
     assert qp._scatter_map(G)[2].nnz == m * n * n
-    sol = qp.solve(qp.make_problem(P, r, A_ineq=G, b_ineq=h))
+    sol = qp.solve(qp.QpProblem(P, r, A_ineq=G, b_ineq=h))
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, x_star, rtol=0, atol=1e-7)
     np.testing.assert_allclose(sol.mult_ineq, z_star, rtol=0, atol=1e-6)
@@ -589,9 +615,9 @@ def test_unused_coupling_row_changes_nothing(seed, n, with_eq):
     j, k = rng.choice(n, 2, replace=False)
     row = np.zeros((1, n))
     row[0, [j, k]] = 1.0
-    box = qp.make_problem(P, np.zeros(n), lb=lb, ub=ub, **eq)
-    coupled = qp.make_problem(P, np.zeros(n), A_ineq=row, b_ineq=[ub[j] + ub[k] + 1.0],
-                              lb=lb, ub=ub, **eq)
+    box = qp.QpProblem(P, np.zeros(n), lb=lb, ub=ub, **eq)
+    coupled = qp.QpProblem(P, np.zeros(n), A_ineq=row, b_ineq=[ub[j] + ub[k] + 1.0],
+                           lb=lb, ub=ub, **eq)
     bounds, A = np.vstack([np.eye(n), -np.eye(n)]), box.A_eq
     assert qp._separable(P, bounds, A).all()
     assert not qp._separable(P, np.vstack([row, bounds]), A)[[j, k]].any()
@@ -637,10 +663,10 @@ def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
     R = rng.normal(scale=5.0, size=(6, n))
     perm = rng.permutation(n)
     back = np.argsort(perm)
-    posed = qp.solve_batch(qp.make_problem(P, R[0], G, h, a, a @ x0, lb, ub), R)
+    posed = qp.solve_batch(qp.QpProblem(P, R[0], G, h, a, a @ x0, lb, ub), R)
     moved = qp.solve_batch(
-        qp.make_problem(P[np.ix_(perm, perm)], R[0, perm], G[:, perm], h,
-                        a[:, perm], a @ x0, lb[perm], ub[perm]), R[:, perm])
+        qp.QpProblem(P[np.ix_(perm, perm)], R[0, perm], G[:, perm], h,
+                     a[:, perm], a @ x0, lb[perm], ub[perm]), R[:, perm])
     opt = posed.status_code == 0
     np.testing.assert_array_equal(moved.status_code[opt], 0)
     for name in ("x", "mult_lb", "mult_ub"):
@@ -657,16 +683,16 @@ def test_small_qp_with_one_equality_finishes():
     # 0.709, 2.16, 1.06, 2.27 from iteration 12 and the IPM stops at
     # max_iter, 1.8 above the optimal objective 132.06631 at
     # x = (-2.30506, -3.66794, -2.082).
-    prob = qp.make_problem(np.diag([9.816, 7.38, 9.93]), [-13.546, -9.103, 14.309],
-                           A_eq=[[1.0, 1.0, 1.0]], b_eq=[-8.055],
-                           lb=[-2.766, -3.953, -2.082], ub=[0.129, 0.098, 0.896])
+    prob = qp.QpProblem(np.diag([9.816, 7.38, 9.93]), [-13.546, -9.103, 14.309],
+                        A_eq=[[1.0, 1.0, 1.0]], b_eq=[-8.055],
+                        lb=[-2.766, -3.953, -2.082], ub=[0.129, 0.098, 0.896])
     sol = qp.solve(prob)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(132.06631, abs=1e-3)
 
 
 def test_bad_linear_term_shape():
-    prob = qp.make_problem(np.eye(2), np.zeros(2))
+    prob = qp.QpProblem(np.eye(2), np.zeros(2))
     with pytest.raises(qp.QpError, match="columns"):
         qp.solve_batch(prob, np.zeros((3, 5)))
 
@@ -682,11 +708,11 @@ def _random_box_qp(rng, n):
     fixed = rng.random(n) < 0.3
     value = rng.uniform(-5.0, 5.0, size=n)
     free = np.eye(n)[~fixed]
-    rows = qp.make_problem(P, r, A_ineq=np.vstack([free, -free]),
-                           b_ineq=5.0 * np.ones(2 * len(free)),
-                           A_eq=np.eye(n)[fixed], b_eq=value[fixed])
-    bounds = qp.make_problem(P, r, lb=np.where(fixed, value, -5.0),
-                             ub=np.where(fixed, value, 5.0))
+    rows = qp.QpProblem(P, r, A_ineq=np.vstack([free, -free]),
+                        b_ineq=5.0 * np.ones(2 * len(free)),
+                        A_eq=np.eye(n)[fixed], b_eq=value[fixed])
+    bounds = qp.QpProblem(P, r, lb=np.where(fixed, value, -5.0),
+                          ub=np.where(fixed, value, 5.0))
     return rows, bounds, fixed
 
 
@@ -720,7 +746,7 @@ def test_random_qps_satisfy_kkt(seed, n):
 def test_fixed_variable_multipliers(value, mult_lb, mult_ub):
     # minimize (x - 3)^2 with lb = ub = value: the objective's slope 2(value - 3)
     # is held by the upper bound below 3 and by the lower bound above it
-    sol = qp.solve(qp.make_problem([[2.0]], [-6.0], lb=[value], ub=[value]))
+    sol = qp.solve(qp.QpProblem([[2.0]], [-6.0], lb=[value], ub=[value]))
     assert sol.status == "optimal"
     assert sol.x[0] == value
     assert sol.mult_lb[0] == pytest.approx(mult_lb, abs=1e-12)
@@ -732,9 +758,9 @@ def test_oracle_agrees_on_analytic_problem():
     # projection of (3, -2) onto the unit box, solved both ways; the box
     # is given once as rows, once as lb/ub inside a wider search box
     P, r = 2.0 * np.eye(2), np.array([-6.0, 4.0])
-    rows = qp.make_problem(P, r, A_ineq=np.vstack([np.eye(2), -np.eye(2)]),
-                           b_ineq=np.ones(4))
-    bounds = qp.make_problem(P, r, lb=-np.ones(2), ub=np.ones(2))
+    rows = qp.QpProblem(P, r, A_ineq=np.vstack([np.eye(2), -np.eye(2)]),
+                        b_ineq=np.ones(4))
+    bounds = qp.QpProblem(P, r, lb=-np.ones(2), ub=np.ones(2))
     for prob, box in ((rows, (-np.ones(2), np.ones(2))),
                       (bounds, (-3 * np.ones(2), 3 * np.ones(2)))):
         x, val = brute_force_oracle(prob, box, passes=5)
@@ -744,27 +770,27 @@ def test_oracle_agrees_on_analytic_problem():
 
 
 def test_oracle_eliminates_equalities():
-    prob = qp.make_problem(2.0 * np.eye(2), np.zeros(2),
-                           A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
+    prob = qp.QpProblem(2.0 * np.eye(2), np.zeros(2),
+                        A_eq=np.array([[1.0, 1.0]]), b_eq=np.array([2.0]))
     x, val = brute_force_oracle(prob, (-3 * np.ones(2), 3 * np.ones(2)),
                                    passes=5)
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-3)
 
 
 def test_oracle_guardrails():
-    prob = qp.make_problem(np.eye(5), np.zeros(5))
+    prob = qp.QpProblem(np.eye(5), np.zeros(5))
     with pytest.raises(qp.QpError, match="free dimensions"):
         brute_force_oracle(prob, (-np.ones(5), np.ones(5)))
-    small = qp.make_problem(np.eye(1), np.zeros(1))
+    small = qp.QpProblem(np.eye(1), np.zeros(1))
     with pytest.raises(qp.QpError, match="box"):
         brute_force_oracle(small, (np.zeros(2), np.ones(2)))
-    pinned = qp.make_problem(np.eye(1), np.zeros(1),
-                             A_eq=np.array([[1.0]]), b_eq=np.array([9.0]))
+    pinned = qp.QpProblem(np.eye(1), np.zeros(1),
+                          A_eq=np.array([[1.0]]), b_eq=np.array([9.0]))
     with pytest.raises(qp.QpError, match="infeasible point"):
         brute_force_oracle(pinned, (-np.ones(1), np.ones(1)))
 
 
 def test_objective_helper_matches_quadratic_form():
-    prob = qp.make_problem(np.diag([2.0, 6.0]), np.array([1.0, -1.0]))
+    prob = qp.QpProblem(np.diag([2.0, 6.0]), np.array([1.0, -1.0]))
     x = np.array([2.0, 3.0])
     assert prob.objective(x) == pytest.approx(0.5 * (2 * 4 + 6 * 9) + 2 - 3)

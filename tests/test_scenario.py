@@ -215,6 +215,21 @@ def test_self_link_built_in_python_is_rejected():
         market.solve_centralized(scn)
 
 
+def test_repeated_id_or_pair_in_a_python_list_is_rejected():
+    # The constructor holds the loader's rule, with its messages.
+    base = sc.builtin("three_node")
+    prosumers, links = list(base.prosumers.values()), list(base.links.values())
+    with pytest.raises(sc.ScenarioFormatError,
+                       match=r"^prosumers\[3\]\.id: duplicate id 0$"):
+        sc.Scenario(name="dup", prosumers=prosumers + prosumers[:1], links=links)
+    with pytest.raises(sc.ScenarioFormatError,
+                       match=r"^links\[3\]: pair \(0, 1\) already has a link; "):
+        sc.Scenario(name="dup", prosumers=prosumers, links=links + links[:1])
+    rebuilt = sc.Scenario(name=base.name, prosumers=prosumers, links=links,
+                          units=base.units)
+    assert rebuilt == base
+
+
 def _single_node_scenario(**overrides):
     fields = dict(id=0, d_min=0.0, d_max=10.0, g_min=0.0, g_max=5.0,
                   d_star=3.0, a_tilde=5.0, b_tilde=180.0, a=2.0, b=1.0,

@@ -1,5 +1,6 @@
 """Cost-structure analysis: cycles, congestion predictions, waste proofs."""
 
+import dataclasses
 import itertools
 import json
 
@@ -128,6 +129,25 @@ def test_congestion_unilateral_clean_on_optima(three_node, solved):
     assert st.check_congestion_unilateral(three_node, g.solution) == []
 
 
+def test_congestion_unilateral_reports_a_pair_at_capacity_both_ways(three_node, solved):
+    kappa = three_node.kappa(1, 2)
+    q = {n: dict(row) for n, row in solved.q.items()}
+    q[1][2] = q[2][1] = kappa
+    assert st.check_congestion_unilateral(three_node,
+                                          dataclasses.replace(solved, q=q)) == [(1, 2)]
+
+
+@pytest.mark.parametrize("max_len, count", [(3, 10), (4, 14), (5, 16)])
+def test_cycle_length_bound_below_the_node_count(max_len, count):
+    # ieee14 case b has 80 cycles; a bound keeps exactly the short ones.
+    scn = sc.ieee14_cost_case("b")
+    full = st.detect_preference_cycles(scn)
+    assert len(full) == 80
+    bounded = st.detect_preference_cycles(scn, max_len=max_len)
+    assert len(bounded) == count
+    assert bounded == [c for c in full if len(c.nodes) <= max_len]
+
+
 def test_waste_certificates_sound(three_node, solved):
     certs = st.waste_certificates(three_node, solved)
     assert any(c.certified for c in certs)
@@ -199,9 +219,10 @@ def test_analysis_report_serializes(three_node, solved):
     assert "waste" in parsed
 
 
-def test_cycle_budget_guard(three_node):
-    with pytest.raises(st.StructureError, match="budget"):
-        st.detect_preference_cycles(three_node, budget=1)
+def test_cycle_budget_guard(three_node, monkeypatch):
+    monkeypatch.setattr(st, "_CYCLE_BUDGET", 1)
+    with pytest.raises(st.StructureError, match="budget of 1"):
+        st.detect_preference_cycles(three_node)
 
 
 def test_max_len_above_node_count_rejected(three_node):
@@ -209,10 +230,11 @@ def test_max_len_above_node_count_rejected(three_node):
         st.detect_preference_cycles(three_node, max_len=4)
 
 
-def test_path_budget_guard(three_node, solved):
+def test_path_budget_guard(three_node, solved, monkeypatch):
+    monkeypatch.setattr(st, "_PATH_BUDGET", 1)
     with pytest.raises(st.StructureError,
                        match="path enumeration exceeded the budget of 1"):
-        st.waste_certificates(three_node, solved, budget=1)
+        st.waste_certificates(three_node, solved)
 
 
 def test_zero_path_len_keeps_only_the_own_price(three_node, solved):

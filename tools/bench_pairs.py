@@ -15,8 +15,9 @@ falls on both sides alike.  Runs are sequential.
 The output records, per workload and end-to-end metric, each side's
 per-pair values, their median and quartiles, and how many pairs the
 change won in the metric's better direction; plus every run's
-``correct`` and ``failed`` fields and the ``environment`` block
-``run.py`` recorded on each side.
+``correct`` and ``failed`` fields, the ``environment`` block ``run.py``
+recorded on each side, and each side's ``src/peertrade`` line totals
+(lines and code lines, as ``tools/src_lines.py`` counts them).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from src_lines import totals
 
 SIDES = ("base", "change")
 
@@ -79,7 +82,10 @@ def main(argv=None) -> int:
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
 
     record = {"seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
-              "environment": {}, "workloads": {}}
+              "environment": {},
+              "src_lines": {side: totals(trees[side] / "src" / "peertrade")
+                            for side in SIDES},
+              "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
         for k in range(args.pairs):

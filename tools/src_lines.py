@@ -38,17 +38,26 @@ def count(text: str) -> tuple:
     return len(text.splitlines()), len(code - docstrings)
 
 
+def modules(src: Path) -> dict:
+    """``{module: (lines, code_lines)}`` for every ``*.py`` in ``src``."""
+    return {path.stem: count(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def totals(src: Path) -> dict:
+    """``{"lines", "code_lines"}`` summed over the modules in ``src``."""
+    per = modules(src).values()
+    return {"lines": sum(l for l, _ in per), "code_lines": sum(c for _, c in per)}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     src = Path(args[0]) if args else SRC
-    total_lines = total_code = 0
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
-    for path in sorted(src.glob("*.py")):
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{path.stem:<16} {lines:>6} {code:>6}")
-    print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+    for name, (lines, code) in modules(src).items():
+        print(f"{name:<16} {lines:>6} {code:>6}")
+    total = totals(src)
+    print(f"{'total':<16} {total['lines']:>6} {total['code_lines']:>6}")
     return 0
 
 
