@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from . import market, qp
 from .market import MarketSolution
@@ -405,6 +404,9 @@ def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
     ``ridge`` lightly penalizes the congestion multipliers so that when a
     trade is simultaneously at capacity and reciprocity-tight, the
     explanation defaults to the trade price.
+
+    The first call imports ``scipy.optimize`` (for its ``nnls``), which
+    ``import peertrade`` and every CLI command leave unloaded.
     """
     p = scenario.prosumer(node)
     neigh = scenario.neighbors(node)
@@ -436,6 +438,10 @@ def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
                    + [-scenario.c(node, m) for m in neigh])
     ridge_rows = np.sqrt(ridge) * np.eye(len(slack))[6::2][active[6::2]]
     A = np.ascontiguousarray(np.vstack([stat, ridge_rows])[:, active])
+    # Imported here, its only use: scipy.optimize costs about a third of a
+    # second to import, which every `import peertrade` and CLI run would pay.
+    import scipy.optimize
+
     coef = np.zeros(len(slack))
     coef[active] = scipy.optimize.nnls(A, np.append(rhs, np.zeros(len(ridge_rows))))[0]
 

@@ -13,10 +13,10 @@ and reports every multiplier.
 
 A problem is one :class:`QpProblem`, ``QpProblem(P, r, A_ineq=None,
 b_ineq=None, A_eq=None, b_eq=None, lb=None, ub=None)``: every field is
-stored as a float array, an omitted constraint block is empty (a (0, n)
-matrix and a (0,) right-hand side), and the bounds default to -inf and
-+inf.  Its data rules are checked once, when it is built; the solver
-reads the fields as stored.
+stored as a read-only float copy, an omitted constraint block is empty
+(a (0, n) matrix and a (0,) right-hand side), and the bounds default to
+-inf and +inf.  Its data rules are checked once, when it is built; the
+solver reads the fields as stored.
 
 Simple bounds are problem data, not constraint rows.  A variable with
 ``lb == ub`` is eliminated before the iterations start: its value is
@@ -107,11 +107,12 @@ class QpError(ValueError):
 class QpProblem:
     """Data of one convex QP in minimization form.
 
-    Every field is stored as a float array, whatever sequence it was given
-    as.  ``P`` must be symmetric PSD; zero rows/columns (linear variables)
-    are fine.  An omitted constraint block is empty: a (0, n) matrix and
-    a (0,) right-hand side.  ``lb`` and ``ub`` default to -inf and +inf;
-    ``lb == ub`` fixes a variable.
+    Every field is stored as a read-only float copy, whatever sequence it
+    was given as, so the checks made here hold for the problem's
+    lifetime.  ``P`` must be symmetric PSD; zero rows/columns (linear
+    variables) are fine.  An omitted constraint block is empty: a (0, n)
+    matrix and a (0,) right-hand side.  ``lb`` and ``ub`` default to -inf
+    and +inf; ``lb == ub`` fixes a variable.
     """
 
     P: np.ndarray
@@ -132,7 +133,9 @@ class QpProblem:
             v = getattr(self, name)
             if v is None and name in omitted:
                 v = omitted[name]
-            object.__setattr__(self, name, np.asarray(v, dtype=float))
+            v = np.array(v, dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         for name in ("P", "r", "A_ineq", "b_ineq", "A_eq", "b_eq"):
             if not np.isfinite(getattr(self, name)).all():
                 raise QpError(f"{name} contains NaN or infinity")
@@ -144,6 +147,7 @@ class QpProblem:
         scale = np.abs(P).max() if P.size else 0.0
         if scale > 0 and np.abs(P - P.T).max() > 1e-12 * scale:
             raise QpError("P is not symmetric within 1e-12 relative")
+        _check_psd(P)
         for name, A, b in (("A_ineq", self.A_ineq, self.b_ineq),
                            ("A_eq", self.A_eq, self.b_eq)):
             if A.ndim != 2 or A.shape[1] != n:
@@ -319,7 +323,6 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         raise QpError("linear terms contain NaN or infinity")
     _check_max_iter(max_iter)
     _check_tol(tol)
-    _check_psd(P)
     B = R.shape[0]
     G0, h0, A0, b0 = problem.A_ineq, problem.b_ineq, problem.A_eq, problem.b_eq
     lb, ub = problem.lb, problem.ub
@@ -955,8 +958,11 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     """
     opt = np.flatnonzero(status == 0)
     act = (z[opt] >= s[opt]) | (s[opt] <= _FACE_TOL * scale[opt, None])
-    pats, group = np.unique(act, axis=0, return_inverse=True)
-    group = np.asarray(group).ravel()
+    # Group on one void key per row: np.unique(axis=0) takes a much slower
+    # structured-row path, and both sort rows in the same byte order.
+    keys, group = np.unique(act.view(np.dtype((np.void, act.shape[1]))).ravel(),
+                            return_inverse=True)
+    pats = keys.view(bool).reshape(-1, act.shape[1])
     xp, yp, zp, ok, full = _on_face(P, R[opt], G, h, A, b, face, pats, group,
                                     x[opt], y[opt], z[opt] * act, scale[opt])
     good = opt[ok]

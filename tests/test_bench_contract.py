@@ -59,3 +59,28 @@ def test_benchmark_smoke_run(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("base, change, better, verdict", [
+    # 9 of 10 pairs won, median 2.05 below the base's, base IQR 0.275.
+    ([10.0, 10.5, 10.2, 9.9, 10.1, 10.4, 9.8, 10.3, 10.0, 10.2],
+     [8.0, 8.2, 7.9, 8.1, 8.3, 7.8, 8.0, 8.1, 10.5, 8.2], "lower", "gain"),
+    # Median 30 % below the base's, bound 25 %.
+    ([10.0] * 5 + [10.1] * 5, [7.0] * 10, "higher", "regression"),
+    # Base IQR 4 of median 10, wider than the bound; the runs overlap.
+    ([6.0, 14.0, 8.0, 12.0, 10.0, 6.0, 14.0, 8.0, 12.0, 10.0],
+     [9.0, 11.0] * 5, "lower", "unresolved"),
+    ([6.0, 14.0, 8.0, 12.0, 10.0, 6.0, 14.0, 8.0, 12.0, 10.0],
+     [15.0] * 10, "higher", "gain"),
+    # Base IQR 10 of median 5: every change run beats every base run, but
+    # by less than the IQR.
+    ([0.0] * 5 + [10.0] * 5, [10.5] * 10, "higher", "unchanged"),
+    ([10.0, 10.1] * 5, [10.05] * 10, "lower", "unchanged"),
+    # Wins 8 of 10 with a large shift: not enough pairs for a gain.
+    ([10.0] * 10, [5.0] * 8 + [10.0] * 2, "lower", "unchanged"),
+])
+def test_bench_pairs_verdicts(monkeypatch, base, change, better, verdict):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    got = bench_pairs.compare(base, change, better, 0.25)
+    assert got["verdict"] == verdict

@@ -394,3 +394,25 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0 errors" in proc.stdout
+
+
+def test_cli_commands_leave_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize takes about a third of a second to import, and only
+    # equilibrium.check_agent_kkt uses it; it imports it on its first call.
+    script = f"""
+import sys
+import peertrade
+from peertrade import cli, equilibrium, market, scenario
+for argv in (["gne", "--grid", "0:100:50"], ["solve"], ["analyze"],
+             ["privacy", "--samples", "1000"], ["validate"]):
+    code = cli.main(argv + ["--builtin", "three_node", "--out", {str(tmp_path)!r}])
+    assert code == 0, argv
+assert "scipy.optimize" not in sys.modules
+scn = scenario.builtin("three_node")
+sol = market.solve_centralized(scn)
+for n in scn.node_ids:
+    assert equilibrium.check_agent_kkt(scn, sol, n).max_residual <= 1e-6, n
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -125,6 +125,18 @@ def test_list_built_problem_solves_like_array_built(data):
     np.testing.assert_array_equal(got.x, want.x)
 
 
+def test_problem_owns_frozen_copies_of_its_data():
+    P, b = np.eye(2), np.array([1.0])
+    prob = qp.QpProblem(P, np.array([-3.0, 0.0]), A_ineq=[[1.0, 0.0]], b_ineq=b)
+    P[0, 1], b[0] = 5.0, np.nan    # the caller's arrays, after the checks ran
+    np.testing.assert_array_equal(prob.P, np.eye(2))
+    sol = qp.solve(prob)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-7)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.r[0] = 0.0
+
+
 def test_non_psd_rejected():
     with pytest.raises(qp.QpError, match="positive semidefinite"):
         qp.solve(qp.QpProblem(np.array([[-1.0]]), np.zeros(1)))

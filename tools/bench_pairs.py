@@ -13,8 +13,9 @@ sides, and the side that runs first alternates, so drift of the machine
 falls on both sides alike.  Runs are sequential.
 
 The output records, per workload and end-to-end metric, each side's
-per-pair values, their median and quartiles, and how many pairs the
-change won in the metric's better direction; plus every run's
+per-pair values, their median and quartiles, how many pairs the change
+won in the metric's better direction, and a verdict (see ``compare``),
+which it also prints, one line per workload and metric; plus every run's
 ``correct`` and ``failed`` fields, the ``environment`` block ``run.py``
 recorded on each side, and each side's ``src/peertrade`` line totals
 (lines and code lines, as ``tools/src_lines.py`` counts them).
@@ -54,14 +55,34 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def compare(base: list, change: list, better: str) -> dict:
-    wins = sum((c < b) if better == "lower" else (c > b) for b, c in zip(base, change))
-    out = {"better": better, "base": base, "change": change,
+def compare(base: list, change: list, better: str, bound: float) -> dict:
+    """Paired runs of one metric and their verdict.
+
+    ``bound`` is the metric's largest allowed worsening, relative to the
+    base median.  The verdict is ``gain`` when the change wins at least
+    nine tenths of the pairs (ties count for neither) and its median beats
+    the base median by more than the base IQR; ``regression`` when its
+    median is worse than the base median by more than the bound;
+    ``unresolved`` when the base IQR is wider than the bound and not every
+    change run beats every base run; else ``unchanged``.
+    """
+    sign = -1.0 if better == "lower" else 1.0     # sign * value: higher is better
+    wins = sum(sign * c > sign * b for b, c in zip(base, change))
+    out = {"better": better, "bound": bound, "base": base, "change": change,
            "base_stats": summary(base), "change_stats": summary(change),
            "wins": wins, "pairs": len(base)}
-    out["median_change_over_base"] = (out["change_stats"]["median"]
-                                      / out["base_stats"]["median"]
-                                      if out["base_stats"]["median"] else None)
+    b_med, c_med = out["base_stats"]["median"], out["change_stats"]["median"]
+    b_iqr, allowed = out["base_stats"]["iqr"], bound * abs(b_med)
+    out["median_change_over_base"] = c_med / b_med if b_med else None
+    if 10 * wins >= 9 * len(base) and sign * (c_med - b_med) > b_iqr:
+        out["verdict"] = "gain"
+    elif sign * (b_med - c_med) > allowed:
+        out["verdict"] = "regression"
+    elif b_iqr > allowed and (min(sign * c for c in change)
+                              <= max(sign * b for b in base)):
+        out["verdict"] = "unresolved"
+    else:
+        out["verdict"] = "unchanged"
     return out
 
 
@@ -78,7 +99,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
 
     record = {"seconds": seconds, "pairs": args.pairs, "first_seed": args.seed,
@@ -104,8 +125,14 @@ def main(argv=None) -> int:
                              "attempted": r["attempted"], "failed": r["failed"]}
                             for k, r in enumerate(runs[side])] for side in SIDES},
             "metrics": {m: compare(*([r["metrics"][m]["value"] for r in runs[side]]
-                                     for side in SIDES), better[m])
-                        for m in better}}
+                                     for side in SIDES), *rules[m])
+                        for m in rules}}
+    for workload, entry in record["workloads"].items():
+        for m, c in entry["metrics"].items():
+            print(f"{workload} {m}: base {c['base_stats']['median']:.4g} "
+                  f"(IQR {c['base_stats']['iqr']:.3g}), change "
+                  f"{c['change_stats']['median']:.4g}, change won "
+                  f"{c['wins']}/{c['pairs']}: {c['verdict']}")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
