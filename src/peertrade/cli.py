@@ -296,9 +296,20 @@ def cmd_analyze(args) -> int:
 def _load_error_model(args, scn) -> privacy.ErrorModel:
     if args.errors_path is not None:
         raw = json.loads(Path(args.errors_path).read_text(encoding="utf-8"))
+        if not (isinstance(raw, dict) and isinstance(raw.get("pairs"), list)):
+            raise ValueError('errors file: expected an object with a "pairs" list')
         sd, sg, cv = {}, {}, {}
-        for row in raw["pairs"]:
-            key = (int(row["n"]), int(row["m"]))
+        for i, row in enumerate(raw["pairs"]):
+            if not isinstance(row, dict):
+                raise ValueError(f"errors file: pairs[{i}] is not an object")
+            for name in ("n", "m", "sigma_d", "sigma_g", "cov"):
+                node = name in ("n", "m")   # required; the rest default to 0
+                v = row.get(name, None if node else 0.0)
+                # type(), not isinstance(): JSON true and false are not numbers.
+                if type(v) not in ((int,) if node else (int, float)):
+                    raise ValueError(f"errors file: pairs[{i}].{name} is {json.dumps(v)}, "
+                                     f"not {'an integer' if node else 'a number'}")
+            key = (row["n"], row["m"])
             sd[key] = row.get("sigma_d", 0.0)
             sg[key] = row.get("sigma_g", 0.0)
             cv[key] = row.get("cov", 0.0)

@@ -25,7 +25,6 @@ a Price-of-Anarchy lower bound.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
@@ -144,16 +143,11 @@ def solve_parameterized(scenario: Scenario, omega: OmegaVector,
                         eps_reg: float = 0.0) -> GneSample:
     """Solve the omega-perturbed problem and classify the outcome."""
     problem, idx = market.assemble(scenario, eps_reg)
-    items = omega.items()
-    cols = _omega_columns(idx, [pair for pair, _ in items])
-    W = np.array([[w for _, w in items]])   # (1, k)
+    cols = _omega_columns(idx, omega.support)
+    W = np.array([[w for _, w in omega.items()]])   # (1, k)
     r = _linear_terms(problem, W, cols)[0]
-    sol = qp.solve(dataclasses.replace(problem, r=r), tol=tol)
-    if sol.status != qp.STATUS_OPTIMAL:
-        raise market.MarketError(
-            f"parameterized solve returned {sol.status!r}: {sol.message}")
-    ms = market.extract_solution(scenario, idx, sol, kind="gne")
-    market.verify_solution(scenario, ms, tol, price_shift=dict(omega.items()))
+    sol, ms = market._solve(scenario, problem, idx, r, "gne", tol,
+                            price_shift=omega.entries)
     return _sample(scenario, omega, ms, _violation(sol.x[None, :], W, cols)[0])
 
 

@@ -190,17 +190,32 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
     trades non-unique.  The value is echoed in the solution.
     """
     problem, idx = assemble(scenario, eps_reg)
-    sol = qp.solve(problem, tol=tol, max_iter=max_iter)
+    return _solve(scenario, problem, idx, problem.r, kind, tol, max_iter)[1]
+
+
+def _solve(scenario: Scenario, problem: qp.QpProblem, idx: _MarketIndex,
+           r: np.ndarray, kind: str, tol: float, max_iter: int = 100,
+           price_shift=None) -> tuple:
+    """Solve the assembled market QP at the linear term ``r``, and verify it.
+
+    The one path from a market to the QP: ``problem`` is solved as built,
+    one ``qp.solve_batch`` row with ``r`` in place of its own linear term.
+    An infeasible row raises :class:`InfeasibleMarketError` naming the
+    worst rows, any other non-optimal status :class:`MarketError` naming
+    the status and the iteration count.  ``price_shift`` goes to
+    :func:`verify_solution`.  Returns ``(qp solution, market solution)``.
+    """
+    sol = qp.solve_batch(problem, r[None, :], tol=tol, max_iter=max_iter).solution(0)
     if sol.status == qp.STATUS_INFEASIBLE:
         raise InfeasibleMarketError(
             f"scenario {scenario.name!r}: "
             + _attribute_infeasibility(problem, idx, sol))
     if sol.status != qp.STATUS_OPTIMAL:
-        raise MarketError(f"solver returned status {sol.status!r}: {sol.message}")
-
+        raise MarketError(f"solver returned status {sol.status!r} after "
+                          f"{sol.iterations} iterations")
     solution = extract_solution(scenario, idx, sol, kind)
-    verify_solution(scenario, solution, tol)
-    return solution
+    verify_solution(scenario, solution, tol, price_shift)
+    return sol, solution
 
 
 def _attribute_infeasibility(problem: qp.QpProblem, idx: _MarketIndex,
@@ -226,7 +241,8 @@ def _attribute_infeasibility(problem: qp.QpProblem, idx: _MarketIndex,
             viol.append(f"{names[j]} below its lower bound by {below[j]:.3g}")
         elif above[j] > 1e-6:
             viol.append(f"{names[j]} above its upper bound by {above[j]:.3g}")
-    detail = "; ".join(viol) if viol else sol.message
+    detail = "; ".join(viol) or (
+        f"worst primal residual {sol.kkt_residuals['primal']:.3e}")
     return f"no feasible dispatch ({detail})"
 
 
@@ -256,13 +272,8 @@ def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
     for (lo, hi), row in idx.recip_row.items():
         zeta[lo][hi] = zeta[hi][lo] = float(z[row])
 
-    waste = {}
-    total = 0.0
-    for pair in sorted(scenario.links):
-        lo, hi = pair
-        w = -(q[lo][hi] + q[hi][lo])
-        waste[pair] = w
-        total += max(w, 0.0)
+    waste = {(lo, hi): -(q[lo][hi] + q[hi][lo]) for lo, hi in sorted(scenario.links)}
+    total = sum((max(w, 0.0) for w in waste.values()), start=0.0)
 
     sw = social_welfare(scenario, D, G, q)
     return MarketSolution(D=D, G=G, q=q, Q=Q, lam=lam, zeta=zeta, xi=xi,

@@ -58,12 +58,12 @@ active bound) fixes it, and a separable variable leaves by its pivot, as
 in the Newton system, so the matrix solved covers the free coupled
 variables and the other rows only.  It is built once per
 :func:`solve_batch` call and serves every pattern of rows, one LAPACK
-call per pattern.  One active-face test, :func:`_on_face`, wraps it with
-the accept test :func:`_accepted`, taken once for all rows.  Polish
-calls that for the correction from a converged iterate, on the active
-set guessed there, and so moves the iterate to the nearest point of that
-face; a problem with no inequality rows is the face solve with an empty
-active set (no IPM iterations).
+call per pattern.  Polish calls it for the correction from a converged
+iterate, on the active set guessed there, and so moves the iterate to
+the nearest point of that face, which it keeps when the accept test
+:func:`_accepted` passes, taken once for all rows; a problem with no
+inequality rows is the face solve with an empty active set (no IPM
+iterations).
 
 Neighbouring rows of a sweep share their optimal face.  Successive
 :func:`solve_batch` calls given one ``faces`` dict claim rows on the
@@ -848,27 +848,6 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
     return x, y, z, s, status, iters
 
 
-def _on_face(P, R, G, h, A, b, face, pats, group, x, y, z, scale):
-    """Each row's point on its active face nearest its start, and its test.
-
-    ``face`` is :func:`_face_solve` of ``P`` and ``[A; G]``.  Row i's face
-    holds the equalities and the rows ``G[pats[group[i]]]`` as equalities,
-    and its start is ``x[i]`` with the multipliers ``y[i]`` and ``z[i]``,
-    zero off the face (from zero: the face point itself; a start of one
-    row serves every row); one face solve serves every row and the KKT
-    test is taken once for all of them.  Returns
-    ``(x, y, z, ok, full)``: ``z`` clipped at zero, ``ok`` whether the
-    point, with the face multipliers as solved, passes :func:`_accepted`,
-    and ``full`` (one per pattern) whether the face matrix has full rank.
-    """
-    p = len(b)
-    on = np.hstack([np.ones((len(pats), p), dtype=bool), pats])
-    xp, w, full = face(R, np.concatenate([b, h]), on, group, x, np.hstack([y, z]))
-    yp, zp = w[:, :p], w[:, p:]
-    ok = _accepted(P, R, G, h, A, b, xp, yp, zp, scale)
-    return xp, yp, np.maximum(zp, 0.0), ok, full
-
-
 def _face_maps(face, G, h, b, pats):
     """The affine map from the linear term to the point of each face in ``pats``.
 
@@ -949,24 +928,29 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
     constraint is active with zero multiplier, leaving that constraint's
     slack around 1e-5 rather than machine precision.  This solves the face
-    of the guessed active set for the correction from the iterate, by one
-    :func:`_on_face` for all rows (one reduced solve per pattern): its
-    minimum-norm answer is the face point nearest the iterate.  A row is
-    overwritten, in place, only when that point passes the face's KKT
-    test; so a wrong guess is harmless.  A full-rank face that accepts a
+    of the guessed active set (the equalities and the active rows of ``G``
+    held as equalities) for the correction from the iterate, its
+    multipliers zero off the face, by one ``face`` call for all rows (one
+    reduced solve per pattern): its minimum-norm answer is the face point
+    nearest the iterate.  A row is overwritten, in place, only when that
+    point, with the face multipliers as solved, passes :func:`_accepted`,
+    taken once for all rows; so a wrong guess is harmless.  Its inequality
+    multipliers are then clipped at zero.  A full-rank face that accepts a
     row is added to ``faces`` if given.
     """
-    opt = np.flatnonzero(status == 0)
+    opt, p = np.flatnonzero(status == 0), len(b)
     act = (z[opt] >= s[opt]) | (s[opt] <= _FACE_TOL * scale[opt, None])
     # Group on one void key per row: np.unique(axis=0) takes a much slower
     # structured-row path, and both sort rows in the same byte order.
     keys, group = np.unique(act.view(np.dtype((np.void, act.shape[1]))).ravel(),
                             return_inverse=True)
     pats = keys.view(bool).reshape(-1, act.shape[1])
-    xp, yp, zp, ok, full = _on_face(P, R[opt], G, h, A, b, face, pats, group,
-                                    x[opt], y[opt], z[opt] * act, scale[opt])
+    on = np.hstack([np.ones((len(pats), p), dtype=bool), pats])
+    xp, w, full = face(R[opt], np.concatenate([b, h]), on, group, x[opt],
+                       np.hstack([y[opt], z[opt] * act]))
+    ok = _accepted(P, R[opt], G, h, A, b, xp, w[:, :p], w[:, p:], scale[opt])
     good = opt[ok]
-    x[good], y[good], z[good] = xp[ok], yp[ok], zp[ok]
+    x[good], y[good], z[good] = xp[ok], w[ok, :p], np.maximum(w[ok, p:], 0.0)
     if faces is not None:
         landed = full & (np.bincount(group[ok], minlength=len(pats)) > 0)
         for pat in pats[landed]:

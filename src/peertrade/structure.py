@@ -42,13 +42,13 @@ class PreferenceCycle:
     ``nodes`` lists the cycle once, smallest node first; the closing edge
     back to the start is implied.  ``weight`` sums C[n][m] over the
     directed edges; since C is antisymmetric, the reversed cycle appears
-    separately with the opposite weight.  ``kind`` distinguishes plain
-    weight-sign cycles from the per-node local condition variant.
+    separately with the opposite weight, and the weight is never zero.
+    ``kind`` distinguishes plain weight-sign cycles from the per-node local
+    condition variant.
     """
 
     nodes: tuple
     weight: float
-    sign: str
     kind: str = "preference"
 
     def __post_init__(self):
@@ -56,12 +56,13 @@ class PreferenceCycle:
             raise ValueError(f"cycle nodes repeat: {self.nodes}")
         if len(self.nodes) <= 2:
             raise ValueError("cycles must have length > 2")
-        if self.sign not in ("negative", "positive"):
-            raise ValueError(f"bad sign tag {self.sign!r}")
-        if self.sign == "negative" and self.weight >= 0:
-            raise ValueError("negative-tagged cycle with nonnegative weight")
-        if self.sign == "positive" and self.weight <= 0:
-            raise ValueError("positive-tagged cycle with nonpositive weight")
+        if self.weight == 0:
+            raise ValueError("a zero-weight cycle has no sign")
+
+    @property
+    def sign(self) -> str:
+        """``"negative"`` or ``"positive"``, the sign of ``weight``."""
+        return "negative" if self.weight < 0 else "positive"
 
     def edges(self) -> list:
         """The directed edges (a, b) around the cycle, closing edge last."""
@@ -103,20 +104,24 @@ class CycleCongestionVerdict:
 class WasteCertificate:
     """No-waste certificate for the trade of ``pair[0]`` with ``pair[1]``.
 
-    ``certified`` means a non-congested path from pair[0] reaches a node
-    whose price plus the accumulated preference differences strictly
-    exceeds the preference cost c(pair[0], pair[1]), so wasting on this
-    trade would be suboptimal.  ``margin`` is that excess; ``via`` and
-    ``path`` describe the best path found; ``observed_waste`` is the
-    solution's actual waste on the unordered pair.
+    ``margin`` is what the best non-congested path from pair[0] reaches:
+    a node's price plus the accumulated preference differences, minus the
+    preference cost c(pair[0], pair[1]).  ``via`` and ``path`` describe
+    that path; ``observed_waste`` is the solution's actual waste on the
+    unordered pair.
     """
 
     pair: tuple
-    certified: bool
     margin: float
     via: Optional[int]
     path: tuple
     observed_waste: float
+
+    @property
+    def certified(self) -> bool:
+        """Whether the margin is strictly positive (above 1e-9), so wasting
+        on this trade would be suboptimal."""
+        return self.margin > 1e-9
 
 
 def _simple_paths(scenario: Scenario, start: int, step: Callable,
@@ -181,11 +186,13 @@ def cycle_weight(scenario: Scenario, nodes) -> float:
 def _cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
     """The cycle length bound of :func:`detect_preference_cycles`.
 
-    ``max_len`` nodes, default the node count; more than the node count
-    raises ``ValueError``.
+    ``max_len`` nodes, default the node count; a negative value or more
+    than the node count raises ``ValueError``.
     """
     if max_len is None:
         return scenario.n_nodes
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len > scenario.n_nodes:
         raise ValueError(f"max_len {max_len} exceeds the node count {scenario.n_nodes}")
     return max_len
@@ -212,7 +219,8 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None) 
     pass skips the enumeration entirely when no nonzero cycle exists.
     Otherwise each cycle is a simple path from its smallest node through
     larger ones that closes back, of at most ``max_len`` nodes (default
-    all; more than the node count raises ``ValueError``).  More than
+    all; a negative value or more than the node count raises
+    ``ValueError``).  More than
     ``_CYCLE_BUDGET`` cycles, zero-weight ones included, raise
     StructureError.
     """
@@ -232,8 +240,7 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None) 
                     "bound the cycle length for dense preference graphs")
             w = value + scenario.c_tilde(nodes[-1], start)
             if abs(w) > 1e-9:
-                out.append(PreferenceCycle(nodes=nodes, weight=w,
-                                           sign="negative" if w < 0 else "positive"))
+                out.append(PreferenceCycle(nodes=nodes, weight=w))
     out.sort(key=lambda c: (c.weight, c.nodes))
     return out
 
@@ -402,8 +409,7 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution,
             margin = top_val - scenario.c(n0, m0)
             pair = (n0, m0) if n0 < m0 else (m0, n0)
             out.append(WasteCertificate(
-                pair=(n0, m0), certified=margin > 1e-9, margin=margin,
-                via=top_m, path=top_path,
+                pair=(n0, m0), margin=margin, via=top_m, path=top_path,
                 observed_waste=solution.waste[pair]))
     return out
 

@@ -235,6 +235,7 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
      "sweep would evaluate 1000000300000030000001 points, over the budget of 1000000"),
     (["gne", "--grid", "0:100:1e-320"],
      "bad --grid '0:100:1e-320': grid step 1e-320 gives an axis too long to count"),
+    (["analyze", "--max-cycle-len", "-1"], "--max-cycle-len: max_len must be >= 0, got -1"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     out = tmp_path / "reports"
@@ -249,6 +250,11 @@ def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     ('{"pairs": [', "Expecting value"),
     (json.dumps({"pairs": [{"n": 0, "m": 1, "sigma_d": -0.2}]}),
      "sigma_d[(0, 1)] = -0.2 is negative"),
+    ("[1, 2]", 'errors file: expected an object with a "pairs" list'),
+    ('{"pairs": [5]}', "errors file: pairs[0] is not an object"),
+    ('{"pairs": [{"n": null, "m": 1}]}', "errors file: pairs[0].n is null, not an integer"),
+    ('{"pairs": [{"n": 0, "m": 1, "cov": true}]}',
+     "errors file: pairs[0].cov is true, not a number"),
 ])
 def test_privacy_malformed_errors_file_is_an_input_error(capsys, tmp_path, text, message):
     path = tmp_path / "errors.json"

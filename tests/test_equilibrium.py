@@ -55,6 +55,26 @@ def test_zero_omega_reproduces_ve(three_node, ve):
     assert z.sw == pytest.approx(ve.sw, rel=1e-9)
 
 
+def test_parameterized_solve_builds_its_problem_once(three_node, monkeypatch):
+    # The omega shift is a linear term for qp.solve_batch, not a second
+    # QpProblem, so P's PSD check runs once.
+    calls = {"build": 0, "eigvalsh": 0}
+    build, eigvalsh = qp.QpProblem.__post_init__, np.linalg.eigvalsh
+
+    def counting_build(self):
+        calls["build"] += 1
+        build(self)
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(qp.QpProblem, "__post_init__", counting_build)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    eq.solve_parameterized(three_node, eq.OmegaVector(OMEGA_STAR))
+    assert calls == {"build": 1, "eigvalsh": 1}
+
+
 def test_known_equilibrium_point(gne_star):
     sol = gne_star.solution
     assert gne_star.is_gne

@@ -230,6 +230,20 @@ def test_max_len_above_node_count_rejected(three_node):
         st.detect_preference_cycles(three_node, max_len=4)
 
 
+def test_negative_max_len_rejected(three_node):
+    # A negative bound once read as "no cycles"; three_node has two.
+    for detect in (st.detect_preference_cycles, st.detect_game_cycles):
+        with pytest.raises(ValueError, match="max_len must be >= 0, got -5"):
+            detect(three_node, max_len=-5)
+
+
+def test_cycle_sign_follows_its_weight():
+    assert st.PreferenceCycle(nodes=(0, 1, 2), weight=-1.0).sign == "negative"
+    assert st.PreferenceCycle(nodes=(0, 2, 1), weight=1.0).sign == "positive"
+    with pytest.raises(ValueError, match="zero-weight cycle"):
+        st.PreferenceCycle(nodes=(0, 1, 2), weight=0.0)
+
+
 def test_path_budget_guard(three_node, solved, monkeypatch):
     monkeypatch.setattr(st, "_PATH_BUDGET", 1)
     with pytest.raises(st.StructureError,

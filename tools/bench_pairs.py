@@ -18,7 +18,8 @@ won in the metric's better direction, and a verdict (see ``compare``),
 which it also prints, one line per workload and metric; plus every run's
 ``correct`` and ``failed`` fields, the ``environment`` block ``run.py``
 recorded on each side, and each side's ``src/peertrade`` line totals
-(lines and code lines, as ``tools/src_lines.py`` counts them).
+(lines and code lines, as ``tools/src_lines.py`` counts them), which it
+prints after the verdicts with the change's difference.
 """
 
 from __future__ import annotations
@@ -133,6 +134,10 @@ def main(argv=None) -> int:
                   f"(IQR {c['base_stats']['iqr']:.3g}), change "
                   f"{c['change_stats']['median']:.4g}, change won "
                   f"{c['wins']}/{c['pairs']}: {c['verdict']}")
+    base, change = (record["src_lines"][side] for side in SIDES)
+    for kind in ("lines", "code_lines"):
+        print(f"src {kind}: base {base[kind]}, change {change[kind]} "
+              f"({change[kind] - base[kind]:+d})")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
