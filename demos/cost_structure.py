@@ -39,8 +39,8 @@ for p in preds:
     print(f"  predicted congested direction q[{a}][{b}]; solved value "
           f"{ssol.q[a][b]:.3f} at capacity {star.kappa(a, b)}")
 
-# waste certificates: a pair provably never wastes if some path prices
-# the surplus above the trading friction
+# waste certificates: at the welfare optimum a trade provably never
+# wastes if the buyer's own price beats its trading friction
 ok, witness = st.no_waste_necessary(scn)
 print()
 print(f"benchmark can absorb all infeed without waste: {ok} "

@@ -96,7 +96,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
     common(p, "--tol", "--max-iter", "--reg")
     p.add_argument("--max-cycle-len", type=int, default=None)
-    p.add_argument("--max-path-len", type=int, default=None)
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
     common(p, "--seed")
@@ -268,12 +267,9 @@ def _check_flag(flag: str, check, *args) -> None:
 def cmd_analyze(args) -> int:
     scn = _load(args)
     _check_flag("--max-cycle-len", structure._cycle_len_limit, scn, args.max_cycle_len)
-    _check_flag("--max-path-len", structure._path_len_limit, scn, args.max_path_len)
     sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
                                    eps_reg=args.reg)
-    report = structure.analysis_report(scn, sol,
-                                       max_cycle_len=args.max_cycle_len,
-                                       max_path_len=args.max_path_len)
+    report = structure.analysis_report(scn, sol, max_cycle_len=args.max_cycle_len)
     cycles = report["cycles"]
     print(f"scenario: {scn.name}")
     print(f"preference cycles: {len(cycles)}")
@@ -293,6 +289,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+_ERROR_KEYS = ("n", "m", "sigma_d", "sigma_g", "cov")   # an --errors file's pair keys
+
+
 def _load_error_model(args, scn) -> privacy.ErrorModel:
     if args.errors_path is not None:
         raw = json.loads(Path(args.errors_path).read_text(encoding="utf-8"))
@@ -302,7 +301,11 @@ def _load_error_model(args, scn) -> privacy.ErrorModel:
         for i, row in enumerate(raw["pairs"]):
             if not isinstance(row, dict):
                 raise ValueError(f"errors file: pairs[{i}] is not an object")
-            for name in ("n", "m", "sigma_d", "sigma_g", "cov"):
+            unknown = sorted(set(row) - set(_ERROR_KEYS))
+            if unknown:
+                raise ValueError(f"errors file: pairs[{i}] has unknown key "
+                                 f"{json.dumps(unknown[0])}; expected {', '.join(_ERROR_KEYS)}")
+            for name in _ERROR_KEYS:
                 node = name in ("n", "m")   # required; the rest default to 0
                 v = row.get(name, None if node else 0.0)
                 # type(), not isinstance(): JSON true and false are not numbers.
@@ -310,6 +313,8 @@ def _load_error_model(args, scn) -> privacy.ErrorModel:
                     raise ValueError(f"errors file: pairs[{i}].{name} is {json.dumps(v)}, "
                                      f"not {'an integer' if node else 'a number'}")
             key = (row["n"], row["m"])
+            if key in sd:
+                raise ValueError(f"errors file: pairs[{i}] repeats pair {key}")
             sd[key] = row.get("sigma_d", 0.0)
             sg[key] = row.get("sigma_g", 0.0)
             cv[key] = row.get("cov", 0.0)

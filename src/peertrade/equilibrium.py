@@ -34,7 +34,7 @@ import numpy as np
 
 from . import market, qp
 from .market import MarketSolution
-from .scenario import Scenario
+from .scenario import Scenario, _pair_keyed
 
 # The default support: omega on q[m][n] for n > m only.  It reaches the
 # equilibria where, on every pair, the higher-id agent's reciprocity price
@@ -58,19 +58,20 @@ class OmegaError(ValueError):
 class OmegaVector:
     """Nonnegative finite perturbation weights on directed trades.
 
-    Keys are directed pairs ``(n, m)``: the weight is added to what agent
-    ``n`` pays per unit bought from ``m``.
+    Keys are directed pairs ``(n, m)`` of integer node ids: the weight is
+    added to what agent ``n`` pays per unit bought from ``m``.  ``entries``
+    is a mapping or a sequence of ``(pair, weight)`` items; a non-integral
+    id or a pair given twice raises ``OmegaError``.
     """
 
     entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
-        for pair, w in dict(self.entries).items():
-            n, m = pair
+        for pair, w in _pair_keyed(self.entries, OmegaError, "omega").items():
             if not (w >= 0 and math.isfinite(w)):
                 raise OmegaError(f"omega[{pair}] = {w} is negative or not finite")
-            clean[(int(n), int(m))] = float(w)
+            clean[pair] = float(w)
         object.__setattr__(self, "entries", clean)
 
     @property
@@ -397,11 +398,14 @@ def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
     pinned to zero, the rest are fitted by nonnegative least squares.
     ``ridge`` lightly penalizes the congestion multipliers so that when a
     trade is simultaneously at capacity and reciprocity-tight, the
-    explanation defaults to the trade price.
+    explanation defaults to the trade price; it must be finite and
+    nonnegative, else ``ValueError``.
 
     The first call imports ``scipy.optimize`` (for its ``nnls``), which
     ``import peertrade`` and every CLI command leave unloaded.
     """
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     p = scenario.prosumer(node)
     neigh = scenario.neighbors(node)
     k = len(neigh)

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import market
-from .scenario import Scenario
+from .scenario import Scenario, _pair_keyed
 
 DEFAULT_MC_CHUNK = 1 << 16   # chunk size is part of the seeding contract
 MIN_MC_SAMPLES = 1000        # the smallest run monte_carlo_bias accepts
@@ -45,9 +45,10 @@ class PrivacyError(ValueError):
 
 
 def _floats(mp, label: str) -> dict:
-    """``mp`` with float values; NaN or infinity raises PrivacyError."""
+    """``mp`` keyed by integer ``(n, m)`` pairs, with float values.  A
+    non-integral or repeated pair, NaN or infinity raises PrivacyError."""
     out = {}
-    for key, v in dict(mp).items():
+    for key, v in _pair_keyed(mp, PrivacyError, label).items():
         v = float(v)
         if not math.isfinite(v):
             raise PrivacyError(f"{label}[{key}] = {v} is not finite")
@@ -61,10 +62,11 @@ class ErrorModel:
 
     ``sigma_d[(n, m)]`` is the standard deviation of agent n's error on
     m's target demand, ``sigma_g`` the same for m's renewable infeed,
-    and ``cov`` their covariance.  Pairs are directed (n forecasts m);
-    missing pairs mean error-free forecasts.  Covariances must respect
-    the Cauchy-Schwarz bound; use :func:`clamp_error_model` for data
-    that does not.
+    and ``cov`` their covariance.  Pairs are directed (n forecasts m) and
+    keyed by integer node ids (a non-integral id or a pair given twice
+    raises ``PrivacyError``); missing pairs mean error-free forecasts.
+    Covariances must respect the Cauchy-Schwarz bound; use
+    :func:`clamp_error_model` for data that does not.
     """
 
     sigma_d: Mapping
@@ -75,10 +77,9 @@ class ErrorModel:
         def clean(mp, label, allow_negative):
             out = {}
             for key, v in _floats(mp, label).items():
-                n, m = key
                 if not allow_negative and v < 0:
                     raise PrivacyError(f"{label}[{key}] = {v} is negative")
-                out[(int(n), int(m))] = v
+                out[key] = v
             return out
 
         sd = clean(self.sigma_d, "sigma_d", False)
@@ -327,8 +328,13 @@ def bias_report(scenario: Scenario, errors: ErrorModel,
 
     The point estimates are taken at the VE vector r (all ones); by
     default the box degenerates to it, making phi equal |expected_bias|
-    exactly.
+    exactly.  A model pair that is not a directed link of the scenario
+    raises ``PrivacyError``.
     """
+    for n, m in errors.pairs():
+        if not scenario.has_link(n, m):
+            raise PrivacyError(f"error model pair {(n, m)} is not a directed link "
+                               f"of scenario '{scenario.name}'")
     r = default_r(scenario)
     if r_lo is None:
         r_lo = dict(r)

@@ -118,6 +118,27 @@ def _keyed(items, key, clash: str) -> dict:
     return out
 
 
+def _pair_keyed(entries, error, label: str) -> dict:
+    """``entries``, a mapping or a sequence of ``(pair, value)`` items, as a
+    dict keyed by ``(int, int)`` node-id pairs.  A pair whose ids are not
+    integral, or a pair given twice, raises ``error`` naming the key as
+    ``label[key]``."""
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    out = {}
+    for key, value in items:
+        try:
+            n, m = key
+            pair = (int(n), int(m))
+        except (TypeError, ValueError, OverflowError):
+            pair = None
+        if pair is None or pair != (n, m):
+            raise error(f"{label}[{key!r}]: node ids must be two integers")
+        if pair in out:
+            raise error(f"{label}[{key!r}]: pair {pair} is given twice")
+        out[pair] = value
+    return out
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete market instance: prosumers plus trade links.

@@ -9,11 +9,11 @@ predictions or certificates that can be checked against the solution:
 * A price asymmetry on one pair, under uniform root prices, pins which
   direction of that pair saturates.
 * Waste (energy sent but not accepted, -(q_nm + q_mn) > 0) is ruled out
-  for a trade when some non-congested path reaches a node whose price
-  beats the trade's preference cost.
+  for a trade when the buyer's own price beats the trade's preference
+  cost; at the welfare optimum no path through other nodes does better.
 
-Cycles and waste paths come from one depth-first search of simple paths
-over the trade graph, ``_simple_paths``, each with its own budget.
+Cycles come from one depth-first search of simple paths over the trade
+graph, ``_simple_paths``, under a budget.
 Predictions are advisory: they are produced before or after solving and
 verified against solutions, never fed back into the solver.
 """
@@ -21,13 +21,12 @@ verified against solutions, never fed back into the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .market import MarketSolution, _waste_block
 from .scenario import Scenario
 
 _CYCLE_BUDGET = 10 ** 5   # detect_preference_cycles: most cycles enumerated
-_PATH_BUDGET = 10 ** 5    # waste_certificates: most paths from one node
 _CAPACITY_TOL = 1e-6   # a trade this close to its line capacity is at it
 
 
@@ -104,17 +103,13 @@ class CycleCongestionVerdict:
 class WasteCertificate:
     """No-waste certificate for the trade of ``pair[0]`` with ``pair[1]``.
 
-    ``margin`` is what the best non-congested path from pair[0] reaches:
-    a node's price plus the accumulated preference differences, minus the
-    preference cost c(pair[0], pair[1]).  ``via`` and ``path`` describe
-    that path; ``observed_waste`` is the solution's actual waste on the
-    unordered pair.
+    ``margin`` is the buyer's price minus the preference cost,
+    lambda[pair[0]] - c(pair[0], pair[1]); ``observed_waste`` is the
+    solution's actual waste on the unordered pair.
     """
 
     pair: tuple
     margin: float
-    via: Optional[int]
-    path: tuple
     observed_waste: float
 
     @property
@@ -124,24 +119,22 @@ class WasteCertificate:
         return self.margin > 1e-9
 
 
-def _simple_paths(scenario: Scenario, start: int, step: Callable,
-                  max_nodes: int) -> Iterator[tuple]:
-    """Every simple path of at least one edge from ``start``, depth first.
+def _simple_paths(scenario: Scenario, start: int, max_nodes: int) -> Iterator[tuple]:
+    """Every simple path of at least one edge from ``start`` through larger
+    nodes only, depth first.
 
     Yields ``(path, value)``: the node tuple and the running sum of
     C[p_i][p_i+1] along it.  Neighbours are taken in ascending order and
-    a path comes before its extensions.  The edge a -> b is taken only
-    when ``step(a, b)`` allows it, and a path is extended only while it
-    has fewer than ``max_nodes`` nodes, so ``max_nodes <= 1`` yields
-    nothing.  This is the one trade-graph search behind the cycle and
-    waste diagnostics.
+    a path comes before its extensions, which it gets only while it has
+    fewer than ``max_nodes`` nodes, so ``max_nodes <= 1`` yields nothing.
+    Each cycle closes such a path from its smallest node.
     """
     path, sums, on_path = [start], [0.0], {start}
     stack = [iter(scenario.neighbors(start) if max_nodes > 1 else ())]
     while stack:
         a = path[-1]
         for b in stack[-1]:
-            if b in on_path or not step(a, b):
+            if b <= start or b in on_path:
                 continue
             path.append(b)
             sums.append(sums[-1] + scenario.c_tilde(a, b))
@@ -198,19 +191,6 @@ def _cycle_len_limit(scenario: Scenario, max_len: Optional[int] = None) -> int:
     return max_len
 
 
-def _path_len_limit(scenario: Scenario, max_path_len: Optional[int] = None) -> int:
-    """The path length bound of :func:`waste_certificates`.
-
-    ``max_path_len`` edges, default the node count; a negative value
-    raises ``ValueError``.
-    """
-    if max_path_len is None:
-        return scenario.n_nodes
-    if max_path_len < 0:
-        raise ValueError(f"max_path_len must be >= 0, got {max_path_len}")
-    return max_path_len
-
-
 def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None) -> list:
     """All simple cycles with nonzero preference weight, sorted by weight.
 
@@ -229,8 +209,7 @@ def detect_preference_cycles(scenario: Scenario, max_len: Optional[int] = None) 
         return []
     out, emitted = [], 0
     for start in scenario.node_ids:
-        for nodes, value in _simple_paths(scenario, start, lambda a, b: b > start,
-                                          max_len):
+        for nodes, value in _simple_paths(scenario, start, max_len):
             if len(nodes) < 3 or not scenario.has_link(nodes[-1], start):
                 continue
             emitted += 1
@@ -370,48 +349,30 @@ def check_congestion_unilateral(scenario: Scenario, solution: MarketSolution) ->
     return bad
 
 
-def waste_certificates(scenario: Scenario, solution: MarketSolution,
-                       max_path_len: Optional[int] = None) -> list:
-    """Per-trade no-waste certificates from marginal prices.
+def waste_certificates(scenario: Scenario, solution: MarketSolution) -> list:
+    """Per-trade no-waste certificates from the buyer's own price.
 
     The trade of n0 with m0 is certified waste-free when some node m,
     reachable from n0 through non-congested lines, satisfies
-    lambda_m + sum of preference differences along the path > c(n0, m0):
-    diverting the wasted energy there would raise welfare, so the
-    optimum wastes nothing here.  With the empty path this includes the
-    single-node case lambda_n0 > c(n0, m0).  Paths have at most
-    ``max_path_len`` edges (default the node count; 0 keeps only the
-    empty path, a negative value raises ``ValueError``); each node keeps
-    the first of its equally good paths.  More than ``_PATH_BUDGET``
-    paths from one node raise StructureError.
+    lambda_m + sum of C along the path > c(n0, m0): diverting the wasted
+    energy there would raise welfare, so the optimum wastes nothing here.
+    At the welfare optimum the empty path m = n0 is the best one, so the
+    margin is lambda_n0 - c(n0, m0).  The stationarity rows of q[b][a]
+    and q[a][b] share one reciprocity multiplier zeta, so their
+    difference reads C[a][b] = lambda_a - lambda_b - xi[a][b] + xi[b][a].
+    An edge a -> b is non-congested when its congestion price xi[b][a] is
+    below 1e-8; as xi >= 0, such an edge has lambda_b + C[a][b] <=
+    lambda_a + 1e-8, and summed along a path lambda_m + sum of C <=
+    lambda_n0 + 1e-8 per edge.
+
+    That argument uses the optimum's identities with ``eps_reg`` 0 and no
+    omega price shift, so the certificate is backed only at the welfare
+    optimum (centralized or VE, unregularized); on a sampled equilibrium
+    or a regularized solve it is the own-price test alone.
     """
-    max_path_len = _path_len_limit(scenario, max_path_len)
-
-    def usable(a, b):
-        # Pushing along a -> b raises q[a][b]; needs slack on that cap.
-        return not _at_capacity(scenario, solution, a, b) and solution.xi[b][a] < 1e-8
-
-    out = []
-    for n0 in scenario.node_ids:
-        if not scenario.neighbors(n0):
-            continue
-        best = {n0: (0.0, (n0,))}
-        paths = _simple_paths(scenario, n0, usable, max_path_len + 1)
-        for visited, (path, value) in enumerate(paths, 1):
-            if visited > _PATH_BUDGET:
-                raise StructureError(
-                    f"path enumeration exceeded the budget of {_PATH_BUDGET}")
-            if path[-1] not in best or value > best[path[-1]][0]:
-                best[path[-1]] = (value, path)
-        top_val, top_m, top_path = max((solution.lam[m] + v, m, pth)
-                                       for m, (v, pth) in best.items())
-        for m0 in sorted(scenario.neighbors(n0)):
-            margin = top_val - scenario.c(n0, m0)
-            pair = (n0, m0) if n0 < m0 else (m0, n0)
-            out.append(WasteCertificate(
-                pair=(n0, m0), margin=margin, via=top_m, path=top_path,
-                observed_waste=solution.waste[pair]))
-    return out
+    return [WasteCertificate(pair=(n, m), margin=solution.lam[n] - scenario.c(n, m),
+                             observed_waste=solution.waste[scenario.link(n, m).pair])
+            for n, m in scenario.directed_pairs()]
 
 
 def to_dot(scenario: Scenario, solution: MarketSolution) -> str:
@@ -434,13 +395,12 @@ def to_dot(scenario: Scenario, solution: MarketSolution) -> str:
 
 
 def analysis_report(scenario: Scenario, solution: MarketSolution,
-                    max_cycle_len: Optional[int] = None,
-                    max_path_len: Optional[int] = None) -> dict:
+                    max_cycle_len: Optional[int] = None) -> dict:
     """One JSON-ready dict bundling every diagnostic for a solved market."""
     cycles = detect_preference_cycles(scenario, max_cycle_len)
     game = _game_cycles(scenario, cycles)
     predictions = predict_asymmetry_congestion(scenario)
-    certs = waste_certificates(scenario, solution, max_path_len)
+    certs = waste_certificates(scenario, solution)
     necessary, witness = no_waste_necessary(scenario)
 
     def cyc(c, verdict=None):
@@ -466,8 +426,7 @@ def analysis_report(scenario: Scenario, solution: MarketSolution,
                   "avoidable": {"possible": necessary, "witness": witness}},
         "certificates": [
             {"pair": list(c.pair), "certified": c.certified,
-             "margin": c.margin, "via": c.via, "path": list(c.path),
-             "observed_waste": c.observed_waste}
+             "margin": c.margin, "observed_waste": c.observed_waste}
             for c in certs
         ],
     }

@@ -84,3 +84,36 @@ def test_bench_pairs_verdicts(monkeypatch, base, change, better, verdict):
     bench_pairs = importlib.import_module("bench_pairs")
     got = bench_pairs.compare(base, change, better, 0.25)
     assert got["verdict"] == verdict
+
+
+def test_bench_pairs_records_failures_and_fails_on_incorrect_runs(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    spec = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+    metrics = {m["name"]: {"value": 1.0} for m in json.loads(spec)["end_to_end"]}
+    change = tmp_path / "change"
+    (change / "src" / "peertrade").mkdir(parents=True)
+    (change / "BENCHMARK.json").write_text(spec, encoding="utf-8")
+    wrong = set()
+
+    def fake_run(tree, workload, seed, seconds):
+        bad = (tree.name, workload, seed) in wrong
+        return ({"correct": not bad, "attempted": 7, "failed": 2 if bad else 0,
+                 "metrics": metrics}, {"host": "test"})
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--base", str(ROOT), "--change", str(change), "--pairs", "2",
+            "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    # The change's second market_suite run fails 2 of its 7 points.
+    wrong.add(("change", "market_suite", 1))
+    assert bench_pairs.main(argv) == 1
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["workloads"]["market_suite"]["failures"] == {
+        "base": {"failed": 0, "attempted": 14}, "change": {"failed": 2, "attempted": 14}}
+    assert record["workloads"]["grid_three_node"]["failures"]["change"]["failed"] == 0
+    captured = capsys.readouterr()
+    assert "market_suite failed/attempted: base 0/14, change 2/14" in captured.out
+    assert "1 runs printed correct: false" in captured.err

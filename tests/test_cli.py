@@ -112,7 +112,7 @@ _SHARED_KEYS = {"command", "builtin", "scenario_path", "out_dir", "formats"}
     (["gne", "--axis", "0"], "gne_three_node.json",
      {"tol", "reg", "seed", "grid", "random", "axis", "support", "budget"}),
     (["analyze"], "analyze_three_node.json",
-     {"tol", "max_iter", "reg", "max_cycle_len", "max_path_len"}),
+     {"tol", "max_iter", "reg", "max_cycle_len"}),
     (["privacy", "--samples", "1000"], "privacy_three_node.json",
      {"seed", "samples", "r_box", "errors_path"}),
     (["validate"], "validate_three_node.json", set()),
@@ -216,7 +216,8 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
     (["privacy", "--samples", "500"], "--samples: need at least 1000 samples"),
     (["privacy", "--r-box", "2:0.5"], "--r-box: invalid box for node 1: [2.0, 0.5]"),
     (["analyze", "--max-cycle-len", "9"], "--max-cycle-len: max_len 9 exceeds the node count 3"),
-    (["analyze", "--max-path-len", "-1"], "--max-path-len: max_path_len must be >= 0"),
+    # Waste certificates search no paths, so there is no path bound.
+    (["analyze", "--max-path-len", "3"], "unrecognized arguments: --max-path-len 3"),
     (["solve", "--reg", "-1"], "--reg: eps_reg must be finite and nonnegative, got -1.0"),
     (["gne", "--axis", "0", "--reg", "nan"],
      "--reg: eps_reg must be finite and nonnegative, got nan"),
@@ -255,6 +256,13 @@ def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv, message):
     ('{"pairs": [{"n": null, "m": 1}]}', "errors file: pairs[0].n is null, not an integer"),
     ('{"pairs": [{"n": 0, "m": 1, "cov": true}]}',
      "errors file: pairs[0].cov is true, not a number"),
+    # A pair with no link in the scenario, a misspelt key, a repeated pair.
+    ('{"pairs": [{"n": 0, "m": 7, "sigma_d": 0.2}]}',
+     "error model pair (0, 7) is not a directed link of scenario 'three_node'"),
+    ('{"pairs": [{"n": 0, "m": 1, "sigma_D": 0.5}]}',
+     'errors file: pairs[0] has unknown key "sigma_D"'),
+    ('{"pairs": [{"n": 0, "m": 1}, {"n": 1, "m": 0}, {"n": 0, "m": 1}]}',
+     "errors file: pairs[2] repeats pair (0, 1)"),
 ])
 def test_privacy_malformed_errors_file_is_an_input_error(capsys, tmp_path, text, message):
     path = tmp_path / "errors.json"

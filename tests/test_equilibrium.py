@@ -123,6 +123,15 @@ def test_agent_kkt_at_equilibria(three_node, ve, gne_star):
         assert rep_ve.max_residual <= 1e-5
 
 
+@pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+def test_agent_kkt_rejects_a_bad_ridge(three_node, ve, ridge):
+    # Nodes 0 and 2 have no purchase at capacity, so no ridge row uses the
+    # value; node 1's does.
+    for n in three_node.node_ids:
+        with pytest.raises(ValueError, match=f"ridge must be finite and >= 0, got {ridge}"):
+            eq.check_agent_kkt(three_node, ve, n, ridge=ridge)
+
+
 def test_agent_kkt_recovers_reference_multipliers(three_node, gne_star):
     rep1 = eq.check_agent_kkt(three_node, gne_star.solution, 1)
     rep2 = eq.check_agent_kkt(three_node, gne_star.solution, 2)
@@ -285,6 +294,22 @@ def test_non_finite_omega_rejected(three_node):
     for values in ((0.0, np.nan), (0.0, np.inf), (-1.0,)):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             eq.sweep_gne(three_node, eq.AxisStrategy(values))
+
+
+def test_omega_pair_ids_must_be_integers():
+    # (1.5, 0) once landed on (1, 0); a pair given twice kept its last weight.
+    with pytest.raises(eq.OmegaError,
+                       match=r"omega\[\(1\.5, 0\)\]: node ids must be two integers"):
+        eq.OmegaVector({(1.5, 0): 3.0})
+    with pytest.raises(eq.OmegaError,
+                       match=r"omega\[\(1\.0, 0\.0\)\]: pair \(1, 0\) is given twice"):
+        eq.OmegaVector([((1, 0), 3.0), ((1.0, 0.0), 5.0)])
+    for key in ((1, 0, 2), "10", (np.nan, 0)):
+        with pytest.raises(eq.OmegaError, match="node ids must be two integers"):
+            eq.OmegaVector({key: 1.0})
+    omega = eq.OmegaVector({(np.int64(1), 0.0): 3.0})
+    assert omega.entries == {(1, 0): 3.0}
+    assert all(type(v) is int for v in omega.support[0])
 
 
 def test_repeated_support_pair_rejected(three_node):

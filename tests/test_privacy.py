@@ -150,6 +150,29 @@ def test_non_finite_error_model_rejected(field, value):
         clamp_error_model(**model)
 
 
+@pytest.mark.parametrize("field", ["sigma_d", "sigma_g", "cov"])
+def test_error_model_pair_ids_must_be_integers(field):
+    model = {"sigma_d": {}, "sigma_g": {}, "cov": {}}
+    model[field] = {(1.5, 0): 0.0}
+    with pytest.raises(PrivacyError,
+                       match=rf"{field}\[\(1\.5, 0\)\]: node ids must be two integers"):
+        ErrorModel(**model)
+    model[field] = [((1, 0), 0.0), ((1.0, 0.0), 0.0)]
+    with pytest.raises(PrivacyError,
+                       match=rf"{field}\[\(1\.0, 0\.0\)\]: pair \(1, 0\) is given twice"):
+        clamp_error_model(**model)
+    model[field] = {(1.0, 0.0): 0.0}
+    assert ErrorModel(**model).pairs() == ((1, 0),)
+
+
+def test_bias_report_rejects_a_pair_with_no_link(three_node):
+    for pair in ((0, 7), (1, 1)):
+        em = ErrorModel(sigma_d={pair: 0.2}, sigma_g={}, cov={})
+        with pytest.raises(PrivacyError, match=rf"error model pair \({pair[0]}, {pair[1]}\) "
+                                               "is not a directed link of scenario 'three_node'"):
+            privacy.bias_report(three_node, em, samples=1000)
+
+
 @pytest.mark.parametrize("field", ["sigma_d", "sigma_g"])
 def test_negative_sigma_rejected_before_clamping(field):
     # The covariance 0.0 sits above the bound -0.2 * 0.2: checking it first

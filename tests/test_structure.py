@@ -244,24 +244,16 @@ def test_cycle_sign_follows_its_weight():
         st.PreferenceCycle(nodes=(0, 1, 2), weight=0.0)
 
 
-def test_path_budget_guard(three_node, solved, monkeypatch):
-    monkeypatch.setattr(st, "_PATH_BUDGET", 1)
-    with pytest.raises(st.StructureError,
-                       match="path enumeration exceeded the budget of 1"):
-        st.waste_certificates(three_node, solved)
-
-
-def test_zero_path_len_keeps_only_the_own_price(three_node, solved):
-    certs = st.waste_certificates(three_node, solved, max_path_len=0)
-    assert len(certs) == 2 * len(three_node.links)
+@pytest.mark.parametrize("scn", [sc.builtin("three_node"), sc.ieee14_cost_case("b")],
+                         ids=["three_node", "ieee14_b"])
+def test_certificates_read_the_buyers_own_price(scn):
+    sol = market.solve_centralized(scn)
+    certs = st.analysis_report(scn, sol)["certificates"]
+    assert len(certs) == 2 * len(scn.links)
     for c in certs:
-        n0, m0 = c.pair
-        assert c.path == (n0,) and c.via == n0
-        assert c.margin == solved.lam[n0] - three_node.c(n0, m0)
-    one_edge = st.waste_certificates(three_node, solved, max_path_len=1)
-    assert any(len(c.path) == 2 for c in one_edge)
-    with pytest.raises(ValueError, match="max_path_len must be >= 0"):
-        st.waste_certificates(three_node, solved, max_path_len=-1)
+        assert set(c) == {"pair", "certified", "margin", "observed_waste"}
+        n0, m0 = c["pair"]
+        assert c["margin"] == sol.lam[n0] - scn.c(n0, m0)
 
 
 def _brute_paths(scn, n0, usable):

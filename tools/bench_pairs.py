@@ -16,10 +16,15 @@ The output records, per workload and end-to-end metric, each side's
 per-pair values, their median and quartiles, how many pairs the change
 won in the metric's better direction, and a verdict (see ``compare``),
 which it also prints, one line per workload and metric; plus every run's
-``correct`` and ``failed`` fields, the ``environment`` block ``run.py``
-recorded on each side, and each side's ``src/peertrade`` line totals
-(lines and code lines, as ``tools/src_lines.py`` counts them), which it
-prints after the verdicts with the change's difference.
+``correct``, ``attempted`` and ``failed`` fields, each side's failed and
+attempted totals per workload (printed before the verdicts, since the
+failure share is gated like any metric), the ``environment`` block
+``run.py`` recorded on each side, and each side's ``src/peertrade`` line
+totals (lines and code lines, as ``tools/src_lines.py`` counts them),
+which it prints after the verdicts with the change's difference.
+
+The exit status is 1 when any run printed ``correct: false``, after the
+file is written: its verdicts compare runs that did not check out.
 """
 
 from __future__ import annotations
@@ -125,10 +130,18 @@ def main(argv=None) -> int:
             "runs": {side: [{"seed": args.seed + k, "correct": r["correct"],
                              "attempted": r["attempted"], "failed": r["failed"]}
                             for k, r in enumerate(runs[side])] for side in SIDES},
+            "failures": {side: {key: sum(r[key] for r in runs[side])
+                                for key in ("failed", "attempted")} for side in SIDES},
             "metrics": {m: compare(*([r["metrics"][m]["value"] for r in runs[side]]
                                      for side in SIDES), *rules[m])
                         for m in rules}}
+    incorrect = 0
     for workload, entry in record["workloads"].items():
+        f = entry["failures"]
+        incorrect += sum(not r["correct"] for side in SIDES for r in entry["runs"][side])
+        print(f"{workload} failed/attempted: base {f['base']['failed']}/"
+              f"{f['base']['attempted']}, change {f['change']['failed']}/"
+              f"{f['change']['attempted']}")
         for m, c in entry["metrics"].items():
             print(f"{workload} {m}: base {c['base_stats']['median']:.4g} "
                   f"(IQR {c['base_stats']['iqr']:.3g}), change "
@@ -140,6 +153,10 @@ def main(argv=None) -> int:
               f"({change[kind] - base[kind]:+d})")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
+    if incorrect:
+        print(f"bench_pairs: {incorrect} runs printed correct: false; "
+              "their verdicts do not count", file=sys.stderr)
+        return 1
     return 0
 
 
