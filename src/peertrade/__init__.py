@@ -19,8 +19,8 @@ from .scenario import (BUILTIN_NAMES, ProsumerParams, Scenario,
                        dumps_scenario, ieee14_cost_case, load_scenario,
                        loads_scenario, save_scenario, with_costs)
 from .qp import QpError, QpProblem, QpSolution
-from .market import (DEFAULT_TOL, InfeasibleMarketError, MarketError,
-                     MarketSolution, nodal_price_closed_form, social_welfare,
+from .market import (InfeasibleMarketError, MarketError, MarketSolution,
+                     nodal_price_closed_form, social_welfare,
                      solve_centralized, solution_to_csv, solution_to_dict,
                      solution_to_json)
 from .equilibrium import (AxisStrategy, GneSample, GridStrategy, OmegaVector,
@@ -45,7 +45,7 @@ __all__ = [
     "TradeLink", "Violation", "builtin", "dumps_scenario", "ieee14_cost_case",
     "load_scenario", "loads_scenario", "save_scenario", "with_costs",
     "QpError", "QpProblem", "QpSolution",
-    "DEFAULT_TOL", "InfeasibleMarketError", "MarketError", "MarketSolution",
+    "InfeasibleMarketError", "MarketError", "MarketSolution",
     "nodal_price_closed_form", "social_welfare", "solve_centralized",
     "solution_to_csv", "solution_to_dict", "solution_to_json",
     "AxisStrategy", "GneSample", "GridStrategy", "OmegaVector",

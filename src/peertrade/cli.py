@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import equilibrium, market, privacy, qp, scenario as scenario_mod, structure
+from . import equilibrium, market, privacy, scenario as scenario_mod, structure
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,10 +50,6 @@ def _build_parser() -> _Parser:
 
     # Solver and RNG flags, each registered only where the command reads it.
     options = {
-        "--tol": dict(type=float, default=market.DEFAULT_TOL,
-                      help="solver convergence tolerance"),
-        "--max-iter": dict(type=int, default=100,
-                           help="solver iteration cap"),
         "--reg": dict(type=float, default=0.0,
                       help="trade regularization weight (picks a reproducible "
                            "representative of degenerate optima; reported)"),
@@ -75,10 +71,10 @@ def _build_parser() -> _Parser:
             p.add_argument(flag, **options[flag])
 
     p = sub.add_parser("solve", help="centralized welfare optimum with prices")
-    common(p, "--tol", "--max-iter", "--reg")
+    common(p, "--reg")
 
     p = sub.add_parser("gne", help="sample generalized Nash equilibria")
-    common(p, "--tol", "--reg", "--seed")
+    common(p, "--reg", "--seed")
     strategy = p.add_argument_group("omega strategy").add_mutually_exclusive_group(
         required=True)
     strategy.add_argument("--grid", metavar="START:STOP:STEP",
@@ -94,7 +90,7 @@ def _build_parser() -> _Parser:
                    help="solve budget guard for the sweep")
 
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
-    common(p, "--tol", "--max-iter", "--reg")
+    common(p, "--reg")
     p.add_argument("--max-cycle-len", type=int, default=None)
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
@@ -120,10 +116,6 @@ def _check(args) -> None:
     bad = set(args.formats) - set(_FORMATS)
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
-    if "tol" in args:
-        _check_flag("--tol", qp._check_tol, args.tol)
-    if "max_iter" in args:
-        _check_flag("--max-iter", qp._check_max_iter, args.max_iter)
     if "reg" in args:
         _check_flag("--reg", market._check_eps_reg, args.reg)
     if "seed" in args:
@@ -164,8 +156,7 @@ def _emit(args, scn, outputs: dict) -> None:
 
 def cmd_solve(args) -> int:
     scn = _load(args)
-    sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
-                                   eps_reg=args.reg)
+    sol = market.solve_centralized(scn, eps_reg=args.reg)
     print(f"scenario: {scn.name} ({scn.n_nodes} nodes, {len(scn.links)} links)")
     print(f"status: {sol.solver_status} ({sol.solver_iterations} iterations)")
     print(f"social welfare: {sol.sw:.6f}")
@@ -221,8 +212,8 @@ def cmd_gne(args) -> int:
     scn = _load(args)
     strategy = _parse_strategy(args)
     samples = equilibrium.sweep_gne(scn, strategy, budget=args.budget,
-                                    tol=args.tol, eps_reg=args.reg)
-    ve = equilibrium.solve_ve(scn, tol=args.tol)
+                                    eps_reg=args.reg)
+    ve = equilibrium.solve_ve(scn)
     valid = [s for s in samples if s.is_gne]
     print(f"sweep: {len(samples)} distinct solutions kept, "
           f"{len(valid)} valid equilibria")
@@ -267,8 +258,7 @@ def _check_flag(flag: str, check, *args) -> None:
 def cmd_analyze(args) -> int:
     scn = _load(args)
     _check_flag("--max-cycle-len", structure._cycle_len_limit, scn, args.max_cycle_len)
-    sol = market.solve_centralized(scn, tol=args.tol, max_iter=args.max_iter,
-                                   eps_reg=args.reg)
+    sol = market.solve_centralized(scn, eps_reg=args.reg)
     report = structure.analysis_report(scn, sol, max_cycle_len=args.max_cycle_len)
     cycles = report["cycles"]
     print(f"scenario: {scn.name}")

@@ -61,7 +61,8 @@ class OmegaVector:
     Keys are directed pairs ``(n, m)`` of integer node ids: the weight is
     added to what agent ``n`` pays per unit bought from ``m``.  ``entries``
     is a mapping or a sequence of ``(pair, weight)`` items; a non-integral
-    id or a pair given twice raises ``OmegaError``.
+    or bool id, a weight that is not a real number or a pair given twice
+    raises ``OmegaError``.
     """
 
     entries: Mapping = field(default_factory=dict)
@@ -128,26 +129,24 @@ def default_support(scenario: Scenario, mode: str = SUPPORT_LOW_BUYS_HIGH) -> tu
     raise ValueError(f"unknown support mode {mode!r}")
 
 
-def solve_ve(scenario: Scenario, tol: float = market.DEFAULT_TOL,
-             eps_reg: float = 0.0) -> MarketSolution:
+def solve_ve(scenario: Scenario, eps_reg: float = 0.0) -> MarketSolution:
     """The Variational Equilibrium: the welfare optimum with shared prices.
 
     Both sides of a pair share one reciprocity price by construction:
     :func:`market.extract_solution` reads ``zeta[n][m]`` and ``zeta[m][n]``
     off the pair's single reciprocity row.
     """
-    return market.solve_centralized(scenario, tol=tol, eps_reg=eps_reg, kind="ve")
+    return market.solve_centralized(scenario, eps_reg=eps_reg, kind="ve")
 
 
 def solve_parameterized(scenario: Scenario, omega: OmegaVector,
-                        tol: float = market.DEFAULT_TOL,
                         eps_reg: float = 0.0) -> GneSample:
     """Solve the omega-perturbed problem and classify the outcome."""
     problem, idx = market.assemble(scenario, eps_reg)
     cols = _omega_columns(idx, omega.support)
     W = np.array([[w for _, w in omega.items()]])   # (1, k)
     r = _linear_terms(problem, W, cols)[0]
-    sol, ms = market._solve(scenario, problem, idx, r, "gne", tol,
+    sol, ms = market._solve(scenario, problem, idx, r, "gne",
                             price_shift=omega.entries)
     return _sample(scenario, omega, ms, _violation(sol.x[None, :], W, cols)[0])
 
@@ -283,7 +282,7 @@ class RandomStrategy:
 
 
 def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
-              tol: float = market.DEFAULT_TOL, eps_reg: float = 0.0) -> list:
+              eps_reg: float = 0.0) -> list:
     """Run an omega enumeration and collect the distinct equilibria.
 
     Evaluation order is deterministic (lexicographic for grids, seeded
@@ -321,8 +320,7 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     faces = {}   # optimal faces learned so far, see qp.solve_batch
     for start in range(0, len(omegas), _BATCH_SIZE):
         W = omegas[start:start + _BATCH_SIZE]
-        batch = qp.solve_batch(problem, _linear_terms(problem, W, cols), tol=tol,
-                               faces=faces)
+        batch = qp.solve_batch(problem, _linear_terms(problem, W, cols), faces=faces)
         x = batch.x
         viol = _violation(x, W, cols)
         good = (batch.status_code == 0) & (viol <= eps)

@@ -35,7 +35,6 @@ import numpy as np
 from . import qp
 from .scenario import Scenario
 
-DEFAULT_TOL = 1e-8
 _WASTE_TOL = 1e-6   # a pair wasting more than this is reported as wasteful
 
 
@@ -180,8 +179,7 @@ def social_welfare(scenario: Scenario, D: dict, G: dict, q: dict) -> float:
     return total
 
 
-def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
-                      max_iter: int = 100, eps_reg: float = 0.0,
+def solve_centralized(scenario: Scenario, eps_reg: float = 0.0,
                       kind: str = "centralized") -> MarketSolution:
     """Solve the welfare problem and map every dual to its market name.
 
@@ -190,12 +188,11 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_TOL,
     trades non-unique.  The value is echoed in the solution.
     """
     problem, idx = assemble(scenario, eps_reg)
-    return _solve(scenario, problem, idx, problem.r, kind, tol, max_iter)[1]
+    return _solve(scenario, problem, idx, problem.r, kind)[1]
 
 
 def _solve(scenario: Scenario, problem: qp.QpProblem, idx: _MarketIndex,
-           r: np.ndarray, kind: str, tol: float, max_iter: int = 100,
-           price_shift=None) -> tuple:
+           r: np.ndarray, kind: str, price_shift=None) -> tuple:
     """Solve the assembled market QP at the linear term ``r``, and verify it.
 
     The one path from a market to the QP: ``problem`` is solved as built,
@@ -205,7 +202,7 @@ def _solve(scenario: Scenario, problem: qp.QpProblem, idx: _MarketIndex,
     the status and the iteration count.  ``price_shift`` goes to
     :func:`verify_solution`.  Returns ``(qp solution, market solution)``.
     """
-    sol = qp.solve_batch(problem, r[None, :], tol=tol, max_iter=max_iter).solution(0)
+    sol = qp.solve_batch(problem, r[None, :]).solution(0)
     if sol.status == qp.STATUS_INFEASIBLE:
         raise InfeasibleMarketError(
             f"scenario {scenario.name!r}: "
@@ -214,7 +211,7 @@ def _solve(scenario: Scenario, problem: qp.QpProblem, idx: _MarketIndex,
         raise MarketError(f"solver returned status {sol.status!r} after "
                           f"{sol.iterations} iterations")
     solution = extract_solution(scenario, idx, sol, kind)
-    verify_solution(scenario, solution, tol, price_shift)
+    verify_solution(scenario, solution, price_shift)
     return sol, solution
 
 
@@ -284,7 +281,7 @@ def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
                           kkt_residuals=dict(sol.kkt_residuals))
 
 
-def verify_solution(scenario: Scenario, s: MarketSolution, tol: float,
+def verify_solution(scenario: Scenario, s: MarketSolution,
                     price_shift=None) -> None:
     """Re-derive the optimality identities from the extracted quantities.
 
@@ -298,7 +295,7 @@ def verify_solution(scenario: Scenario, s: MarketSolution, tol: float,
     qmax = max((abs(v) for row in s.q.values() for v in row.values()),
                default=0.0)
     scale = 1.0 + max(max(abs(v) for v in s.lam.values()), qmax)
-    thr = 10.0 * tol * scale + 2.0 * s.eps_reg * (1.0 + qmax)
+    thr = 10.0 * qp._TOL * scale + 2.0 * s.eps_reg * (1.0 + qmax)
 
     for n in scenario.node_ids:
         p = scenario.prosumer(n)

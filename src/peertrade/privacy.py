@@ -46,7 +46,8 @@ class PrivacyError(ValueError):
 
 def _floats(mp, label: str) -> dict:
     """``mp`` keyed by integer ``(n, m)`` pairs, with float values.  A
-    non-integral or repeated pair, NaN or infinity raises PrivacyError."""
+    non-integral, bool or repeated pair, a value that is not a real number,
+    NaN or infinity raises PrivacyError."""
     out = {}
     for key, v in _pair_keyed(mp, PrivacyError, label).items():
         v = float(v)
@@ -63,8 +64,9 @@ class ErrorModel:
     ``sigma_d[(n, m)]`` is the standard deviation of agent n's error on
     m's target demand, ``sigma_g`` the same for m's renewable infeed,
     and ``cov`` their covariance.  Pairs are directed (n forecasts m) and
-    keyed by integer node ids (a non-integral id or a pair given twice
-    raises ``PrivacyError``); missing pairs mean error-free forecasts.
+    keyed by integer node ids (a non-integral or bool id, a value that is
+    not a real number or a pair given twice raises ``PrivacyError``);
+    missing pairs mean error-free forecasts.
     Covariances must respect the Cauchy-Schwarz bound; use
     :func:`clamp_error_model` for data that does not.
     """
@@ -207,8 +209,19 @@ def _ratio(r: Mapping, n: int) -> float:
     return v
 
 
+def _check_pairs(scenario: Scenario, errors: ErrorModel) -> None:
+    """Raise ``PrivacyError`` unless every model pair is a directed link of
+    ``scenario``; :func:`beta` and :func:`monte_carlo_bias` read a model
+    against a scenario, and every other analysis reads it through them."""
+    for n, m in errors.pairs():
+        if not scenario.has_link(n, m):
+            raise PrivacyError(f"error model pair {(n, m)} is not a directed link "
+                               f"of scenario '{scenario.name}'")
+
+
 def beta(scenario: Scenario, errors: ErrorModel) -> dict:
     """beta_n = -(1/a~_n - 1/a_n) * sum of error terms over n's neighbors."""
+    _check_pairs(scenario, errors)
     out = {}
     for n in scenario.node_ids:
         p = scenario.prosumer(n)
@@ -283,6 +296,7 @@ def monte_carlo_bias(scenario: Scenario, errors: ErrorModel, r: Mapping,
     seeded by (seed, c), and running means/variances are merged across
     chunks, so results depend only on (seed, samples).
     """
+    _check_pairs(scenario, errors)
     _check_samples(samples)
     rho = compute_rho(scenario, r)
     nodes = scenario.node_ids
@@ -328,13 +342,8 @@ def bias_report(scenario: Scenario, errors: ErrorModel,
 
     The point estimates are taken at the VE vector r (all ones); by
     default the box degenerates to it, making phi equal |expected_bias|
-    exactly.  A model pair that is not a directed link of the scenario
-    raises ``PrivacyError``.
+    exactly.
     """
-    for n, m in errors.pairs():
-        if not scenario.has_link(n, m):
-            raise PrivacyError(f"error model pair {(n, m)} is not a directed link "
-                               f"of scenario '{scenario.name}'")
     r = default_r(scenario)
     if r_lo is None:
         r_lo = dict(r)

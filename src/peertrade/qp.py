@@ -98,6 +98,12 @@ STATUS_MAX_ITER = "max_iter"
 _STATUS_CODES = {0: STATUS_OPTIMAL, 1: STATUS_INFEASIBLE,
                  2: STATUS_UNBOUNDED, 3: STATUS_MAX_ITER}
 
+# The convergence target, as a share of a row's data scale (see
+# solve_batch), and the iteration cap, after which a row stops at status
+# max_iter with its best iterate.
+_TOL = 1e-8
+_MAX_ITER = 100
+
 
 class QpError(ValueError):
     """Raised for malformed problems (dimensions, symmetry, PSD, bounds)."""
@@ -251,22 +257,9 @@ def _check_psd(P: np.ndarray) -> None:
                       f"(floor {-1e-10 * scale:.3e})")
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ``QpError`` unless :func:`solve_batch` accepts ``tol``."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise QpError(f"tol must be finite and positive, got {tol}")
-
-
-def _check_max_iter(max_iter: int) -> None:
-    """Raise ``QpError`` unless :func:`solve_batch` accepts ``max_iter``."""
-    if max_iter < 0:
-        raise QpError(f"max_iter must be >= 0, got {max_iter}")
-
-
-def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolution:
-    """Solve one QP to ``tol`` on all KKT residual norms."""
-    sol = solve_batch(problem, problem.r[None, :], tol=tol,
-                      max_iter=max_iter).solution(0)
+def solve(problem: QpProblem) -> QpSolution:
+    """Solve one QP to ``_TOL`` on all KKT residual norms."""
+    sol = solve_batch(problem, problem.r[None, :]).solution(0)
     message = ""
     if sol.status == STATUS_INFEASIBLE:
         # Claim a Farkas certificate only when the multipliers form one, by
@@ -286,13 +279,12 @@ def solve(problem: QpProblem, tol: float = 1e-8, max_iter: int = 100) -> QpSolut
     elif sol.status == STATUS_UNBOUNDED:
         message = "objective appears unbounded below along a feasible ray"
     elif sol.status == STATUS_MAX_ITER:
-        message = f"stopped after {max_iter} iterations; best iterate attached"
+        message = f"stopped after {_MAX_ITER} iterations; best iterate attached"
     return dataclasses.replace(sol, message=message)
 
 
-def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
-                max_iter: int = 100, *, faces: Optional[dict] = None
-                ) -> QpBatchSolution:
+def solve_batch(problem: QpProblem, R: np.ndarray, *,
+                faces: Optional[dict] = None) -> QpBatchSolution:
     """Solve many QPs sharing P, constraints and bounds, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
@@ -321,8 +313,6 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
         raise QpError(f"linear terms have {R.shape[1]} columns, expected {n}")
     if not np.isfinite(R).all():
         raise QpError("linear terms contain NaN or infinity")
-    _check_max_iter(max_iter)
-    _check_tol(tol)
     B = R.shape[0]
     G0, h0, A0, b0 = problem.A_ineq, problem.b_ineq, problem.A_eq, problem.b_eq
     lb, ub = problem.lb, problem.ub
@@ -346,7 +336,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
     # term keeps it attainable for badly scaled data).
     shared = max(np.abs(M).max(initial=0.0) for M in (h, b, Pf))
     scale = 1.0 + np.maximum(np.abs(Rf).max(axis=1, initial=0.0), shared)
-    tol_conv = tol * (1.0 + 0.01 * scale)
+    tol_conv = _TOL * (1.0 + 0.01 * scale)
     if faces is not None and any(len(key) != len(h) for key in faces):
         raise QpError(f"faces hold active-set patterns of another problem; "
                       f"this one has {len(h)} inequality rows")
@@ -359,8 +349,7 @@ def solve_batch(problem: QpProblem, R: np.ndarray, tol: float = 1e-8,
                 else np.arange(B))
         if len(rest):
             Rr, sr = Rf[rest], scale[rest]
-            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest],
-                                         max_iter, nc)
+            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest], nc)
             _polish_batch(Pf, Rr, G, h, A, b, face, xr, yr, zr, s, st, sr, faces)
             xf[rest], y[rest], z[rest], status[rest], iters[rest] = xr, yr, zr, st, it
     else:
@@ -749,7 +738,7 @@ def _newton(P, G, A, nc):
     return system
 
 
-def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
+def _ipm(P, R, G, h, A, b, scale, tol_conv, nc):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
     Returns ``(x, y, z, s, status, iterations)`` of the problem
@@ -784,7 +773,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
 
     # One check more than steps, so the iterate after the last step is
     # checked too.
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         r_dual = xa @ P + Ra + za @ G + ya @ A
         r_eq = xa @ A.T - b
         r_in = xa @ G.T + sa - h
@@ -803,7 +792,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, max_iter, nc):
         farkas = (zn > 1e10) & (ray <= 1e-6 * zn) & (za @ h + ya @ b < 0)
         hugex = np.abs(xa).max(axis=1, initial=0.0) > 1e10 * sc
         conv = worst <= tc
-        stop = conv | farkas | hugex | (it == max_iter)
+        stop = conv | farkas | hugex | (it == _MAX_ITER)
         if stop.any():
             done = idx[stop]
             status[done] = np.select([conv, farkas, hugex], [0, 1, 2], 3)[stop]

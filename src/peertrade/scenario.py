@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
@@ -118,10 +119,16 @@ def _keyed(items, key, clash: str) -> dict:
     return out
 
 
+def _is_real(v) -> bool:
+    """A real number that is not a bool (``True == 1`` in Python)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _pair_keyed(entries, error, label: str) -> dict:
     """``entries``, a mapping or a sequence of ``(pair, value)`` items, as a
     dict keyed by ``(int, int)`` node-id pairs.  A pair whose ids are not
-    integral, or a pair given twice, raises ``error`` naming the key as
+    integral numbers (a bool is not one), a value that is not a real
+    number, or a pair given twice raises ``error`` naming the key as
     ``label[key]``."""
     items = entries.items() if isinstance(entries, Mapping) else entries
     out = {}
@@ -131,8 +138,10 @@ def _pair_keyed(entries, error, label: str) -> dict:
             pair = (int(n), int(m))
         except (TypeError, ValueError, OverflowError):
             pair = None
-        if pair is None or pair != (n, m):
+        if pair is None or pair != (n, m) or not (_is_real(n) and _is_real(m)):
             raise error(f"{label}[{key!r}]: node ids must be two integers")
+        if not _is_real(value):
+            raise error(f"{label}[{key!r}] = {value!r} is not a real number")
         if pair in out:
             raise error(f"{label}[{key!r}]: pair {pair} is given twice")
         out[pair] = value

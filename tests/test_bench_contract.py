@@ -99,8 +99,10 @@ def test_bench_pairs_records_failures_and_fails_on_incorrect_runs(
 
     def fake_run(tree, workload, seed, seconds):
         bad = (tree.name, workload, seed) in wrong
+        setups = ([0.3 + seed, 0.2 + seed, 0.4 + seed] if tree.name == "change"
+                  else [0.5] * 3)
         return ({"correct": not bad, "attempted": 7, "failed": 2 if bad else 0,
-                 "metrics": metrics}, {"host": "test"})
+                 "metrics": metrics}, {"host": "test"}, setups)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     out = tmp_path / "bench.json"
@@ -114,6 +116,11 @@ def test_bench_pairs_records_failures_and_fails_on_incorrect_runs(
     assert record["workloads"]["market_suite"]["failures"] == {
         "base": {"failed": 0, "attempted": 14}, "change": {"failed": 2, "attempted": 14}}
     assert record["workloads"]["grid_three_node"]["failures"]["change"]["failed"] == 0
+    assert [r["setup_samples_s"] for r in
+            record["workloads"]["random_ieee14"]["runs"]["change"]] == [
+        [0.3, 0.2, 0.4], [1.3, 1.2, 1.4]]
     captured = capsys.readouterr()
     assert "market_suite failed/attempted: base 0/14, change 2/14" in captured.out
+    assert ("random_ieee14 setup_s: base 1 (IQR 0), change 1, change won 0/2: "
+            "unchanged; probes base 0.5-0.5, change 0.2-1.4") in captured.out
     assert "1 runs printed correct: false" in captured.err

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from peertrade import market, scenario as sc
+from peertrade import scenario as sc
 from peertrade.cli import (EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK,
                            EXIT_USAGE, main)
 
@@ -98,7 +98,7 @@ def test_gne_without_optional_flags_echoes_run_config_defaults(capsys, out,
     assert report["config"] == {
         "command": "gne", "builtin": "three_node", "scenario_path": None,
         "out_dir": out, "formats": ["csv", "dot", "json"],
-        "tol": market.DEFAULT_TOL, "reg": 0.0, "seed": 0, "grid": None,
+        "reg": 0.0, "seed": 0, "grid": None,
         "random": None, "axis": "0", "support": "n_gt_m", "budget": 10 ** 6}
 
 
@@ -108,11 +108,10 @@ _SHARED_KEYS = {"command", "builtin", "scenario_path", "out_dir", "formats"}
 
 
 @pytest.mark.parametrize("argv,report,own", [
-    (["solve"], "solve_three_node.json", {"tol", "max_iter", "reg"}),
+    (["solve"], "solve_three_node.json", {"reg"}),
     (["gne", "--axis", "0"], "gne_three_node.json",
-     {"tol", "reg", "seed", "grid", "random", "axis", "support", "budget"}),
-    (["analyze"], "analyze_three_node.json",
-     {"tol", "max_iter", "reg", "max_cycle_len"}),
+     {"reg", "seed", "grid", "random", "axis", "support", "budget"}),
+    (["analyze"], "analyze_three_node.json", {"reg", "max_cycle_len"}),
     (["privacy", "--samples", "1000"], "privacy_three_node.json",
      {"seed", "samples", "r_box", "errors_path"}),
     (["validate"], "validate_three_node.json", set()),
@@ -221,8 +220,9 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
     (["solve", "--reg", "-1"], "--reg: eps_reg must be finite and nonnegative, got -1.0"),
     (["gne", "--axis", "0", "--reg", "nan"],
      "--reg: eps_reg must be finite and nonnegative, got nan"),
-    (["analyze", "--tol", "0"], "--tol: tol must be finite and positive, got 0.0"),
-    (["solve", "--max-iter", "-1"], "--max-iter: max_iter must be >= 0, got -1"),
+    # The convergence target and the iteration cap are solver constants.
+    (["solve", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+    (["analyze", "--max-iter", "5"], "unrecognized arguments: --max-iter 5"),
     (["gne", "--grid", "0:100:50", "--budget", "5"],
      "sweep would evaluate 27 points, over the budget of 5"),
     (["gne", "--grid", "0:100:50", "--budget", "-1"],
@@ -366,23 +366,29 @@ def test_bad_formats_rejected(capsys, out):
     code, _ = run(capsys, "solve", "--builtin", "three_node",
                   "--out", out, "--formats", "xml")
     assert code == EXIT_USAGE
-    for flag, value in (("--max-iter", "-1"), ("--tol", "0"), ("--tol", "nan")):
-        code, _ = run(capsys, "solve", "--builtin", "three_node",
-                      "--out", out, flag, value)
-        assert code == EXIT_USAGE, (flag, value)
 
 
 def test_unread_flags_rejected(capsys, out):
     # Each subcommand registers only the solver and RNG flags it uses.
-    for command, flag, value in (("gne", "--max-iter", "5"),
-                                 ("validate", "--tol", "1e-6"),
-                                 ("validate", "--seed", "1"),
+    for command, flag, value in (("validate", "--seed", "1"),
                                  ("solve", "--seed", "1"),
                                  ("analyze", "--seed", "1"),
                                  ("privacy", "--reg", "1e-7")):
         code, _ = run(capsys, command, "--builtin", "three_node",
                       "--out", out, flag, value)
         assert code == EXIT_USAGE, (command, flag)
+
+
+@pytest.mark.parametrize("command", [["solve"], ["gne", "--axis", "0"], ["analyze"],
+                                     ["privacy"], ["validate"]])
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-6"), ("--max-iter", "5")])
+def test_solver_constants_are_not_flags(capsys, tmp_path, command, flag, value):
+    # The convergence target and the iteration cap are fixed in qp.
+    out = tmp_path / "reports"
+    code = main([*command, "--builtin", "three_node", "--out", str(out), flag, value])
+    assert code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reports_deterministic(capsys, tmp_path):

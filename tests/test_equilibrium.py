@@ -310,6 +310,15 @@ def test_omega_pair_ids_must_be_integers():
     omega = eq.OmegaVector({(np.int64(1), 0.0): 3.0})
     assert omega.entries == {(1, 0): 3.0}
     assert all(type(v) is int for v in omega.support[0])
+    # True == 1, so a bool id once keyed the pair (1, 0).
+    with pytest.raises(eq.OmegaError,
+                       match=r"omega\[\(True, 0\)\]: node ids must be two integers"):
+        eq.OmegaVector({(True, 0): 1.0})
+    # "2" once raised a bare TypeError from the sign test.
+    for value in ("2", True, None):
+        with pytest.raises(eq.OmegaError,
+                           match=r"omega\[\(1, 0\)\] = .* is not a real number"):
+            eq.OmegaVector({(1, 0): value})
 
 
 def test_repeated_support_pair_rejected(three_node):

@@ -96,10 +96,10 @@ def _bumped(table: dict, keys: tuple) -> dict:
 ])
 def test_verify_solution_names_the_broken_identity(solved, three_node, name, keys,
                                                    message):
-    market.verify_solution(three_node, solved, market.DEFAULT_TOL)
+    market.verify_solution(three_node, solved)
     broken = dataclasses.replace(solved, **{name: _bumped(getattr(solved, name), keys)})
     with pytest.raises(market.MarketError, match=message):
-        market.verify_solution(three_node, broken, market.DEFAULT_TOL)
+        market.verify_solution(three_node, broken)
 
 
 def test_closed_form_prices_match_solver(solved, three_node):

@@ -163,6 +163,17 @@ def test_error_model_pair_ids_must_be_integers(field):
         clamp_error_model(**model)
     model[field] = {(1.0, 0.0): 0.0}
     assert ErrorModel(**model).pairs() == ((1, 0),)
+    # True == 1, so a bool id once keyed the pair (1, 0).
+    model[field] = {(True, 0): 0.0}
+    with pytest.raises(PrivacyError,
+                       match=rf"{field}\[\(True, 0\)\]: node ids must be two integers"):
+        ErrorModel(**model)
+    # "0.2" was once stored as 0.2; True as 1.0.
+    for value in ("0.2", True, None):
+        model[field] = {(1, 0): value}
+        with pytest.raises(PrivacyError,
+                           match=rf"{field}\[\(1, 0\)\] = .* is not a real number"):
+            ErrorModel(**model)
 
 
 def test_bias_report_rejects_a_pair_with_no_link(three_node):
@@ -171,6 +182,22 @@ def test_bias_report_rejects_a_pair_with_no_link(three_node):
         with pytest.raises(PrivacyError, match=rf"error model pair \({pair[0]}, {pair[1]}\) "
                                                "is not a directed link of scenario 'three_node'"):
             privacy.bias_report(three_node, em, samples=1000)
+
+
+def test_every_analysis_rejects_a_pair_with_no_link(three_node):
+    # Each once read the model's pairs at the scenario's links only, so a
+    # stray pair gave zero bias instead of an error.
+    em = ErrorModel(sigma_d={(0, 7): 5.0}, sigma_g={}, cov={})
+    r = privacy.default_r(three_node)
+    for call in (lambda: privacy.beta(three_node, em),
+                 lambda: privacy.expected_bias(three_node, em, r),
+                 lambda: privacy.phi_bound(three_node, em, r, r),
+                 lambda: privacy.monte_carlo_bias(three_node, em, r, 1000),
+                 lambda: privacy.bias_vs_utility_params(three_node, em, [1.0], [1.0],
+                                                        r, r)):
+        with pytest.raises(PrivacyError, match=r"error model pair \(0, 7\) is not a "
+                                               "directed link of scenario 'three_node'"):
+            call()
 
 
 @pytest.mark.parametrize("field", ["sigma_d", "sigma_g"])

@@ -16,12 +16,16 @@ The output records, per workload and end-to-end metric, each side's
 per-pair values, their median and quartiles, how many pairs the change
 won in the metric's better direction, and a verdict (see ``compare``),
 which it also prints, one line per workload and metric; plus every run's
-``correct``, ``attempted`` and ``failed`` fields, each side's failed and
-attempted totals per workload (printed before the verdicts, since the
-failure share is gated like any metric), the ``environment`` block
-``run.py`` recorded on each side, and each side's ``src/peertrade`` line
-totals (lines and code lines, as ``tools/src_lines.py`` counts them),
-which it prints after the verdicts with the change's difference.
+``correct``, ``attempted`` and ``failed`` fields and the three ``setup_s``
+probe times ``run.py`` took after its timed loop (``setup_samples_s``;
+each side's probe range is printed next to the ``setup_s`` verdict, so a
+verdict that follows machine load shows up as wide probe ranges), each
+side's failed and attempted totals per workload (printed before the
+verdicts, since the failure share is gated like any metric), the
+``environment`` block ``run.py`` recorded on each side, and each side's
+``src/peertrade`` line totals (lines and code lines, as
+``tools/src_lines.py`` counts them), which it prints after the verdicts
+with the change's difference.
 
 The exit status is 1 when any run printed ``correct: false``, after the
 file is written: its verdicts compare runs that did not check out.
@@ -42,7 +46,8 @@ SIDES = ("base", "change")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """One ``perfbench/run.py`` run in ``tree``: (result, environment)."""
+    """One ``perfbench/run.py`` run in ``tree``: (result, environment,
+    setup probe times)."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -53,7 +58,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
                          f"no result (exit {done.returncode}):\n{done.stderr}")
     result = json.loads(lines[-1])
     info = json.loads(lines[-2])["info"]
-    return result, info["environment"]
+    return result, info["environment"], info["info"]["run"]["setup_samples_s"]
 
 
 def summary(values: list) -> dict:
@@ -115,20 +120,23 @@ def main(argv=None) -> int:
               "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
+        probes = {side: [] for side in SIDES}
         for k in range(args.pairs):
             seed = args.seed + k
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                result, env = run_once(trees[side], workload, seed, seconds)
+                result, env, setups = run_once(trees[side], workload, seed, seconds)
                 record["environment"].setdefault(side, env)
                 runs[side].append(result)
+                probes[side].append(setups)
                 metrics = {m: round(v["value"], 4) for m, v in result["metrics"].items()}
                 print(f"{workload} pair {k} seed {seed} {side}: correct "
                       f"{result['correct']} failed {result['failed']} {metrics}",
                       flush=True)
         record["workloads"][workload] = {
             "runs": {side: [{"seed": args.seed + k, "correct": r["correct"],
-                             "attempted": r["attempted"], "failed": r["failed"]}
+                             "attempted": r["attempted"], "failed": r["failed"],
+                             "setup_samples_s": probes[side][k]}
                             for k, r in enumerate(runs[side])] for side in SIDES},
             "failures": {side: {key: sum(r[key] for r in runs[side])
                                 for key in ("failed", "attempted")} for side in SIDES},
@@ -143,10 +151,16 @@ def main(argv=None) -> int:
               f"{f['base']['attempted']}, change {f['change']['failed']}/"
               f"{f['change']['attempted']}")
         for m, c in entry["metrics"].items():
+            note = ""
+            if m == "setup_s":
+                spread = {side: [t for r in entry["runs"][side]
+                                 for t in r["setup_samples_s"]] for side in SIDES}
+                note = "; probes " + ", ".join(
+                    f"{side} {min(t):.3g}-{max(t):.3g}" for side, t in spread.items())
             print(f"{workload} {m}: base {c['base_stats']['median']:.4g} "
                   f"(IQR {c['base_stats']['iqr']:.3g}), change "
                   f"{c['change_stats']['median']:.4g}, change won "
-                  f"{c['wins']}/{c['pairs']}: {c['verdict']}")
+                  f"{c['wins']}/{c['pairs']}: {c['verdict']}{note}")
     base, change = (record["src_lines"][side] for side in SIDES)
     for kind in ("lines", "code_lines"):
         print(f"src {kind}: base {base[kind]}, change {change[kind]} "
