@@ -126,7 +126,7 @@ def default_support(scenario: Scenario, mode: str = SUPPORT_LOW_BUYS_HIGH) -> tu
         return tuple((hi, lo) for lo, hi in sorted(scenario.links))
     if mode == SUPPORT_FULL:
         return tuple(scenario.directed_pairs())
-    raise ValueError(f"unknown support mode {mode!r}")
+    raise OmegaError(f"unknown support mode {mode!r}")
 
 
 def solve_ve(scenario: Scenario, eps_reg: float = 0.0) -> MarketSolution:
@@ -272,6 +272,8 @@ class RandomStrategy:
         if self.count_ < 1:
             raise OmegaError(f"random strategy needs a positive sample count, "
                              f"got {self.count_}")
+        if not (self.high >= self.low and math.isfinite(self.high - self.low)):
+            raise OmegaError(f"random range {self.low}..{self.high} is empty or not finite")
 
     def count(self, k: int) -> int:
         return self.count_
@@ -289,10 +291,11 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     for random draws).  Samples failing the equilibrium filter are
     dropped; surviving duplicates, i.e. omega points mapping to the same
     primal solution after rounding (D, G, q) to 1e-4, are collapsed to
-    their first occurrence.  Each batch first tries the optimal faces that
-    earlier batches landed on (``qp.solve_batch``'s ``faces``), and only
-    the points they do not claim run the interior-point iterations; a
-    claimed point's solver reports 0 iterations.  Points go in batches of
+    their first occurrence.  The sweep solves one ``qp.QpFamily``, built
+    once, so the engine layout is derived once, and each batch first tries
+    the optimal faces that earlier batches landed on; only the points
+    they do not claim run the interior-point iterations, and a claimed
+    point's solver reports 0 iterations.  Points go in batches of
     ``_BATCH_SIZE`` and are otherwise solved as if alone: the batch size
     and order change rounding, which duplicate is kept first and, on a
     point whose polish misses its face, whether the exact face point is
@@ -315,12 +318,11 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     omegas = strategy.generate(support)   # (N, k)
     if not (np.isfinite(omegas).all() and (omegas >= 0).all()):
         raise OmegaError("omega values must be finite and nonnegative")
-    seen = set()
-    out = []
-    faces = {}   # optimal faces learned so far, see qp.solve_batch
+    seen, out = set(), []
+    family = qp.QpFamily(problem)   # its learned faces serve every batch
     for start in range(0, len(omegas), _BATCH_SIZE):
         W = omegas[start:start + _BATCH_SIZE]
-        batch = qp.solve_batch(problem, _linear_terms(problem, W, cols), faces=faces)
+        batch = qp.solve_batch(family, _linear_terms(problem, W, cols))
         x = batch.x
         viol = _violation(x, W, cols)
         good = (batch.status_code == 0) & (viol <= eps)

@@ -196,13 +196,14 @@ def _solve(scenario: Scenario, problem: qp.QpProblem, idx: _MarketIndex,
     """Solve the assembled market QP at the linear term ``r``, and verify it.
 
     The one path from a market to the QP: ``problem`` is solved as built,
-    one ``qp.solve_batch`` row with ``r`` in place of its own linear term.
+    one ``qp.solve_batch`` row of a ``qp.QpFamily`` built for this solve,
+    with ``r`` in place of its own linear term.
     An infeasible row raises :class:`InfeasibleMarketError` naming the
     worst rows, any other non-optimal status :class:`MarketError` naming
     the status and the iteration count.  ``price_shift`` goes to
     :func:`verify_solution`.  Returns ``(qp solution, market solution)``.
     """
-    sol = qp.solve_batch(problem, r[None, :]).solution(0)
+    sol = qp.solve_batch(qp.QpFamily(problem), r[None, :]).solution(0)
     if sol.status == qp.STATUS_INFEASIBLE:
         raise InfeasibleMarketError(
             f"scenario {scenario.name!r}: "

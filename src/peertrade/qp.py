@@ -25,7 +25,10 @@ afterwards (the positive part goes to ``mult_ub``, the negative part to
 ``mult_lb``).  :func:`_kkt` defines the KKT residuals once, for the
 report and for polish.
 
-The engine's layout is decided once, in :func:`solve_batch`.  The free
+A batch of problems sharing everything but the linear term is one
+:class:`QpFamily`, built once from a :class:`QpProblem`; :func:`solve`
+builds one for its problem, and :func:`solve_batch` solves rows of a
+given family.  The family decides the engine's layout.  The free
 variables are ordered coupled first and separable last, each group in
 its original order.  A separable variable has a diagonal, positive row
 of P, no inequality row shared with another variable and a pivot that is
@@ -56,20 +59,20 @@ rows held as equalities by one minimum-norm least-squares solve, singular
 faces included, on the reduced layout: a row touching one variable (an
 active bound) fixes it, and a separable variable leaves by its pivot, as
 in the Newton system, so the matrix solved covers the free coupled
-variables and the other rows only.  It is built once per
-:func:`solve_batch` call and serves every pattern of rows, one LAPACK
-call per pattern.  Polish calls it for the correction from a converged
-iterate, on the active set guessed there, and so moves the iterate to
-the nearest point of that face, which it keeps when the accept test
-:func:`_accepted` passes, taken once for all rows; a problem with no
-inequality rows is the face solve with an empty active set (no IPM
-iterations).
+variables and the other rows only.  It is built once per family and
+serves every pattern of rows, one LAPACK call per pattern.  Polish calls
+it for the correction from a converged iterate, on the active set
+guessed there, and so moves the iterate to the nearest point of that
+face, which it keeps when the accept test :func:`_accepted` passes,
+taken once for all rows; a problem with no inequality rows is the face
+solve with an empty active set (no IPM iterations).
 
 Neighbouring rows of a sweep share their optimal face.  Successive
-:func:`solve_batch` calls given one ``faces`` dict claim rows on the
-full-rank faces polish has landed on and run the IPM only on the rest
-(see :func:`_claim`).  On a fixed full-rank face the solution is affine
-in the linear term, the critical-region structure of multiparametric QP
+:func:`solve_batch` calls on one family claim rows on the full-rank
+faces polish has landed on in its earlier calls, which the family keeps,
+and run the IPM only on the rest (see :func:`_claim`).  On a fixed
+full-rank face the solution is affine in the linear term, the
+critical-region structure of multiparametric QP
 (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38, 2002), so each
 learned face is stored as that map, built once by one face solve of
 n + 1 rows (:func:`_face_maps`), and a claim is a sign test by the map
@@ -259,7 +262,7 @@ def _check_psd(P: np.ndarray) -> None:
 
 def solve(problem: QpProblem) -> QpSolution:
     """Solve one QP to ``_TOL`` on all KKT residual norms."""
-    sol = solve_batch(problem, problem.r[None, :]).solution(0)
+    sol = solve_batch(QpFamily(problem), problem.r[None, :]).solution(0)
     message = ""
     if sol.status == STATUS_INFEASIBLE:
         # Claim a Farkas certificate only when the multipliers form one, by
@@ -283,74 +286,86 @@ def solve(problem: QpProblem) -> QpSolution:
     return dataclasses.replace(sol, message=message)
 
 
-def solve_batch(problem: QpProblem, R: np.ndarray, *,
-                faces: Optional[dict] = None) -> QpBatchSolution:
-    """Solve many QPs sharing P, constraints and bounds, row i using R[i].
+class QpFamily:
+    """The QPs that share one :class:`QpProblem` but for the linear term.
+
+    Built once from the problem, it holds what every :func:`solve_batch`
+    call on the family reads: the engine layout (the fixed variables
+    eliminated, the free ones ordered coupled first and separable last,
+    their finite bounds made rows after the problem's own inequalities),
+    the data in that layout, the original problem's rows for the report,
+    the face solver (:func:`_face_solve`), the Newton builder
+    (:func:`_newton`), and the optimal faces its solves have learned (see
+    :func:`_claim`).  The learned faces are its own: a new family starts
+    with none, so no solve reads faces learned on another problem, and
+    only the solves of one family share them.  ``n_var``, ``n_eq`` and
+    ``n_ineq`` are the problem's.  Its solve is the module's
+    :func:`solve_batch`, which every caller reaches through ``qp``.
+    """
+
+    def __init__(self, problem: QpProblem):
+        self.problem = problem
+        self.n_var, self.n_eq, self.n_ineq = problem.n_var, problem.n_eq, problem.n_ineq
+        P, G0, A0, lb, ub = problem.P, problem.A_ineq, problem.A_eq, problem.lb, problem.ub
+        # Bound rows touch one variable, so they leave the separable mask alone.
+        self.fixed = fixed = lb == ub
+        free = np.flatnonzero(~fixed)
+        sep = _separable(P[np.ix_(free, free)], G0[:, free], A0[:, free])
+        self.free = free = np.concatenate([free[~sep], free[sep]])
+        self.nc, self.x_fix = np.count_nonzero(~sep), lb[fixed]
+        self.ub_at, self.lb_at = free[np.isfinite(ub[free])], free[np.isfinite(lb[free])]
+        self.P, self.r_fix = P[np.ix_(free, free)], P[np.ix_(free, fixed)] @ self.x_fix
+        self.G, self.h = _bound_rows(G0[:, free], problem.b_ineq - G0[:, fixed] @ self.x_fix,
+                                     lb[free], ub[free])
+        self.A, self.b = A0[:, free], problem.b_eq - A0[:, fixed] @ self.x_fix
+        self.shared = max(np.abs(M).max(initial=0.0) for M in (self.h, self.b, self.P))
+        self.report_rows = _bound_rows(G0, problem.b_ineq, lb, ub)
+        self.face = _face_solve(self.P, np.vstack([self.A, self.G]), self.nc)
+        self.newton = _newton(self.P, self.G, self.A, self.nc)
+        self._faces = {}
+
+
+def solve_batch(family: QpFamily, R: np.ndarray) -> QpBatchSolution:
+    """Solve the family's QPs with linear terms R, row i using R[i].
 
     Runs the interior-point iterations vectorized over the batch; each
     problem stops updating once decided.  Every number a row's solve reads
-    comes from that row and the shared data, so the rest of the batch can
+    comes from that row and the family, so the rest of the batch can
     change its answer only by rounding (amplified on degenerate faces).
     Each converged iterate's active face is then re-solved exactly, which
-    matters at degenerate vertices (see :func:`_polish_batch`); the face
-    solver (:func:`_face_solve`) is built once per call, for polish, for
-    the maps of the claims below, and for a problem without inequality
-    rows, whose answer is one face solve.
+    matters at degenerate vertices (see :func:`_polish_batch`); the
+    family's face solver also serves the maps of the claims below and a
+    problem without inequality rows, whose answer is one face solve.
 
-    ``faces`` is state a caller passes to successive calls on one
-    problem: a dict from an engine active-set pattern (bytes of a bool
-    array) to that face's affine map from the linear term to its point,
-    ``None`` until a claim builds it.  Polish adds the full-rank faces it
-    lands rows on, as ``None``, and later calls try them first; a row
-    claimed on a learned face is its unique optimum, read off the face's
-    map and checked by the accept test, and reports 0 iterations (see
-    :func:`_claim`).
+    Successive calls on one family share its learned faces.  Polish adds
+    the full-rank faces it lands rows on, and later calls try them first;
+    a row claimed on a learned face is its unique optimum, read off the
+    face's map and checked by the accept test, and reports 0 iterations
+    (see :func:`_claim`).
     """
-    P = problem.P
+    problem, free, fixed = family.problem, family.free, family.fixed
     R = np.atleast_2d(np.asarray(R, dtype=float))
     n = problem.n_var
     if R.shape[1] != n:
         raise QpError(f"linear terms have {R.shape[1]} columns, expected {n}")
     if not np.isfinite(R).all():
         raise QpError("linear terms contain NaN or infinity")
-    B = R.shape[0]
-    G0, h0, A0, b0 = problem.A_ineq, problem.b_ineq, problem.A_eq, problem.b_eq
-    lb, ub = problem.lb, problem.ub
-
-    # The engine layout: the fixed variables eliminated, the free ones
-    # ordered coupled first and separable last (bound rows touch one
-    # variable, so they leave the mask alone), and their finite bounds
-    # made rows after the problem's own inequalities.
-    fixed = lb == ub
-    free = np.flatnonzero(~fixed)
-    sep = _separable(P[np.ix_(free, free)], G0[:, free], A0[:, free])
-    free, nc = np.concatenate([free[~sep], free[sep]]), np.count_nonzero(~sep)
-    x_fix = lb[fixed]
-    up, lo = np.isfinite(ub[free]), np.isfinite(lb[free])
-    Pf = P[np.ix_(free, free)]
-    Rf = R[:, free] + P[np.ix_(free, fixed)] @ x_fix
-    G, h = _bound_rows(G0[:, free], h0 - G0[:, fixed] @ x_fix, lb[free], ub[free])
-    A, b = A0[:, free], b0 - A0[:, fixed] @ x_fix
+    B, h, A, b = R.shape[0], family.h, family.A, family.b
 
     # Per-row data scale; near-absolute convergence target (the mild scale
     # term keeps it attainable for badly scaled data).
-    shared = max(np.abs(M).max(initial=0.0) for M in (h, b, Pf))
-    scale = 1.0 + np.maximum(np.abs(Rf).max(axis=1, initial=0.0), shared)
+    Rf = R[:, free] + family.r_fix
+    scale = 1.0 + np.maximum(np.abs(Rf).max(axis=1, initial=0.0), family.shared)
     tol_conv = _TOL * (1.0 + 0.01 * scale)
-    if faces is not None and any(len(key) != len(h) for key in faces):
-        raise QpError(f"faces hold active-set patterns of another problem; "
-                      f"this one has {len(h)} inequality rows")
-    face = _face_solve(Pf, np.vstack([A, G]), nc)
     if len(h):
         # Rows on a learned face are solved directly; the rest iterate.
         xf, y, z = (np.zeros((B, k)) for k in (len(free), len(b), len(h)))
         status, iters = np.zeros(B, dtype=np.int8), np.zeros(B, dtype=np.int32)
-        rest = (_claim(Pf, Rf, G, h, A, b, face, scale, faces, xf, y, z) if faces
-                else np.arange(B))
+        rest = _claim(family, Rf, scale, xf, y, z)
         if len(rest):
             Rr, sr = Rf[rest], scale[rest]
-            xr, yr, zr, s, st, it = _ipm(Pf, Rr, G, h, A, b, sr, tol_conv[rest], nc)
-            _polish_batch(Pf, Rr, G, h, A, b, face, xr, yr, zr, s, st, sr, faces)
+            xr, yr, zr, s, st, it = _ipm(family, Rr, sr, tol_conv[rest])
+            _polish_batch(family, Rr, xr, yr, zr, s, st, sr)
             xf[rest], y[rest], z[rest], status[rest], iters[rest] = xr, yr, zr, st, it
     else:
         # No inequality rows: the face solve with an empty active set is
@@ -359,9 +374,9 @@ def solve_batch(problem: QpProblem, R: np.ndarray, *,
         # x, whose residual y = Ax - b is a Farkas certificate: A'y = 0
         # and b'y = -|y|^2 < 0.  (The face solve's own x need not be that
         # x: a row touching one variable fixes it.)
-        xf, y, _ = face(Rf, b, np.ones((1, len(b)), dtype=bool),
-                        np.zeros(B, dtype=np.intp), np.zeros((B, len(free))),
-                        np.zeros((B, len(b))))
+        xf, y, _ = family.face(Rf, b, np.ones((1, len(b)), dtype=bool),
+                               np.zeros(B, dtype=np.intp), np.zeros((B, len(free))),
+                               np.zeros((B, len(b))))
         bad = (np.abs(xf @ A.T - b) > tol_conv[:, None]).any(axis=1)
         if bad.any():
             xf[bad] = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -369,23 +384,20 @@ def solve_batch(problem: QpProblem, R: np.ndarray, *,
         z, status, iters = np.zeros((B, 0)), None, np.ones(B, dtype=np.int32)
 
     # Back to the original variables and multipliers.
-    m = problem.n_ineq
+    P, G0, A0, m = problem.P, problem.A_ineq, problem.A_eq, problem.n_ineq
     x = np.empty((B, n))
-    x[:, free] = xf
-    x[:, fixed] = x_fix
+    x[:, free], x[:, fixed] = xf, family.x_fix
     z_in = z[:, :m]
-    mult_ub = np.zeros((B, n))
-    mult_lb = np.zeros((B, n))
-    n_up = np.count_nonzero(up)
-    mult_ub[:, free[up]] = z[:, m:m + n_up]
-    mult_lb[:, free[lo]] = z[:, m + n_up:]
+    mult_ub, mult_lb, k = np.zeros((B, n)), np.zeros((B, n)), m + len(family.ub_at)
+    mult_ub[:, family.ub_at], mult_lb[:, family.lb_at] = z[:, m:k], z[:, k:]
     grad = (x @ P + R + z_in @ G0 + y @ A0)[:, fixed]
     mult_ub[:, fixed] = np.maximum(-grad, 0.0)
     mult_lb[:, fixed] = np.maximum(grad, 0.0)
 
     # The KKT residuals of the original problem, every finite bound a row.
-    z_all = np.hstack([z_in, mult_ub[:, np.isfinite(ub)], mult_lb[:, np.isfinite(lb)]])
-    kkt = _kkt(P, R, *_bound_rows(G0, h0, lb, ub), A0, b0, x, y, z_all)
+    z_all = np.hstack([z_in, mult_ub[:, np.isfinite(problem.ub)],
+                       mult_lb[:, np.isfinite(problem.lb)]])
+    kkt = _kkt(P, R, *family.report_rows, A0, problem.b_eq, x, y, z_all)
     if status is None:
         # Inconsistent equalities: infeasible; a leftover gradient with
         # consistent equalities: a descent ray, so unbounded.
@@ -470,7 +482,7 @@ def _face_solve(P, C, nc):
     ``w`` holds the face rows' multipliers (0 off the face) and ``full``
     (one per pattern of ``on``) whether the face matrix
     ``[[P, C_f'], [C_f, 0]]`` has full rank.  The variables come in the
-    engine layout of :func:`solve_batch`: the first ``nc`` coupled, the
+    engine layout of :class:`QpFamily`: the first ``nc`` coupled, the
     rest separable by :func:`_separable`.
 
     The face matrix is reduced before it is solved.  The first face row
@@ -671,7 +683,7 @@ _LOOP_MIN_DIM = 20
 def _newton(P, G, A, nc):
     """The Newton step solver of :func:`_ipm` for the data ``P``, ``G``, ``A``.
 
-    The variables come in the engine layout of :func:`solve_batch`: the
+    The variables come in the engine layout of :class:`QpFamily`: the
     first ``nc`` are coupled and the rest separable (see
     :func:`_separable`), so every block below is a leading or trailing
     slice.  A step solves, per row, the saddle system of :func:`_saddle`
@@ -690,7 +702,7 @@ def _newton(P, G, A, nc):
     The coupled block ``Pc + Gc' diag(d) Gc`` is assembled by scatter:
     each inequality row adds ``d_i G_ij G_ik`` to the entries (j, k) of
     its nonzero coupled columns by one sparse product (:func:`_scatter_map`,
-    once per call), at O(sum of k_i^2) per row, k_i the coupled nonzeros
+    once per family), at O(sum of k_i^2) per row, k_i the coupled nonzeros
     of inequality row i, instead of the dense product's O(nc^2 m).  Each
     entry sums its terms in row order, as the dense product does, so an
     entry of at most two exact products (the market's) is bit-identical
@@ -738,25 +750,27 @@ def _newton(P, G, A, nc):
     return system
 
 
-def _ipm(P, R, G, h, A, b, scale, tol_conv, nc):
+def _ipm(family, R, scale, tol_conv):
     """Mehrotra predictor-corrector iterations over the rows of ``R``.
 
-    Returns ``(x, y, z, s, status, iterations)`` of the problem
-    min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b, which has at least one
-    inequality row; ``scale`` and ``tol_conv`` are per row.  The working
-    arrays hold only the rows still iterating; a row leaves them, with its
-    current iterate as its answer, at the first check that decides it.
+    Returns ``(x, y, z, s, status, iterations)`` of the family's problem
+    min 0.5 x'Px + R[i]'x s.t. Gx <= h, Ax = b in the engine layout, which
+    has at least one inequality row; ``scale`` and ``tol_conv`` are per
+    row.  The working arrays hold only the rows still iterating; a row
+    leaves them, with its current iterate as its answer, at the first
+    check that decides it.
 
-    The variables come in the engine layout of :func:`solve_batch`: the
+    The variables come in the engine layout of :class:`QpFamily`: the
     first ``nc`` are coupled (the market's trades), the rest separable (a
     diagonal row of ``P``, positive curvature, only bound rows; the
     market's demands and generations).  Each iteration builds one Newton
-    matrix per row and solves it twice, for the predictor and the
-    corrector, from one factorization (below dimension 20: one batched
-    solve each).  The separable variables are
+    matrix per row, by the family's Newton builder, and solves it twice,
+    for the predictor and the corrector, from one factorization (below
+    dimension 20: one batched solve each).  The separable variables are
     eliminated from it exactly, so the matrix factored covers the coupled
     variables and the equality rows only (see :func:`_newton`).
     """
+    P, G, h, A, b = family.P, family.G, family.h, family.A, family.b
     B, n = R.shape
     m, p = len(h), len(b)
     x, y, z, s = (np.empty((B, k)) for k in (n, p, m, m))
@@ -769,7 +783,6 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, nc):
     xa, ya = np.tile(x0, (B, 1)), np.zeros((B, p))
     za, sa = np.ones((B, m)), np.tile(np.maximum(h - G @ x0, 1.0), (B, 1))
     Ra, sc, tc = R, scale, tol_conv
-    newton_system = _newton(P, G, A, nc)
 
     # One check more than steps, so the iterate after the last step is
     # checked too.
@@ -809,7 +822,7 @@ def _ipm(P, R, G, h, A, b, scale, tol_conv, nc):
         # zero, and a denormal slack would overflow these divisions.
         sa_div = np.maximum(sa, 1e-300)
         d = np.minimum(za / sa_div, 1e16)
-        step = newton_system(d, 1e-12 * sc)
+        step = family.newton(d, 1e-12 * sc)
 
         def newton(rc):
             """The step (dx, dy, dz, ds) toward complementarity target rc."""
@@ -866,12 +879,13 @@ def _face_maps(face, G, h, b, pats):
         yield full_f, (x0, Kx, w0, Kw), (t0, Kt)
 
 
-def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
+def _claim(family, R, scale, x, y, z):
     """Solve rows on learned faces by their stored maps; return the rows left over.
 
-    ``faces`` maps a pattern to its face's map, or to ``None`` until this
-    builds it, by one :func:`_face_maps` for all such faces.  Tries every
-    face, most recently claimed or learned first.  A try is a sign test
+    The family's learned faces map a pattern (bytes of a bool array over
+    the engine's inequality rows) to its face's map, or to ``None`` until
+    this builds it, by one :func:`_face_maps` for all such faces.  Tries
+    every face, most recently claimed or learned first.  A try is a sign test
     by the face's map, which passes the rows whose active multipliers
     exceed ``_FACE_TOL`` times the row's ``scale`` and whose slacks off
     the face are at least minus that; then :func:`_accepted`, once for
@@ -884,10 +898,11 @@ def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
     dropped unless it claims a row, so a face that claims nothing on its
     first try is never tried again.
     """
+    P, G, h, A, b, faces = family.P, family.G, family.h, family.A, family.b, family._faces
     new = [key for key, fmap in faces.items() if fmap is None]
     if new:
         pats = np.array([np.frombuffer(key, dtype=bool) for key in new])
-        faces.update(zip(new, _face_maps(face, G, h, b, pats)))
+        faces.update(zip(new, _face_maps(family.face, G, h, b, pats)))
     p, rest = len(b), np.arange(len(R))
     for key in list(reversed(faces)):
         full, (x0, Kx, w0, Kw), (t0, Kt) = faces[key]
@@ -911,7 +926,7 @@ def _claim(P, R, G, h, A, b, face, scale, faces, x, y, z):
     return rest
 
 
-def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> None:
+def _polish_batch(family, R, x, y, z, s, status, scale) -> None:
     """Snap converged iterates onto their active face by one exact solve.
 
     Interior-point iterates stop within O(sqrt(mu)) of a vertex where a
@@ -925,8 +940,9 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
     point, with the face multipliers as solved, passes :func:`_accepted`,
     taken once for all rows; so a wrong guess is harmless.  Its inequality
     multipliers are then clipped at zero.  A full-rank face that accepts a
-    row is added to ``faces`` if given.
+    row is added to the family's learned faces.
     """
+    P, G, h, A, b = family.P, family.G, family.h, family.A, family.b
     opt, p = np.flatnonzero(status == 0), len(b)
     act = (z[opt] >= s[opt]) | (s[opt] <= _FACE_TOL * scale[opt, None])
     # Group on one void key per row: np.unique(axis=0) takes a much slower
@@ -935,15 +951,13 @@ def _polish_batch(P, R, G, h, A, b, face, x, y, z, s, status, scale, faces) -> N
                             return_inverse=True)
     pats = keys.view(bool).reshape(-1, act.shape[1])
     on = np.hstack([np.ones((len(pats), p), dtype=bool), pats])
-    xp, w, full = face(R[opt], np.concatenate([b, h]), on, group, x[opt],
-                       np.hstack([y[opt], z[opt] * act]))
+    xp, w, full = family.face(R[opt], np.concatenate([b, h]), on, group, x[opt],
+                              np.hstack([y[opt], z[opt] * act]))
     ok = _accepted(P, R[opt], G, h, A, b, xp, w[:, :p], w[:, p:], scale[opt])
     good = opt[ok]
     x[good], y[good], z[good] = xp[ok], w[ok, :p], np.maximum(w[ok, p:], 0.0)
-    if faces is not None:
-        landed = full & (np.bincount(group[ok], minlength=len(pats)) > 0)
-        for pat in pats[landed]:
-            faces.setdefault(pat.tobytes(), None)
+    for pat in pats[full & (np.bincount(group[ok], minlength=len(pats)) > 0)]:
+        family._faces.setdefault(pat.tobytes(), None)   # landed on
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> np.ndarray:

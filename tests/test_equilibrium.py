@@ -325,6 +325,8 @@ def test_repeated_support_pair_rejected(three_node):
     strategy = eq.AxisStrategy((0.0, 50.0), support=((1, 0), (1, 0)))
     with pytest.raises(eq.OmegaError, match="listed twice"):
         eq.sweep_gne(three_node, strategy)
+    with pytest.raises(eq.OmegaError, match="unknown support mode 'buyers'"):
+        eq.default_support(three_node, "buyers")
 
 
 def _assert_rows_match(part, full, rows):
@@ -349,14 +351,14 @@ def test_batch_rows_solve_as_if_alone(W, seed, size):
     problem, idx = market.assemble(scn)
     cols = eq._omega_columns(idx, eq.default_support(scn))
     R = eq._linear_terms(problem, np.array(W), cols)
-    full = qp.solve_batch(problem, R)
+    full = qp.solve_batch(qp.QpFamily(problem), R)
     for i in range(len(R)):
-        _assert_rows_match(qp.solve_batch(problem, R[i:i + 1]), full, [i])
+        _assert_rows_match(qp.solve_batch(qp.QpFamily(problem), R[i:i + 1]), full, [i])
     perm = np.random.default_rng(seed).permutation(len(R))
     for start in range(0, len(R), size):
         rows = perm[start:start + size]
-        _assert_rows_match(qp.solve_batch(problem, R[rows]), full, rows)
-    extended = qp.solve_batch(problem, np.vstack([R, problem.r + 1e4]))
+        _assert_rows_match(qp.solve_batch(qp.QpFamily(problem), R[rows]), full, rows)
+    extended = qp.solve_batch(qp.QpFamily(problem), np.vstack([R, problem.r + 1e4]))
     _assert_rows_match(extended, full, np.arange(len(R)))
 
 
@@ -368,7 +370,7 @@ def test_grid_rows_land_on_their_face(three_node):
     cols = eq._omega_columns(idx, support)
     W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)   # 11^3 points
     R = eq._linear_terms(problem, W, cols)
-    batch = qp.solve_batch(problem, R)
+    batch = qp.solve_batch(qp.QpFamily(problem), R)
     assert (batch.status_code == 0).all()
     landed = batch.kkt_residuals["complementarity"] <= 1e-12
     assert landed.mean() >= 0.99, f"{landed.sum()} of {len(R)} rows"
@@ -383,7 +385,7 @@ def test_ieee14_rows_land_on_their_face():
     support = eq.default_support(scn)
     W = eq.RandomStrategy(250, low=0.0, high=5.0, seed=0).generate(support)
     R = eq._linear_terms(problem, W, eq._omega_columns(idx, support))
-    batch = qp.solve_batch(problem, R)
+    batch = qp.solve_batch(qp.QpFamily(problem), R)
     assert (batch.status_code == 0).all()
     landed = batch.kkt_residuals["complementarity"] <= 1e-12
     assert landed.sum() >= 139, f"{landed.sum()} of {len(R)} rows"
@@ -399,10 +401,11 @@ def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
     cols = eq._omega_columns(idx, support)
     W = eq.GridStrategy(0.0, 100.0, 10.0).generate(support)
     R = eq._linear_terms(problem, W, cols)
-    faces = {}
-    qp.solve_batch(problem, R[::2], faces=faces)
-    reuse = qp.solve_batch(problem, R[1::2], faces=faces)
-    plain = qp.solve_batch(problem, R[1::2])
+    family = qp.QpFamily(problem)
+    qp.solve_batch(family, R[::2])
+    assert family._faces
+    reuse = qp.solve_batch(family, R[1::2])
+    plain = qp.solve_batch(qp.QpFamily(problem), R[1::2])
     claimed = reuse.iterations == 0
     assert claimed.mean() >= 0.4, f"{claimed.sum()} of {len(claimed)} rows"
     assert (reuse.status_code[claimed] == 0).all()
@@ -419,42 +422,36 @@ def test_learned_faces_claim_grid_rows_with_the_same_answer(three_node):
 SOLUTION_FIELDS = ("x", "mult_ineq", "mult_eq", "mult_lb", "mult_ub")
 
 
-def _omega_rows(scn, W):
-    """The market QP of ``scn`` and one linear term per omega point of ``W``."""
-    problem, idx = market.assemble(scn)
-    cols = eq._omega_columns(idx, eq.default_support(scn))
-    return problem, eq._linear_terms(problem, W, cols)
-
-
 def test_grid_claims_take_at_most_one_face_row_solve_per_claimed_row(three_node,
                                                                      monkeypatch):
     # The 21^3 grid sweep claims rows by each learned face's stored map,
     # built once by a face solve of n + 1 rows, so the face solver inside
     # the claims solves fewer rows than are claimed; and every claimed row
-    # gets the answer of the faces-free solve.
+    # gets the answer of a fresh family's solve, which has no faces.
     solved, batches = [0], []
-    claim, solve_batch = qp._claim, qp.solve_batch
+    face_maps, solve_batch = qp._face_maps, qp.solve_batch
 
-    def counting_claim(P, R, G, h, A, b, face, *rest):
-        def counting_face(Rf, *args):
+    def counting_face_maps(face, *args):
+        def counting_face(Rf, *rest):
             solved[0] += len(Rf)
-            return face(Rf, *args)
-        return claim(P, R, G, h, A, b, counting_face, *rest)
+            return face(Rf, *rest)
+        return face_maps(counting_face, *args)
 
-    def recording_solve_batch(problem, R, *args, **kwargs):
-        batch = solve_batch(problem, R, *args, **kwargs)
-        batches.append((problem, R, batch))
+    def recording_solve_batch(family, R):
+        batch = solve_batch(family, R)
+        batches.append((family, R, batch))
         return batch
 
-    monkeypatch.setattr(qp, "_claim", counting_claim)
+    monkeypatch.setattr(qp, "_face_maps", counting_face_maps)
     monkeypatch.setattr(qp, "solve_batch", recording_solve_batch)
     eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 5.0))
     monkeypatch.undo()
-    problem = batches[0][0]
+    family = batches[0][0]
+    assert all(f is family for f, _, _ in batches) and family._faces
     R = np.vstack([rows[batch.iterations == 0] for _, rows, batch in batches])
     assert len(R) == 4594
     assert 0 < solved[0] <= len(R), f"{solved[0]} face rows for {len(R)} claims"
-    plain = qp.solve_batch(problem, R)
+    plain = qp.solve_batch(qp.QpFamily(family.problem), R)
     assert (plain.status_code == 0).all()
     for name in SOLUTION_FIELDS:
         claimed = np.vstack([getattr(batch, name)[batch.iterations == 0]
@@ -463,34 +460,17 @@ def test_grid_claims_take_at_most_one_face_row_solve_per_claimed_row(three_node,
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("pair,kappa", [((0, 2), 9.0), ((1, 2), 4.0)])
-def test_faces_reused_on_another_capacity_claim_only_true_optima(three_node,
-                                                                 pair, kappa):
-    # Faces and their maps learned on three_node, reused on a copy with
-    # one link capacity changed: the same inequality rows with another
-    # right-hand side, so the maps are stale.  A row is still claimed only
-    # with the faces-free answer; every other row goes to the IPM.
-    W = eq.GridStrategy(0.0, 100.0, 10.0).generate(eq.default_support(three_node))
-    problem, R = _omega_rows(three_node, W)
-    faces = {}
-    qp.solve_batch(problem, R[::4], faces=faces)
-    qp.solve_batch(problem, R[2::4], faces=faces)   # claims, so builds the maps
-    assert faces and all(fmap is not None for fmap in faces.values())
-    links = dict(three_node.links)
-    links[pair] = dataclasses.replace(links[pair], kappa=kappa)
-    other, R = _omega_rows(dataclasses.replace(three_node, links=links), W[1::2])
-    reuse = qp.solve_batch(other, R, faces=faces)
-    plain = qp.solve_batch(other, R)
-    claimed = reuse.iterations == 0
-    assert claimed.any() == (pair == (0, 2)), f"{claimed.sum()} of {len(R)} rows"
-    np.testing.assert_array_equal(reuse.status_code, plain.status_code)
-    np.testing.assert_array_equal(reuse.iterations[~claimed], plain.iterations[~claimed])
-    for name in SOLUTION_FIELDS:
-        a, b = getattr(reuse, name), getattr(plain, name)
-        np.testing.assert_allclose(a[claimed], b[claimed], rtol=0, atol=1e-10,
-                                   err_msg=name)
-        np.testing.assert_allclose(a[~claimed], b[~claimed], rtol=0, atol=1e-12,
-                                   err_msg=name)
+def test_grid_sweep_derives_the_engine_layout_once(three_node, monkeypatch):
+    # The 21^3 grid goes in 10 batches of one family: its layout, face
+    # solver and Newton builder are derived once for the whole sweep.
+    calls = {"_separable": 0, "_face_solve": 0, "_newton": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(qp, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qp, name, counting)
+    eq.sweep_gne(three_node, eq.GridStrategy(0.0, 100.0, 5.0))
+    assert calls == {"_separable": 1, "_face_solve": 1, "_newton": 1}
 
 
 def test_random_ieee14_sweep_keeps_no_face_that_claims_nothing(monkeypatch):
@@ -500,9 +480,9 @@ def test_random_ieee14_sweep_keeps_no_face_that_claims_nothing(monkeypatch):
     # and 4 faces after the three claims).
     sizes, claim = [], qp._claim
 
-    def recording_claim(P, R, G, h, A, b, face, scale, faces, *rest):
-        left = claim(P, R, G, h, A, b, face, scale, faces, *rest)
-        sizes.append(len(faces))
+    def recording_claim(family, *rest):
+        left = claim(family, *rest)
+        sizes.append(len(family._faces))
         return left
 
     monkeypatch.setattr(qp, "_claim", recording_claim)
@@ -541,6 +521,13 @@ def test_random_strategy_needs_a_positive_count():
     for count in (0, -3):
         with pytest.raises(eq.OmegaError, match=f"positive sample count, got {count}"):
             eq.RandomStrategy(count)
+    # Its range is checked when built, as GridStrategy's is, not left to
+    # numpy's draw (OverflowError for a NaN bound, ValueError if reversed).
+    assert eq.RandomStrategy(3, low=2.0, high=2.0).generate(((1, 0),)).tolist() == [[2.0]] * 3
+    for low, high in ((5.0, 1.0), (np.nan, 100.0), (0.0, np.nan), (0.0, np.inf),
+                      (-np.inf, 0.0), (-1e308, 1e308)):
+        with pytest.raises(eq.OmegaError, match="empty or not finite"):
+            eq.RandomStrategy(5, low=low, high=high)
 
 
 def test_epsilon_comp_scale(three_node):

@@ -96,7 +96,7 @@ def test_mixed_statuses_in_one_batch():
     # minimize r*x subject to x >= 0: optimal at 0 for r = 1, unbounded
     # for r = -1; each row leaves the iterations with its own status.
     prob = qp.QpProblem(np.zeros((1, 1)), [1.0], A_ineq=[[-1.0]], b_ineq=[0.0])
-    batch = qp.solve_batch(prob, [[1.0], [-1.0]])
+    batch = qp.solve_batch(qp.QpFamily(prob), [[1.0], [-1.0]])
     assert [batch.status(0), batch.status(1)] == ["optimal", "unbounded"]
     assert batch.iterations[1] < 100   # left on the divergence test, not at max_iter
     single = qp.solve(prob)
@@ -177,7 +177,7 @@ def test_shape_mismatches_rejected():
                 qp.QpProblem(**dict(good, **{name: np.full_like(value, bad)}))
     prob = qp.QpProblem(**good)
     with pytest.raises(qp.QpError, match="linear terms contain NaN"):
-        qp.solve_batch(prob, [[0.0, np.nan]])
+        qp.solve_batch(qp.QpFamily(prob), [[0.0, np.nan]])
 
 
 def test_batch_matches_single_solves():
@@ -187,7 +187,7 @@ def test_batch_matches_single_solves():
     prob = qp.QpProblem(P, np.zeros(2), A_ineq=G, b_ineq=h)
     rng = np.random.default_rng(5)
     R = rng.normal(scale=3.0, size=(40, 2))
-    batch = qp.solve_batch(prob, R)
+    batch = qp.solve_batch(qp.QpFamily(prob), R)
     for i in range(len(R)):
         single = qp.solve(qp.QpProblem(P, R[i], A_ineq=G, b_ineq=h))
         assert batch.status(i) == "optimal"
@@ -241,38 +241,40 @@ ACTIVE, INACTIVE = np.array([True]).tobytes(), np.array([False]).tobytes()
 
 
 def test_learned_face_claims_rows():
-    faces = {}
-    first = qp.solve_batch(VERTEX, [[0.0]], faces=faces)
-    assert first.iterations[0] > 0 and faces == {ACTIVE: None}
-    again = qp.solve_batch(VERTEX, [[0.0], [1.0], [-10.0]], faces=faces)
+    family = qp.QpFamily(VERTEX)
+    first = qp.solve_batch(family, [[0.0]])
+    assert first.iterations[0] > 0 and family._faces == {ACTIVE: None}
+    again = qp.solve_batch(family, [[0.0], [1.0], [-10.0]])
     np.testing.assert_array_equal(again.iterations == 0, [True, True, False])
     np.testing.assert_array_equal(again.status_code, 0)
     np.testing.assert_allclose(again.x[:, 0], [3.0, 3.0, 5.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(again.mult_ineq[:, 0], [6.0, 7.0, 0.0], rtol=0, atol=1e-12)
     # The claiming face got its map; the face polish just learned has none yet.
-    assert list(faces) == [ACTIVE, INACTIVE]
-    assert faces[ACTIVE] is not None and faces[INACTIVE] is None
+    assert list(family._faces) == [ACTIVE, INACTIVE]
+    assert family._faces[ACTIVE] is not None and family._faces[INACTIVE] is None
 
 
 @pytest.mark.parametrize("claimed,kept", [(0, False), (1, True)])
 def test_face_claiming_no_row_is_dropped_unless_it_claimed_before(claimed, kept):
     # Polish learns ACTIVE; after ``claimed`` batches it claims a row in,
     # a batch it cannot claim drops it only if it never claimed one.
-    faces = {}
-    qp.solve_batch(VERTEX, [[0.0]], faces=faces)
+    family = qp.QpFamily(VERTEX)
+    qp.solve_batch(family, [[0.0]])
     for _ in range(claimed):
-        assert qp.solve_batch(VERTEX, [[1.0]], faces=faces).iterations[0] == 0
-    sol = qp.solve_batch(VERTEX, [[-10.0]], faces=faces)
+        assert qp.solve_batch(family, [[1.0]]).iterations[0] == 0
+    sol = qp.solve_batch(family, [[-10.0]])
     assert sol.iterations[0] > 0
-    assert (ACTIVE in faces) == kept and faces[INACTIVE] is None
+    assert (ACTIVE in family._faces) == kept and family._faces[INACTIVE] is None
 
 
-def test_faces_of_another_problem_rejected():
-    faces = {}
-    qp.solve_batch(VERTEX, [[0.0]], faces=faces)
-    two = qp.QpProblem(np.eye(2), [1.0, 1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    with pytest.raises(qp.QpError, match="another problem"):
-        qp.solve_batch(two, [[1.0, 1.0]], faces=faces)
+def test_learned_faces_stay_with_their_family():
+    # A row the first family claims on the face it learned is iterated by
+    # a second family of the same problem, which starts with no faces.
+    first, second = qp.QpFamily(VERTEX), qp.QpFamily(VERTEX)
+    qp.solve_batch(first, [[0.0]])
+    assert qp.solve_batch(first, [[1.0]]).iterations[0] == 0
+    assert not second._faces
+    assert qp.solve_batch(second, [[1.0]]).iterations[0] > 0
 
 
 def _newton_data(seed, n_sep, n_cpl, p, zero_p=False, B=64):
@@ -629,7 +631,8 @@ def test_unused_coupling_row_changes_nothing(seed, n, with_eq):
     assert qp._separable(P, bounds, A).all()
     assert not qp._separable(P, np.vstack([row, bounds]), A)[[j, k]].any()
     R = rng.normal(scale=10.0, size=(8, n))
-    plain, wide = qp.solve_batch(box, R), qp.solve_batch(coupled, R)
+    plain = qp.solve_batch(qp.QpFamily(box), R)
+    wide = qp.solve_batch(qp.QpFamily(coupled), R)
     # Two known defects, present before the elimination too, are left
     # out.  In about 0.7 % of the draws with an equality row one row
     # falls into the Mehrotra cycle on one path or both and stops at
@@ -670,10 +673,10 @@ def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
     R = rng.normal(scale=5.0, size=(6, n))
     perm = rng.permutation(n)
     back = np.argsort(perm)
-    posed = qp.solve_batch(qp.QpProblem(P, R[0], G, h, a, a @ x0, lb, ub), R)
-    moved = qp.solve_batch(
+    posed = qp.solve_batch(qp.QpFamily(qp.QpProblem(P, R[0], G, h, a, a @ x0, lb, ub)), R)
+    moved = qp.solve_batch(qp.QpFamily(
         qp.QpProblem(P[np.ix_(perm, perm)], R[0, perm], G[:, perm], h,
-                     a[:, perm], a @ x0, lb[perm], ub[perm]), R[:, perm])
+                     a[:, perm], a @ x0, lb[perm], ub[perm])), R[:, perm])
     opt = posed.status_code == 0
     np.testing.assert_array_equal(moved.status_code[opt], 0)
     for name in ("x", "mult_lb", "mult_ub"):
@@ -701,7 +704,7 @@ def test_small_qp_with_one_equality_finishes():
 def test_bad_linear_term_shape():
     prob = qp.QpProblem(np.eye(2), np.zeros(2))
     with pytest.raises(qp.QpError, match="columns"):
-        qp.solve_batch(prob, np.zeros((3, 5)))
+        qp.solve_batch(qp.QpFamily(prob), np.zeros((3, 5)))
 
 
 def _random_box_qp(rng, n):
