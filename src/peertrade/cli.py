@@ -48,15 +48,7 @@ def _build_parser() -> _Parser:
                "3 usage error.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    # Solver and RNG flags, each registered only where the command reads it.
-    options = {
-        "--reg": dict(type=float, default=0.0,
-                      help="trade regularization weight (picks a reproducible "
-                           "representative of degenerate optima; reported)"),
-        "--seed": dict(type=int, default=0, help="root RNG seed"),
-    }
-
-    def common(p, *flags):
+    def common(p, seed=False):
         src = p.add_argument_group("scenario source").add_mutually_exclusive_group(
             required=True)
         src.add_argument("--builtin", metavar="NAME",
@@ -67,14 +59,14 @@ def _build_parser() -> _Parser:
                        help="output directory (default: $PEERTRADE_OUT or ./out)")
         p.add_argument("--formats", default=",".join(_FORMATS),
                        help="comma list from json,csv,dot (default all)")
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
+        if seed:   # registered only where the command reads it
+            p.add_argument("--seed", type=int, default=0, help="root RNG seed")
 
     p = sub.add_parser("solve", help="centralized welfare optimum with prices")
-    common(p, "--reg")
+    common(p)
 
     p = sub.add_parser("gne", help="sample generalized Nash equilibria")
-    common(p, "--reg", "--seed")
+    common(p, seed=True)
     strategy = p.add_argument_group("omega strategy").add_mutually_exclusive_group(
         required=True)
     strategy.add_argument("--grid", metavar="START:STOP:STEP",
@@ -90,11 +82,11 @@ def _build_parser() -> _Parser:
                    help="solve budget guard for the sweep")
 
     p = sub.add_parser("analyze", help="cycles, congestion and waste structure")
-    common(p, "--reg")
+    common(p)
     p.add_argument("--max-cycle-len", type=int, default=None)
 
     p = sub.add_parser("privacy", help="forecast-privacy utility bias")
-    common(p, "--seed")
+    common(p, seed=True)
     p.add_argument("--samples", type=int, default=10 ** 5,
                    help=f"Monte-Carlo sample count (>= {privacy.MIN_MC_SAMPLES})")
     p.add_argument("--r-box", metavar="LO:HI", default=None,
@@ -110,14 +102,12 @@ def _build_parser() -> _Parser:
 
 
 def _check(args) -> None:
-    """Resolve the output directory and formats; reject bad solver flags."""
+    """Resolve the output directory and formats; reject a bad seed."""
     args.out_dir = args.out_dir or os.environ.get("PEERTRADE_OUT") or "out"
     args.formats = sorted({f.strip() for f in args.formats.split(",")} - {""})
     bad = set(args.formats) - set(_FORMATS)
     if bad:
         raise UsageError(f"unknown formats: {', '.join(sorted(bad))}")
-    if "reg" in args:
-        _check_flag("--reg", market._check_eps_reg, args.reg)
     if "seed" in args:
         _check_flag("--seed", np.random.default_rng, args.seed)
 
@@ -156,7 +146,7 @@ def _emit(args, scn, outputs: dict) -> None:
 
 def cmd_solve(args) -> int:
     scn = _load(args)
-    sol = market.solve_centralized(scn, eps_reg=args.reg)
+    sol = market.solve_centralized(scn)
     print(f"scenario: {scn.name} ({scn.n_nodes} nodes, {len(scn.links)} links)")
     print(f"status: {sol.solver_status} ({sol.solver_iterations} iterations)")
     print(f"social welfare: {sol.sw:.6f}")
@@ -164,14 +154,11 @@ def cmd_solve(args) -> int:
         diff = sol.lam[n] - sol.lam[0]
         extra = "" if n == 0 else f"   ({diff:+.6f} vs root)"
         print(f"lambda[{n}] = {sol.lam[n]:.6f}{extra}")
-    if args.reg:
-        print(f"regularization: {args.reg:g}")
     _emit(args, scn, {
         ".json": {"solution": market.solution_to_dict(sol),
                   "lambda_minus_root": {str(n): sol.lam[n] - sol.lam[0]
                                         for n in scn.node_ids},
-                  "residuals": sol.kkt_residuals,
-                  "regularization": args.reg},
+                  "residuals": sol.kkt_residuals},
         ".csv": market.solution_to_csv(sol)})
     return EXIT_OK
 
@@ -211,8 +198,7 @@ def _parse_strategy(args) -> object:
 def cmd_gne(args) -> int:
     scn = _load(args)
     strategy = _parse_strategy(args)
-    samples = equilibrium.sweep_gne(scn, strategy, budget=args.budget,
-                                    eps_reg=args.reg)
+    samples = equilibrium.sweep_gne(scn, strategy, budget=args.budget)
     ve = equilibrium.solve_ve(scn)
     valid = [s for s in samples if s.is_gne]
     print(f"sweep: {len(samples)} distinct solutions kept, "
@@ -258,7 +244,7 @@ def _check_flag(flag: str, check, *args) -> None:
 def cmd_analyze(args) -> int:
     scn = _load(args)
     _check_flag("--max-cycle-len", structure._cycle_len_limit, scn, args.max_cycle_len)
-    sol = market.solve_centralized(scn, eps_reg=args.reg)
+    sol = market.solve_centralized(scn)
     report = structure.analysis_report(scn, sol, max_cycle_len=args.max_cycle_len)
     cycles = report["cycles"]
     print(f"scenario: {scn.name}")

@@ -47,6 +47,7 @@ SUPPORT_FULL = "full"
 
 _BATCH_SIZE = 1024    # omega points per qp.solve_batch call of sweep_gne
 _ACTIVE_TOL = 1e-5    # check_agent_kkt: a slack this small, relative, is active
+_REFIT_TOL = 1e-6     # check_agent_kkt: a ridge fit worse than this is refitted without it
 
 
 class OmegaError(ValueError):
@@ -129,20 +130,19 @@ def default_support(scenario: Scenario, mode: str = SUPPORT_LOW_BUYS_HIGH) -> tu
     raise OmegaError(f"unknown support mode {mode!r}")
 
 
-def solve_ve(scenario: Scenario, eps_reg: float = 0.0) -> MarketSolution:
+def solve_ve(scenario: Scenario) -> MarketSolution:
     """The Variational Equilibrium: the welfare optimum with shared prices.
 
     Both sides of a pair share one reciprocity price by construction:
     :func:`market.extract_solution` reads ``zeta[n][m]`` and ``zeta[m][n]``
     off the pair's single reciprocity row.
     """
-    return market.solve_centralized(scenario, eps_reg=eps_reg, kind="ve")
+    return market.solve_centralized(scenario, kind="ve")
 
 
-def solve_parameterized(scenario: Scenario, omega: OmegaVector,
-                        eps_reg: float = 0.0) -> GneSample:
+def solve_parameterized(scenario: Scenario, omega: OmegaVector) -> GneSample:
     """Solve the omega-perturbed problem and classify the outcome."""
-    problem, idx = market.assemble(scenario, eps_reg)
+    problem, idx = market.assemble(scenario)
     cols = _omega_columns(idx, omega.support)
     W = np.array([[w for _, w in omega.items()]])   # (1, k)
     r = _linear_terms(problem, W, cols)[0]
@@ -283,8 +283,7 @@ class RandomStrategy:
         return rng.uniform(self.low, self.high, size=(self.count_, len(support)))
 
 
-def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
-              eps_reg: float = 0.0) -> list:
+def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6) -> list:
     """Run an omega enumeration and collect the distinct equilibria.
 
     Evaluation order is deterministic (lexicographic for grids, seeded
@@ -296,10 +295,13 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
     the optimal faces that earlier batches landed on; only the points
     they do not claim run the interior-point iterations, and a claimed
     point's solver reports 0 iterations.  Points go in batches of
-    ``_BATCH_SIZE`` and are otherwise solved as if alone: the batch size
-    and order change rounding, which duplicate is kept first and, on a
-    point whose polish misses its face, whether the exact face point is
-    returned (it is when an earlier batch learned that face).  A
+    ``_BATCH_SIZE`` and are otherwise solved as if alone.  A point whose
+    optimal trades are not unique gets the least-norm point of its
+    optimal face (see ``qp.solve_batch``, and the ``qp`` module for where
+    that rule stops being exact), so the set kept and its welfare do not
+    depend on the batch size or the order of the points beyond rounding;
+    the order decides which omega point a kept sample carries, and its
+    prices on a face with dependent active rows follow the iterate.  A
     strategy of more than ``budget`` points raises ``OmegaError`` before
     any point is generated.
     """
@@ -311,7 +313,7 @@ def sweep_gne(scenario: Scenario, strategy, budget: int = 10**6,
             f"sweep would evaluate {total} points, over the budget of {budget}; "
             "raise the budget explicitly if this is intended")
 
-    problem, idx = market.assemble(scenario, eps_reg)
+    problem, idx = market.assemble(scenario)
     cols = _omega_columns(idx, support)
     eps = epsilon_comp(scenario)
 
@@ -399,7 +401,10 @@ def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
     ``ridge`` lightly penalizes the congestion multipliers so that when a
     trade is simultaneously at capacity and reciprocity-tight, the
     explanation defaults to the trade price; it must be finite and
-    nonnegative, else ``ValueError``.
+    nonnegative, else ``ValueError``.  The ridge also leaves about
+    ridge * xi of stationarity residual where a congestion price must be
+    large, so a fit whose worst residual exceeds ``_REFIT_TOL`` is done
+    again without it, and the better of the two fits is reported.
 
     The first call imports ``scipy.optimize`` (for its ``nnls``), which
     ``import peertrade`` and every CLI command leave unloaded.
@@ -434,23 +439,28 @@ def check_agent_kkt(scenario: Scenario, candidate: MarketSolution,
     stat[2:, 6:] = np.kron(np.eye(k), [1.0, 1.0])
     rhs = np.array([-2.0 * p.a_tilde * (D - p.d_star), -(p.a * G + p.b)]
                    + [-scenario.c(node, m) for m in neigh])
-    ridge_rows = np.sqrt(ridge) * np.eye(len(slack))[6::2][active[6::2]]
-    A = np.ascontiguousarray(np.vstack([stat, ridge_rows])[:, active])
     # Imported here, its only use: scipy.optimize costs about a third of a
     # second to import, which every `import peertrade` and CLI run would pay.
     import scipy.optimize
 
-    coef = np.zeros(len(slack))
-    coef[active] = scipy.optimize.nnls(A, np.append(rhs, np.zeros(len(ridge_rows))))[0]
+    def fit(weight):
+        ridge_rows = np.sqrt(weight) * np.eye(len(slack))[6::2][active[6::2]]
+        A = np.ascontiguousarray(np.vstack([stat, ridge_rows])[:, active])
+        coef = np.zeros(len(slack))
+        coef[active] = scipy.optimize.nnls(A, np.append(rhs, np.zeros(len(ridge_rows))))[0]
+        mu_lo, mu_hi, nu_lo, nu_hi = coef[2:6].tolist()
+        return AgentKktReport(
+            node=node, stationarity=float(np.abs(A[:2 + k] @ coef[active] - rhs).max()),
+            feasibility=feasibility,
+            complementarity=float(np.abs(coef * slack)[active].max()),
+            lam=float(coef[0] - coef[1]), mu_lo=mu_lo, mu_hi=mu_hi, nu_lo=nu_lo,
+            nu_hi=nu_hi, xi=dict(zip(neigh, coef[6::2].tolist())),
+            zeta=dict(zip(neigh, coef[7::2].tolist())))
 
-    stationarity = float(np.abs(A[:2 + k] @ coef[active] - rhs).max())
-    mu_lo, mu_hi, nu_lo, nu_hi = coef[2:6].tolist()
-    return AgentKktReport(node=node, stationarity=stationarity, feasibility=feasibility,
-                          complementarity=float(np.abs(coef * slack)[active].max()),
-                          lam=float(coef[0] - coef[1]), mu_lo=mu_lo, mu_hi=mu_hi,
-                          nu_lo=nu_lo, nu_hi=nu_hi,
-                          xi=dict(zip(neigh, coef[6::2].tolist())),
-                          zeta=dict(zip(neigh, coef[7::2].tolist())))
+    report = fit(ridge)
+    if report.max_residual > _REFIT_TOL and ridge > 0:
+        report = min(report, fit(0.0), key=lambda rep: rep.max_residual)
+    return report
 
 
 # -- exports --------------------------------------------------------------

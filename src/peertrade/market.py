@@ -72,7 +72,6 @@ class MarketSolution:
     waste: dict
     waste_total: float
     kind: str = "centralized"
-    eps_reg: float = 0.0
     solver_status: str = "optimal"
     solver_iterations: int = 0
     kkt_residuals: dict = field(default_factory=dict)
@@ -88,7 +87,6 @@ class _MarketIndex:
     qpos: dict            # (m, n) -> column of q[m][n]
     bal_row: dict         # node -> equality row
     recip_row: dict       # unordered pair -> inequality row
-    eps_reg: float        # weight of the trade regularization in P
 
 
 def _require_valid(scenario: Scenario) -> None:
@@ -98,24 +96,17 @@ def _require_valid(scenario: Scenario) -> None:
         raise ValueError(f"scenario {scenario.name!r} is invalid: {listing}")
 
 
-def _check_eps_reg(eps_reg: float) -> None:
-    """Raise ``ValueError`` unless :func:`assemble` accepts ``eps_reg``."""
-    if not (np.isfinite(eps_reg) and eps_reg >= 0):
-        raise ValueError(f"eps_reg must be finite and nonnegative, got {eps_reg}")
-
-
-def assemble(scenario: Scenario,
-             eps_reg: float = 0.0) -> tuple[qp.QpProblem, _MarketIndex]:
+def assemble(scenario: Scenario) -> tuple[qp.QpProblem, _MarketIndex]:
     """Build the minimization QP and the index mapping back to the market.
 
     Variables are ordered deterministically: every ``D`` by node id,
     every ``G``, then the trades by (seller, buyer) lexicographic.  The
     demand and generation ranges and the trade caps are the variable
     bounds; the rows are the nodal balances and the reciprocity pairs.
-    ``eps_reg`` adds eps_reg*||q||^2 (``2*eps_reg`` on the trade diagonal
-    of ``P``), which picks the minimum-norm trades of a degenerate optimum.
+    The trades enter the objective linearly, so a degenerate optimum's
+    trades are not unique; the QP layer returns their least-norm point
+    (see ``qp.solve_batch``).
     """
-    _check_eps_reg(eps_reg)
     _require_valid(scenario)
     nodes = scenario.node_ids
     dpairs = list(scenario.directed_pairs())
@@ -146,7 +137,6 @@ def assemble(scenario: Scenario,
         b_eq[i] = p.delta_g
         bal_row[node] = i
     for (m, n), col in qpos.items():
-        P[col, col] = 2.0 * eps_reg
         r[col] = scenario.c(n, m)   # the buyer n pays c(n, m)
         ub[col] = scenario.kappa(m, n)
         A_eq[bal_row[n], col] = -1.0
@@ -161,7 +151,7 @@ def assemble(scenario: Scenario,
     problem = qp.QpProblem(P=P, r=r, A_ineq=A_ineq, b_ineq=np.zeros(len(links)),
                            A_eq=A_eq, b_eq=b_eq, lb=lb, ub=ub)
     index = _MarketIndex(nodes=nodes, dpos=dpos, gpos=gpos, qpos=qpos,
-                         bal_row=bal_row, recip_row=recip_row, eps_reg=eps_reg)
+                         bal_row=bal_row, recip_row=recip_row)
     return problem, index
 
 
@@ -179,15 +169,14 @@ def social_welfare(scenario: Scenario, D: dict, G: dict, q: dict) -> float:
     return total
 
 
-def solve_centralized(scenario: Scenario, eps_reg: float = 0.0,
+def solve_centralized(scenario: Scenario,
                       kind: str = "centralized") -> MarketSolution:
     """Solve the welfare problem and map every dual to its market name.
 
-    ``eps_reg > 0`` adds a Tikhonov term on the trades (see :func:`assemble`)
-    to pick a reproducible representative when preferences make the optimal
-    trades non-unique.  The value is echoed in the solution.
+    When preferences make the optimal trades non-unique, the trades
+    returned are their least-norm point (see ``qp.solve_batch``).
     """
-    problem, idx = assemble(scenario, eps_reg)
+    problem, idx = assemble(scenario)
     return _solve(scenario, problem, idx, problem.r, kind)[1]
 
 
@@ -277,7 +266,7 @@ def extract_solution(scenario: Scenario, idx: _MarketIndex, sol: qp.QpSolution,
     return MarketSolution(D=D, G=G, q=q, Q=Q, lam=lam, zeta=zeta, xi=xi,
                           mu_lo=mu_lo, mu_hi=mu_hi, nu_lo=nu_lo, nu_hi=nu_hi,
                           sw=sw, waste=waste, waste_total=total, kind=kind,
-                          eps_reg=idx.eps_reg, solver_status=sol.status,
+                          solver_status=sol.status,
                           solver_iterations=sol.iterations,
                           kkt_residuals=dict(sol.kkt_residuals))
 
@@ -293,10 +282,9 @@ def verify_solution(scenario: Scenario, s: MarketSolution,
     than warns.
     """
     shift = dict(price_shift) if price_shift else {}
-    qmax = max((abs(v) for row in s.q.values() for v in row.values()),
-               default=0.0)
-    scale = 1.0 + max(max(abs(v) for v in s.lam.values()), qmax)
-    thr = 10.0 * qp._TOL * scale + 2.0 * s.eps_reg * (1.0 + qmax)
+    scale = 1.0 + max(abs(v) for v in (*s.lam.values(),
+                                       *(q for row in s.q.values() for q in row.values())))
+    thr = 10.0 * qp._TOL * scale
 
     for n in scenario.node_ids:
         p = scenario.prosumer(n)
@@ -392,8 +380,7 @@ def solution_to_dict(solution: MarketSolution) -> dict:
         "waste": _waste_block(solution),
         "residuals": dict(solution.kkt_residuals),
         "solver": {"status": solution.solver_status,
-                   "iterations": solution.solver_iterations,
-                   "eps_reg": solution.eps_reg},
+                   "iterations": solution.solver_iterations},
     }
 
 

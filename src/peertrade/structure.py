@@ -365,10 +365,14 @@ def waste_certificates(scenario: Scenario, solution: MarketSolution) -> list:
     lambda_a + 1e-8, and summed along a path lambda_m + sum of C <=
     lambda_n0 + 1e-8 per edge.
 
-    That argument uses the optimum's identities with ``eps_reg`` 0 and no
-    omega price shift, so the certificate is backed only at the welfare
-    optimum (centralized or VE, unregularized); on a sampled equilibrium
-    or a regularized solve it is the own-price test alone.
+    That argument uses the optimum's identities with no omega price
+    shift, so the certificate is backed only at the welfare optimum
+    (centralized or VE); on a sampled equilibrium it is the own-price test
+    alone.  At a degenerate optimum the observed waste is that of the
+    least-norm optimal trades the solver returns (see ``qp.solve_batch``),
+    while the prices read here are canonical only where the optimal
+    multipliers are unique: on a face with dependent active rows they
+    follow the interior-point iterate.
     """
     return [WasteCertificate(pair=(n, m), margin=solution.lam[n] - scenario.c(n, m),
                              observed_waste=solution.waste[scenario.link(n, m).pair])

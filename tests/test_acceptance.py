@@ -185,7 +185,7 @@ def test_criterion_4_balance_and_price_identities(three_node):
 
 def _ieee14_case(case):
     scn = sc.ieee14_cost_case(case)
-    sol = market.solve_centralized(scn, eps_reg=1e-7)
+    sol = market.solve_centralized(scn)
     volume = sum(max(sol.q[m][n], 0.0) for n, m in scn.directed_pairs())
     congested = [(n, m) for n, m in scn.directed_pairs()
                  if sol.q[m][n] >= scn.kappa(n, m) - 1e-6]

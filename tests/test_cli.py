@@ -41,13 +41,6 @@ def test_solve_three_node(capsys, out):
     assert "node,D,G" in open(f"{out}/solve_three_node.csv").read()
 
 
-def test_solve_mentions_regularization(capsys, out):
-    code, text = run(capsys, "solve", "--builtin", "three_node",
-                     "--out", out, "--reg", "1e-7", "--formats", "json")
-    assert code == EXIT_OK
-    assert "regularization: 1e-07" in text
-
-
 def test_solve_format_selection(capsys, tmp_path):
     out = str(tmp_path / "jsononly")
     code, _ = run(capsys, "solve", "--builtin", "three_node",
@@ -98,7 +91,7 @@ def test_gne_without_optional_flags_echoes_run_config_defaults(capsys, out,
     assert report["config"] == {
         "command": "gne", "builtin": "three_node", "scenario_path": None,
         "out_dir": out, "formats": ["csv", "dot", "json"],
-        "reg": 0.0, "seed": 0, "grid": None,
+        "seed": 0, "grid": None,
         "random": None, "axis": "0", "support": "n_gt_m", "budget": 10 ** 6}
 
 
@@ -108,10 +101,10 @@ _SHARED_KEYS = {"command", "builtin", "scenario_path", "out_dir", "formats"}
 
 
 @pytest.mark.parametrize("argv,report,own", [
-    (["solve"], "solve_three_node.json", {"reg"}),
+    (["solve"], "solve_three_node.json", set()),
     (["gne", "--axis", "0"], "gne_three_node.json",
-     {"reg", "seed", "grid", "random", "axis", "support", "budget"}),
-    (["analyze"], "analyze_three_node.json", {"reg", "max_cycle_len"}),
+     {"seed", "grid", "random", "axis", "support", "budget"}),
+    (["analyze"], "analyze_three_node.json", {"max_cycle_len"}),
     (["privacy", "--samples", "1000"], "privacy_three_node.json",
      {"seed", "samples", "r_box", "errors_path"}),
     (["validate"], "validate_three_node.json", set()),
@@ -217,9 +210,9 @@ def test_privacy_rejects_non_finite_r_box(capsys, tmp_path):
     (["analyze", "--max-cycle-len", "9"], "--max-cycle-len: max_len 9 exceeds the node count 3"),
     # Waste certificates search no paths, so there is no path bound.
     (["analyze", "--max-path-len", "3"], "unrecognized arguments: --max-path-len 3"),
-    (["solve", "--reg", "-1"], "--reg: eps_reg must be finite and nonnegative, got -1.0"),
-    (["gne", "--axis", "0", "--reg", "nan"],
-     "--reg: eps_reg must be finite and nonnegative, got nan"),
+    # The solver takes no regularization weight.
+    (["solve", "--reg", "-1"], "unrecognized arguments: --reg -1"),
+    (["gne", "--axis", "0", "--reg", "nan"], "unrecognized arguments: --reg nan"),
     # The convergence target and the iteration cap are solver constants.
     (["solve", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
     (["analyze", "--max-iter", "5"], "unrecognized arguments: --max-iter 5"),
@@ -381,9 +374,12 @@ def test_unread_flags_rejected(capsys, out):
 
 @pytest.mark.parametrize("command", [["solve"], ["gne", "--axis", "0"], ["analyze"],
                                      ["privacy"], ["validate"]])
-@pytest.mark.parametrize("flag, value", [("--tol", "1e-6"), ("--max-iter", "5")])
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-6"), ("--max-iter", "5"),
+                                         ("--reg", "1e-7")])
 def test_solver_constants_are_not_flags(capsys, tmp_path, command, flag, value):
-    # The convergence target and the iteration cap are fixed in qp.
+    # The convergence target and the iteration cap are fixed in qp, and no
+    # weight picks the point of a degenerate optimum: the solver returns
+    # its least-norm optimal point.
     out = tmp_path / "reports"
     code = main([*command, "--builtin", "three_node", "--out", str(out), flag, value])
     assert code == EXIT_USAGE

@@ -209,20 +209,37 @@ def test_polish_lands_exactly_on_degenerate_vertex(monkeypatch):
     assert polished.kkt_residuals["complementarity"] <= 1e-12
 
 
-def test_polish_picks_the_face_point_nearest_the_iterate(monkeypatch):
-    # minimize x1 + x2 s.t. x1 + x2 >= 1 in the unit box: the optimal face
-    # is a segment, and the iterate approaches its center (0.5, 0.5) up to
-    # the rounding of the last, nearly singular Newton step (about 4e-11).
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("ub, expected, face_calls", [
+    ((1.0, 1.0), (0.5, 0.5), 1),
+    ((1.0, 3.0), (0.5, 0.5), 1),
+    # The segment's least-norm point (0.5, 0.5) crosses x1 <= 0.3, so polish
+    # solves once more with that bound held.
+    ((0.3, 3.0), (0.3, 0.7), 2),
+])
+def test_polish_returns_the_least_norm_face_point(monkeypatch, ub, expected, face_calls,
+                                                  swap):
+    # minimize x1 + x2 s.t. x1 + x2 >= 1, 0 <= x <= ub: the optimal face is
+    # a segment, and where along it the iterate stops is up to rounding.
+    # Polish returns the segment's least-norm point, to rounding.
+    calls, face_solve = [0], qp._face_solve
+
+    def counting_face_solve(*args):
+        solve = face_solve(*args)
+
+        def counting(*rest):
+            calls[0] += 1
+            return solve(*rest)
+        return counting
+
+    monkeypatch.setattr(qp, "_face_solve", counting_face_solve)
+    order = [1, 0] if swap else [0, 1]
     prob = qp.QpProblem(np.zeros((2, 2)), [1.0, 1.0], A_ineq=[[-1.0, -1.0]],
-                        b_ineq=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
-    polished = qp.solve(prob)
-    monkeypatch.setattr(qp, "_polish_batch", lambda *args: None)
-    rough = qp.solve(prob)
-    assert polished.status == "optimal"
-    assert polished.kkt_residuals["complementarity"] <= 1e-12
-    step = polished.x - rough.x   # along the face normal (1, 1) only
-    assert step[0] == pytest.approx(step[1], abs=1e-15)
-    assert polished.x[0] == pytest.approx(polished.x[1], abs=1e-10)
+                        b_ineq=[-1.0], lb=[0.0, 0.0], ub=np.array(ub)[order])
+    sol = qp.solve(prob)
+    assert sol.status == "optimal" and calls[0] == face_calls
+    assert sol.kkt_residuals["complementarity"] <= 1e-12
+    np.testing.assert_allclose(sol.x, np.array(expected)[order], rtol=0, atol=1e-15)
 
 
 def test_polish_does_not_break_strictly_active_solutions():
@@ -514,8 +531,8 @@ def _face_case(seed, U=6, B=24):
     are put in the engine layout by ``qp._separable``, the dense rows
     taken as its equality rows: coupled first, separable last.  ``U``
     patterns of rows, the first holding every row, and ``B`` rows of ``R``
-    with a start ``(x0, w0)`` each, ``w0`` zero off the row's face.
-    Returns ``(P, nc, C, d, on, group, R, x0, w0, floored)``, ``floored``
+    with a multiplier start ``w0`` each, zero off the row's face.
+    Returns ``(P, nc, C, d, on, group, R, w0, floored)``, ``floored``
     marking the variables only the pivot floor keeps coupled.
     """
     rng = np.random.default_rng(seed)
@@ -546,9 +563,8 @@ def _face_case(seed, U=6, B=24):
     on = rng.random((U, len(C))) < 0.6
     on[0] = True
     group = rng.integers(0, U, B)
-    d, R, x0, w0 = (rng.normal(size=k) for k in (n, (B, n), (B, n), (B, len(C))))
-    return (P, np.count_nonzero(~sep), C, C @ d, on, group, R, x0, w0 * on[group],
-            floored)
+    d, R, w0 = (rng.normal(size=k) for k in (n, (B, n), (B, len(C))))
+    return P, np.count_nonzero(~sep), C, C @ d, on, group, R, w0 * on[group], floored
 
 
 FACE_SEEDS = range(200)
@@ -556,17 +572,16 @@ FACE_SEEDS = range(200)
 
 @pytest.mark.parametrize("seed", FACE_SEEDS)
 def test_reduced_face_solve_matches_full_face_matrix(seed):
-    # Per pattern, the reduced solve from a start (x0, w0) against the
-    # full face matrix's minimum-norm correction from the same start.
-    P, nc, C, d, on, group, R, x0, w0, _ = _face_case(seed)
-    x, w, full = qp._face_solve(P, C, nc)(R, d, on, group, x0, w0)
+    # Per pattern, the reduced solve, its multipliers started at w0,
+    # against the full face matrix's minimum-norm solution from (0, w0).
+    P, nc, C, d, on, group, R, w0, _ = _face_case(seed)
+    x, w, full = qp._face_solve(P, C, nc)(R, d, on, group, w0)
     eps = np.finfo(float).eps
     for u in np.unique(group):
         f, rows = on[u], group == u
         Cf, w0f = C[f], w0[rows][:, f]
-        dx, dw, full_u = _full_face_solve(P, R[rows] + x0[rows] @ P + w0f @ Cf, Cf,
-                                          d[f] - x0[rows] @ Cf.T)
-        xo, wo = x0[rows] + dx, w0f + dw
+        xo, dw, full_u = _full_face_solve(P, R[rows] + w0f @ Cf, Cf, d[f])
+        wo = w0f + dw
         assert full[u] == full_u
         np.testing.assert_array_equal(w[rows][:, ~f], 0.0)
         # x to 1e-9 of the size of the row's solution (x, w), or to 1e3 eps
@@ -649,8 +664,9 @@ def test_unused_coupling_row_changes_nothing(seed, n, with_eq):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(1, 4), st.integers(0, 3))
-def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
+@given(st.integers(0, 10 ** 6), st.integers(0, 4), st.integers(1, 4), st.integers(0, 3),
+       st.booleans())
+def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m, flat):
     # solve_batch orders the free variables coupled first; a problem posed
     # with its variables permuted gets the same answer, permuted.
     rng = np.random.default_rng(seed)
@@ -671,6 +687,23 @@ def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
     fixed = (rng.random(n) < 0.15) & (np.arange(n) != rng.integers(n))
     lb[fixed] = ub[fixed] = x0[fixed]
     R = rng.normal(scale=5.0, size=(6, n))
+    if flat:
+        # Two more coupled variables, linear and priced alike, their sum
+        # bounded below in a box: min c (x1 + x2) s.t. x1 + x2 >= s, whose
+        # optima can form a segment.  Its least-norm point, which polish
+        # returns, does not depend on the order.  The two ranges share a
+        # point, so the least-norm point of the line crosses at most one
+        # bound; two bounds crossed at one end of the segment are the case
+        # whose retry polish rejects (see qp._polish_batch).
+        pair = np.full(2, rng.uniform(-2.0, 2.0))
+        P = np.pad(P, (0, 2))
+        G = np.vstack([np.pad(G, ((0, 0), (0, 2))), np.r_[np.zeros(n), -1.0, -1.0]])
+        h = np.append(h, rng.uniform(0.1, 1.0) - pair.sum())
+        a = np.pad(a, ((0, 0), (0, 2)))
+        lb = np.append(lb, pair - rng.uniform(0.1, 2.0, 2))
+        ub = np.append(ub, pair + rng.uniform(0.1, 2.0, 2))
+        R = np.hstack([R, np.repeat(rng.uniform(0.5, 5.0, (6, 1)), 2, axis=1)])
+        x0, n = np.append(x0, pair), n + 2
     perm = rng.permutation(n)
     back = np.argsort(perm)
     posed = qp.solve_batch(qp.QpFamily(qp.QpProblem(P, R[0], G, h, a, a @ x0, lb, ub)), R)
@@ -685,6 +718,8 @@ def test_variable_order_changes_nothing(seed, n_sep, n_cpl, m):
     for name in ("mult_ineq", "mult_eq"):
         np.testing.assert_allclose(getattr(moved, name)[opt], getattr(posed, name)[opt],
                                    rtol=0, atol=1e-7)
+    if flat:
+        np.testing.assert_allclose(moved.x[opt][:, back], posed.x[opt], rtol=0, atol=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason="period-4 Mehrotra cycle (ROADMAP item 4)")
